@@ -690,30 +690,6 @@ hierarchicalMetaOf(const dvfs::DvfsController &controller)
 }
 
 /**
- * Decoded --replay traces, loaded once per file. Thread-safe: sweep
- * cells replaying the same capture share one decode. The mutex spans
- * the file read so concurrent first loads of one path cannot race;
- * map values are stable addresses, and entries are only ever added,
- * so returned pointers stay valid for the life of the process.
- */
-const trace::TraceData *
-loadReplayTrace(const std::string &path)
-{
-    static std::mutex m;
-    static std::map<std::string, trace::TraceData> cache;
-    const std::lock_guard<std::mutex> lock(m);
-    const auto it = cache.find(path);
-    if (it != cache.end())
-        return &it->second;
-    trace::TraceReadResult read = trace::readTraceFile(path);
-    if (!read.ok()) {
-        warn("--replay: " + read.error);
-        return nullptr;
-    }
-    return &cache.emplace(path, std::move(*read.trace)).first->second;
-}
-
-/**
  * Run the driver live, attaching the timeline recorder (when enabled)
  * alongside an optional extra observer such as trace capture.
  */
@@ -754,29 +730,31 @@ restorePcSnapshotIn(const BenchOptions &opts,
 }
 
 /**
- * Decoded trace-library entries, loaded once per path (what-if sweeps
- * replay one entry under every controller in the grid). shared_ptr
+ * Decoded traces, read once per path: --replay sweeps share one
+ * capture across cells, and what-if sweeps replay one library entry
+ * under every controller in the grid. The mutex spans the file read,
+ * so concurrent first loads of one path cannot race; shared_ptr
  * values keep a decode alive for in-flight replays even when a
  * concurrent quarantine evicts its path.
  */
-struct LibraryTraceCache
+struct DecodedTraces
 {
     std::mutex mutex;
     std::map<std::string, std::shared_ptr<const trace::TraceData>>
         entries;
 };
 
-LibraryTraceCache &
-libraryTraceCache()
+DecodedTraces &
+decodedTraces()
 {
-    static LibraryTraceCache cache;
+    static DecodedTraces cache;
     return cache;
 }
 
 std::shared_ptr<const trace::TraceData>
-loadLibraryTrace(const std::string &path, std::string &error)
+loadTrace(const std::string &path, std::string &error)
 {
-    LibraryTraceCache &cache = libraryTraceCache();
+    DecodedTraces &cache = decodedTraces();
     const std::lock_guard<std::mutex> lock(cache.mutex);
     const auto it = cache.entries.find(path);
     if (it != cache.entries.end())
@@ -795,9 +773,9 @@ loadLibraryTrace(const std::string &path, std::string &error)
 /** Forget a decode whose file was quarantined: a later recapture at
  *  the same path must be re-read, never served from the stale memo. */
 void
-evictLibraryTrace(const std::string &path)
+evictTrace(const std::string &path)
 {
-    LibraryTraceCache &cache = libraryTraceCache();
+    DecodedTraces &cache = decodedTraces();
     const std::lock_guard<std::mutex> lock(cache.mutex);
     cache.entries.erase(path);
 }
@@ -811,23 +789,63 @@ bumpCacheCounter(const char *name)
         obs::reg().counter(name, obs::MetricKind::Timing).add(1);
 }
 
-/**
- * Resolve one run through the trace library (docs/replay_studies.md).
- * Returns true when @p result was produced (a hit replay, or a live
- * capture-on-miss run); false tells the caller to run live itself.
- * A stale entry heals in place: quarantine, then a cold controller
- * rebuild through @p ctrl / @p pcstall / cache.rebuilt before the
- * live recapture.
- */
-bool
-runFromLibrary(sim::ExperimentDriver &driver,
-               std::shared_ptr<const isa::Application> app,
-               dvfs::DvfsController *&ctrl,
-               core::PcstallController *&pcstall,
-               const BenchOptions &opts, const std::string &workload,
-               TraceCacheContext &cache, obs::ProvenanceLog *prov,
-               sim::RunResult &result)
+/** How a live run with a trace capture went (runCapturing). */
+enum class Capture
 {
+    /** The trace file could not be opened; nothing ran. */
+    Unwritable,
+    /** The run completed, but writing its capture failed. */
+    IoError,
+    /** The run completed and its capture is committed. */
+    Written,
+};
+
+/**
+ * Run live while streaming a PCTR capture to @p path, embedding the
+ * learned PC table of a PCSTALL controller. The TraceWriter stages
+ * through temp + fsync + rename, so @p path only ever holds a whole
+ * capture: for the trace library that staging is the atomic
+ * publication of the entry.
+ */
+Capture
+runCapturing(sim::ExperimentDriver &driver,
+             std::shared_ptr<const isa::Application> app,
+             dvfs::DvfsController &controller,
+             const std::string &workload, const std::string &path,
+             sim::RunResult &result)
+{
+    trace::TraceWriter writer(
+        path, trace::makeTraceMeta(driver.config(), driver.table(),
+                                   workload, controller,
+                                   hierarchicalMetaOf(controller)));
+    if (!writer.ok())
+        return Capture::Unwritable;
+    trace::TraceCapture capture(writer);
+    if (core::PcstallController *pcstall = pcstallBehind(controller)) {
+        capture.setSnapshotProvider([pcstall] {
+            return trace::snapshotPcTables(pcstall->pcTables());
+        });
+    }
+    result = runWithObservers(driver, std::move(app), controller,
+                              &capture);
+    return capture.finished() && writer.ok() ? Capture::Written
+                                             : Capture::IoError;
+}
+
+} // namespace
+
+bool
+resolveTraceCache(sim::ExperimentDriver &driver,
+                  std::shared_ptr<const isa::Application> app,
+                  dvfs::DvfsController *&controller,
+                  const BenchOptions &opts,
+                  const std::string &workload, TraceCacheContext &cache,
+                  obs::ProvenanceLog *prov, sim::RunResult &result)
+{
+    if (cache.library == nullptr || !cache.library->ok() ||
+        !cache.freshController) {
+        return false;
+    }
     trace::TraceLibrary &lib = *cache.library;
     const trace::LibraryKey &key = cache.key;
     bool capture_on_miss = cache.captureOnMiss;
@@ -836,11 +854,11 @@ runFromLibrary(sim::ExperimentDriver &driver,
     if (got.status == trace::TraceLibrary::GetStatus::Hit) {
         std::string decode_err;
         const std::shared_ptr<const trace::TraceData> data =
-            loadLibraryTrace(got.tracePath, decode_err);
+            loadTrace(got.tracePath, decode_err);
         if (data == nullptr) {
             // Truncated/corrupt entry: quarantined and recaptured,
             // never ingested.
-            evictLibraryTrace(got.tracePath);
+            evictTrace(got.tracePath);
             lib.quarantine(key, decode_err);
             bumpCacheCounter("trace_cache.quarantined");
         } else {
@@ -852,17 +870,17 @@ runFromLibrary(sim::ExperimentDriver &driver,
             // (what-if) replays drive foreign controllers over the
             // owner's stream - divergent decisions are the point.
             ropts.verifyDecisions = !key.shared &&
-                ctrl->name() == data->meta.controller;
+                controller->name() == data->meta.controller;
             ropts.auditRegret = opts.auditRegret || prov != nullptr;
             ropts.provenance = prov;
             ropts.liveMetricProfile = true;
-            trace::ReplayOutcome outcome = replayer.run(*ctrl, ropts);
+            trace::ReplayOutcome outcome =
+                replayer.run(*controller, ropts);
             if (outcome.ok() && outcome.decisionMismatches == 0) {
                 debug("trace cache hit: " + key.digest() + " (" +
-                      workload + " under " + ctrl->name() + ")");
+                      workload + " under " + controller->name() + ")");
                 bumpCacheCounter("trace_cache.hits");
                 result = outcome.result;
-                cache.outcome = TraceCacheContext::Outcome::Hit;
                 return true;
             }
             if (!outcome.ok() && key.shared) {
@@ -880,7 +898,7 @@ runFromLibrary(sim::ExperimentDriver &driver,
                 // have half-driven the controller, so rebuild it cold
                 // - and restart its provenance log - before the live
                 // run.
-                evictLibraryTrace(got.tracePath);
+                evictTrace(got.tracePath);
                 lib.quarantine(
                     key,
                     outcome.ok()
@@ -890,9 +908,8 @@ runFromLibrary(sim::ExperimentDriver &driver,
                         : outcome.error);
                 bumpCacheCounter("trace_cache.quarantined");
                 cache.rebuilt = cache.freshController();
-                ctrl = cache.rebuilt.get();
-                pcstall = pcstallBehind(*ctrl);
-                restorePcSnapshotIn(opts, pcstall);
+                controller = cache.rebuilt.get();
+                restorePcSnapshotIn(opts, pcstallBehind(*controller));
                 if (prov != nullptr)
                     *prov = obs::ProvenanceLog{};
             }
@@ -900,66 +917,33 @@ runFromLibrary(sim::ExperimentDriver &driver,
     }
 
     // Miss (or a just-quarantined hit): simulate live, streaming the
-    // capture straight to the library entry. The TraceWriter's temp +
-    // fsync + rename staging is the atomic publication; the key
-    // sidecar follows strictly after, so a crash leaves at most an
+    // capture straight to the library entry. The key sidecar follows
+    // the committed trace strictly after, so a crash leaves at most an
     // orphan trace (a miss), never a sidecar naming a partial trace.
     bumpCacheCounter("trace_cache.misses");
-    if (capture_on_miss) {
-        const trace::TraceMeta meta = trace::makeTraceMeta(
-            driver.config(), driver.table(), workload, *ctrl,
-            hierarchicalMetaOf(*ctrl));
-        trace::TraceWriter writer(lib.entryPath(key), meta);
-        if (writer.ok()) {
-            trace::TraceCapture capture(writer);
-            if (pcstall != nullptr) {
-                core::PcstallController *snap_src = pcstall;
-                capture.setSnapshotProvider([snap_src] {
-                    return trace::snapshotPcTables(
-                        snap_src->pcTables());
-                });
-            }
-            result = runWithObservers(driver, app, *ctrl, &capture);
-            if (capture.finished() && writer.ok()) {
-                const std::string key_err = lib.publishKey(key);
-                if (!key_err.empty())
-                    warn("trace cache: " + key_err);
-                debug("trace cache capture: " + key.digest() + " (" +
-                      workload + " under " + ctrl->name() + ")");
-                bumpCacheCounter("trace_cache.captures");
-                cache.outcome =
-                    TraceCacheContext::Outcome::MissCaptured;
-            } else {
-                warn("trace cache: I/O error capturing '" +
-                     lib.entryPath(key) + "' (cell ran live)");
-                cache.outcome = TraceCacheContext::Outcome::MissLive;
-            }
-            return true;
-        }
-        warn("trace cache: cannot write '" + lib.entryPath(key) +
-             "' (running uncached)");
-    }
-    cache.outcome = TraceCacheContext::Outcome::MissLive;
-    return false;
-}
-
-} // namespace
-
-bool
-resolveTraceCache(sim::ExperimentDriver &driver,
-                  std::shared_ptr<const isa::Application> app,
-                  dvfs::DvfsController *&controller,
-                  const BenchOptions &opts,
-                  const std::string &workload, TraceCacheContext &cache,
-                  obs::ProvenanceLog *prov, sim::RunResult &result)
-{
-    if (cache.library == nullptr || !cache.library->ok() ||
-        !cache.freshController) {
+    if (!capture_on_miss)
         return false;
+    const std::string path = lib.entryPath(key);
+    switch (runCapturing(driver, app, *controller, workload, path,
+                         result)) {
+    case Capture::Unwritable:
+        warn("trace cache: cannot write '" + path +
+             "' (running uncached)");
+        return false;
+    case Capture::IoError:
+        warn("trace cache: I/O error capturing '" + path +
+             "' (cell ran live)");
+        return true;
+    case Capture::Written:
+        break;
     }
-    core::PcstallController *pcstall = pcstallBehind(*controller);
-    return runFromLibrary(driver, app, controller, pcstall, opts,
-                          workload, cache, prov, result);
+    const std::string key_err = lib.publishKey(key);
+    if (!key_err.empty())
+        warn("trace cache: " + key_err);
+    debug("trace cache capture: " + key.digest() + " (" + workload +
+          " under " + controller->name() + ")");
+    bumpCacheCounter("trace_cache.captures");
+    return true;
 }
 
 void
@@ -1013,10 +997,14 @@ runTraced(sim::ExperimentDriver &driver,
     driver.setProvenance(prov);
     if (!opts.replayTrace.empty()) {
         // Symmetric with capture: repeat N replays the -rN capture.
-        const trace::TraceData *data = loadReplayTrace(
-            expandRunPath(opts.replayTrace, workload,
-                          ctrl->name(), run_index));
-        if (data != nullptr) {
+        std::string read_err;
+        const std::shared_ptr<const trace::TraceData> data = loadTrace(
+            expandRunPath(opts.replayTrace, workload, ctrl->name(),
+                          run_index),
+            read_err);
+        if (data == nullptr) {
+            warn("--replay: " + read_err);
+        } else {
             if (data->meta.workload != workload) {
                 warn("--replay: trace was captured on '" +
                      data->meta.workload + "', not '" + workload +
@@ -1046,34 +1034,23 @@ runTraced(sim::ExperimentDriver &driver,
         }
     }
     if (!ran && !opts.traceOut.empty()) {
-        const trace::TraceMeta meta = trace::makeTraceMeta(
-            driver.config(), driver.table(), workload, *ctrl,
-            hierarchicalMetaOf(*ctrl));
         const std::string path = claimOutputPath(expandRunPath(
             opts.traceOut, workload, ctrl->name(), run_index));
-        trace::TraceWriter writer(path, meta);
-        if (writer.ok()) {
-            trace::TraceCapture capture(writer);
-            if (pcstall != nullptr) {
-                core::PcstallController *snap_src = pcstall;
-                capture.setSnapshotProvider([snap_src] {
-                    return trace::snapshotPcTables(
-                        snap_src->pcTables());
-                });
-            }
-            result = runWithObservers(driver, app, *ctrl, &capture);
-            ran = true;
-            if (!writer.ok())
-                warn("--trace-out: I/O error writing '" + path + "'");
-        } else {
+        const Capture status =
+            runCapturing(driver, app, *ctrl, workload, path, result);
+        ran = status != Capture::Unwritable;
+        if (status == Capture::Unwritable) {
             warn("--trace-out: cannot write '" + path +
                  "' (running untraced)");
+        } else if (status == Capture::IoError) {
+            warn("--trace-out: I/O error writing '" + path + "'");
         }
     }
-    if (!ran && cache != nullptr && cache->library != nullptr &&
-        cache->library->ok() && cache->freshController) {
-        ran = runFromLibrary(driver, app, ctrl, pcstall, opts,
-                             workload, *cache, prov, result);
+    if (!ran && cache != nullptr) {
+        ran = resolveTraceCache(driver, app, ctrl, opts, workload,
+                                *cache, prov, result);
+        // A heal may have swapped in a rebuilt controller.
+        pcstall = pcstallBehind(*ctrl);
     }
     if (!ran)
         result = runWithObservers(driver, app, *ctrl, nullptr);

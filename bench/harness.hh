@@ -351,20 +351,6 @@ struct TraceCacheContext
      * must read).
      */
     std::unique_ptr<dvfs::DvfsController> rebuilt;
-    /** Out: what the cache actually did for this run. */
-    enum class Outcome
-    {
-        /** Cache not consulted (flag precedence or unusable context). */
-        Untouched,
-        /** Replayed from a published entry. */
-        Hit,
-        /** Simulated live and published the capture. */
-        MissCaptured,
-        /** Simulated live without capturing (captureOnMiss off, an
-         *  unwritable entry, or a replay-ineligible cached stream). */
-        MissLive,
-    };
-    Outcome outcome = Outcome::Untouched;
 };
 
 /**

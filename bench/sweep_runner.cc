@@ -15,6 +15,8 @@
 #include "obs/context.hh"
 #include "store/cell_codec.hh"
 #include "store/result_store.hh"
+#include "trace/format.hh"
+#include "trace/wire.hh"
 #include "zoo/registry.hh"
 
 namespace pcstall::bench
@@ -23,35 +25,18 @@ namespace pcstall::bench
 std::string
 simConfigFingerprint(const BenchOptions &opts)
 {
-    std::ostringstream key;
-    key << opts.cus << '|' << opts.scale << '|' << opts.epochLen << '|'
-        << opts.cusPerDomain << '|' << opts.seed << '|'
-        << static_cast<int>(opts.objective) << '|'
-        << opts.perfDegradationLimit << '|' << opts.collectTrace << '|'
-        << opts.watchdog << '|' << opts.ecc << '|' << opts.faults.seed
-        << '|' << opts.faults.telemetry.enabled << '|'
-        << opts.faults.telemetry.sigma << '|'
-        << opts.faults.telemetry.dropoutProb << '|'
-        << opts.faults.dvfs.enabled << '|'
-        << opts.faults.dvfs.transitionFailProb << '|'
-        << opts.faults.dvfs.extraSwitchLatency << '|'
-        << opts.faults.dvfs.granularity << '|'
-        << opts.faults.storage.enabled << '|'
-        << opts.faults.storage.upsetsPerEpoch;
-    return key.str();
+    // src/trace decides which RunConfig fields identify a run: the
+    // image a capture's META section records. Scale and seed shape
+    // the workload build, not the RunConfig, so they follow it.
+    std::string image = trace::encodeRunConfigImage(trace::makeTraceMeta(
+        opts.runConfig(), power::VfTable::paperTable()));
+    trace::putDouble(image, opts.scale);
+    trace::putFixed64(image, opts.seed);
+    return trace::digest128(image);
 }
 
 namespace
 {
-
-/** Cells agreeing on the fingerprint plus (workload, design) are true
- *  repeats and get distinct run indices; the same key also identifies
- *  shareable application builds and baseline runs. */
-std::string
-configKey(const BenchOptions &opts)
-{
-    return simConfigFingerprint(opts);
-}
 
 /** Application builds depend on this subset of the options only. */
 std::string
@@ -83,36 +68,33 @@ steadyNowNs()
 }
 
 /**
- * The store identity of one run. The fingerprint extends configKey()
- * with the inputs it deliberately leaves out of repeat-keying but
- * which do change results or stored content: a PC-table warm-start
- * file and whether metrics were recorded (entries written without
- * metrics carry an empty shard and must not satisfy a metrics run).
+ * The results-store key of a run: its identity (see identityOf) plus
+ * the two bits that change what an entry holds. Entries written
+ * without metrics carry an empty shard, and entries written without
+ * regret auditing an empty RunResult::regret; neither may satisfy a
+ * run that wants them.
  */
 store::CellKey
-storeKeyFor(const std::string &harness, const std::string &workload,
-            const std::string &design, const BenchOptions &opts,
-            std::size_t run_index)
+storeKeyFor(const trace::LibraryKey &id, bool audit_regret)
 {
     store::CellKey key;
-    key.harness = harness;
-    key.workload = workload;
-    key.design = design;
-    // The config suffix also gets its own key slot (and with it the
-    // digest), so "REGR:hist=4" and "REGR:hist=8" cells can never
-    // collide even if a future harness normalizes design labels.
-    key.controllerConfig = dvfs::splitDesign(design).config;
-    key.fingerprint = configKey(opts);
-    key.fingerprint += '\x1f';
-    key.fingerprint += obs::metricsEnabled() ? "m1" : "m0";
-    key.fingerprint += '\x1f';
-    // Entries written without regret auditing carry an empty
-    // RunResult::regret and must not satisfy an audited run.
-    key.fingerprint += opts.auditRegret ? "a1" : "a0";
-    key.fingerprint += '\x1f';
-    key.fingerprint += opts.pcSnapshotIn;
-    key.runIndex = run_index;
+    key.fingerprint = id.text();
+    key.fingerprint += obs::metricsEnabled() ? "\x1fm1" : "\x1fm0";
+    // Split literals: "\x1fa1" would read as one hex escape.
+    key.fingerprint += audit_regret ? "\x1f" "a1" : "\x1f" "a0";
     return key;
+}
+
+/** The identity of the static-nominal baseline shared by every cell
+ *  with @p cell's configuration. It always keys exact, and cold: a
+ *  static controller ignores PC warm starts, so reuse is maximal. */
+trace::LibraryKey
+baselineOf(trace::LibraryKey cell)
+{
+    cell.design = baselineDesign;
+    cell.runIndex = 0;
+    cell.pcSnapshotIn.clear();
+    return cell;
 }
 
 /** True when a cell's run cannot be satisfied from the store: it has
@@ -140,23 +122,6 @@ cacheBypassed(const SweepCell &cell)
 {
     return !cell.opts.traceOut.empty() ||
            !cell.opts.replayTrace.empty();
-}
-
-std::uint64_t
-fnv1aBytes(const std::string &text, std::uint64_t basis)
-{
-    std::uint64_t h = basis;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
-std::string
-baselineMemoKey(const std::string &workload, const BenchOptions &opts)
-{
-    return workload + '|' + configKey(opts);
 }
 
 } // namespace
@@ -269,14 +234,9 @@ SweepRunner::workloadDigestFor(const std::string &workload)
     std::string digest;
     std::ifstream is(workload, std::ios::binary);
     if (is) {
-        const std::string bytes(
-            (std::istreambuf_iterator<char>(is)),
-            std::istreambuf_iterator<char>());
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(fnv1aBytes(
-                          bytes, 0xCBF29CE484222325ULL)));
-        digest = buf;
+        digest = trace::digest128(
+            std::string((std::istreambuf_iterator<char>(is)),
+                        std::istreambuf_iterator<char>()));
     } else {
         // Unreadable now => never a hit (and the cell itself will
         // fail to build, with its own diagnostic).
@@ -287,86 +247,100 @@ SweepRunner::workloadDigestFor(const std::string &workload)
 }
 
 trace::LibraryKey
-SweepRunner::libraryKeyFor(const std::string &workload,
-                           const std::string &design,
-                           const BenchOptions &opts,
-                           std::size_t run_index, bool shared)
+SweepRunner::identityOf(const std::string &workload,
+                        const std::string &design,
+                        const BenchOptions &opts)
 {
     trace::LibraryKey key;
     key.harness = defaults.harnessId;
     key.workload = workload;
     key.workloadDigest = workloadDigestFor(workload);
     key.design = design;
-    key.runIndex = run_index;
     key.fingerprint = simConfigFingerprint(opts);
     key.pcSnapshotIn = opts.pcSnapshotIn;
-    key.shared = shared;
     return key;
 }
 
 bool
-SweepRunner::storeProbablyHas(const SweepCell &cell) const
+SweepRunner::storeProbablyHas(const SweepCell &cell,
+                              const trace::LibraryKey &id) const
 {
     if (resultStore == nullptr || storeBypassed(cell))
         return false;
+    const bool audit = cell.opts.auditRegret;
     std::error_code ec;
-    const bool cell_present = std::filesystem::exists(
-        resultStore->entryPath(storeKeyFor(
-            defaults.harnessId, cell.workload, cell.design, cell.opts,
-            cell.runIndex)),
-        ec);
-    if (!cell_present)
+    if (!std::filesystem::exists(
+            resultStore->entryPath(storeKeyFor(id, audit)), ec)) {
         return false;
-    if (!cell.wantBaseline)
-        return true;
-    return std::filesystem::exists(
-        resultStore->entryPath(storeKeyFor(
-            defaults.harnessId, cell.workload, baselineDesign,
-            cell.opts, 0)),
-        ec);
+    }
+    return !cell.wantBaseline ||
+        std::filesystem::exists(
+            resultStore->entryPath(storeKeyFor(baselineOf(id), audit)),
+            ec);
+}
+
+bool
+SweepRunner::storeGet(const store::CellKey *key, const std::string &label,
+                      RunOutcome &run, ShardArtifact &art) const
+{
+    if (key == nullptr || resultStore == nullptr)
+        return false;
+    store::ResultStore::GetResult got = resultStore->get(*key);
+    if (got.status == store::ResultStore::GetStatus::Corrupt) {
+        obs::reg()
+            .counter("farm.cells.quarantined", obs::MetricKind::Timing)
+            .add(1);
+        warn(got.error + " (quarantined; recomputing)");
+    }
+    if (got.status == store::ResultStore::GetStatus::Hit) {
+        store::StoredCell stored;
+        std::string derr;
+        if (store::decodeStoredCell(got.payload, stored, derr)) {
+            obs::reg()
+                .counter("farm.cells.hit", obs::MetricKind::Timing)
+                .add(1);
+            debug("store hit: " + label);
+            run.result = std::move(stored.run.result);
+            run.ok = stored.run.ok;
+            run.error = std::move(stored.run.error);
+            art.snap = std::move(stored.metrics);
+            art.valid = true;
+            return true;
+        }
+        warn("store entry for " + label + ": " + derr +
+             " (recomputing)");
+    }
+    obs::reg().counter("farm.cells.miss", obs::MetricKind::Timing).add(1);
+    return false;
+}
+
+void
+SweepRunner::storePut(const store::CellKey *key, const std::string &label,
+                      const RunOutcome &run,
+                      const ShardArtifact &art) const
+{
+    if (key == nullptr || resultStore == nullptr || !run.ok)
+        return;
+    store::StoredCell stored;
+    stored.run.result = run.result;
+    stored.run.ok = true;
+    stored.metrics = art.snap;
+    const std::string perr =
+        resultStore->put(*key, store::encodeStoredCell(stored));
+    if (!perr.empty())
+        debug("store put (" + label + "): " + perr);
 }
 
 RunOutcome
-SweepRunner::computeBaseline(const std::string &workload,
+SweepRunner::computeBaseline(const trace::LibraryKey &id,
                              const BenchOptions &opts,
                              ShardArtifact &art)
 {
     RunOutcome out;
-    store::ResultStore *rs = resultStore.get();
-    store::CellKey key;
-    if (rs != nullptr) {
-        key = storeKeyFor(defaults.harnessId, workload, baselineDesign,
-                          opts, 0);
-        store::ResultStore::GetResult got = rs->get(key);
-        if (got.status == store::ResultStore::GetStatus::Corrupt) {
-            obs::reg()
-                .counter("farm.cells.quarantined",
-                         obs::MetricKind::Timing)
-                .add(1);
-            warn(got.error + " (quarantined; recomputing)");
-        }
-        if (got.status == store::ResultStore::GetStatus::Hit) {
-            store::StoredCell stored;
-            std::string derr;
-            if (store::decodeStoredCell(got.payload, stored, derr)) {
-                obs::reg()
-                    .counter("farm.cells.hit", obs::MetricKind::Timing)
-                    .add(1);
-                debug("store hit: baseline " + workload);
-                out.result = std::move(stored.run.result);
-                out.ok = stored.run.ok;
-                out.error = std::move(stored.run.error);
-                art.snap = std::move(stored.metrics);
-                art.valid = true;
-                return out;
-            }
-            warn("store entry for baseline " + workload + ": " + derr +
-                 " (recomputing)");
-        }
-        obs::reg()
-            .counter("farm.cells.miss", obs::MetricKind::Timing)
-            .add(1);
-    }
+    const std::string &workload = id.workload;
+    const store::CellKey key = storeKeyFor(id, opts.auditRegret);
+    if (storeGet(&key, "baseline " + workload, out, art))
+        return out;
 
     // Live compute in a private context so the baseline's metrics
     // shard is exactly this run's recording - cleanly snapshottable
@@ -387,30 +361,19 @@ SweepRunner::computeBaseline(const std::string &workload,
                     Rng::split(opts.seed, workload, "STATIC").next();
                 sim::ExperimentDriver driver(cfg);
                 dvfs::StaticController nominal(driver.nominalState());
-                bool produced = false;
-                if (traceLibrary != nullptr && traceLibrary->ok()) {
-                    // Baselines always key exact (the shared what-if
-                    // tier addresses cell streams; a baseline's
-                    // STATIC-seeded stream is its own). PC warm-start
-                    // paths are irrelevant to a static controller, so
-                    // the slot stays blank for maximal reuse.
-                    TraceCacheContext cctx;
-                    cctx.library = traceLibrary.get();
-                    cctx.key = libraryKeyFor(workload, baselineDesign,
-                                             opts, 0, false);
-                    cctx.key.pcSnapshotIn.clear();
-                    cctx.freshController = [&driver]()
-                        -> std::unique_ptr<dvfs::DvfsController> {
-                        return std::make_unique<dvfs::StaticController>(
-                            driver.nominalState());
-                    };
-                    dvfs::DvfsController *ctrl = &nominal;
-                    produced = resolveTraceCache(driver, app, ctrl,
-                                                 opts, workload, cctx,
-                                                 nullptr, out.result);
-                }
-                if (!produced)
+                TraceCacheContext cctx;
+                cctx.library = traceLibrary.get();
+                cctx.key = id;
+                cctx.freshController = [&driver]()
+                    -> std::unique_ptr<dvfs::DvfsController> {
+                    return std::make_unique<dvfs::StaticController>(
+                        driver.nominalState());
+                };
+                dvfs::DvfsController *ctrl = &nominal;
+                if (!resolveTraceCache(driver, app, ctrl, opts, workload,
+                                       cctx, nullptr, out.result)) {
                     out.result = driver.run(app, nominal);
+                }
                 out.result.workload = workload;
                 out.ok = true;
             } else {
@@ -431,16 +394,8 @@ SweepRunner::computeBaseline(const std::string &workload,
         noteSweepFailure();
         warn("static baseline for " + workload +
              " failed: " + out.error);
-    } else if (rs != nullptr) {
-        store::StoredCell stored;
-        stored.run.result = out.result;
-        stored.run.ok = true;
-        stored.metrics = art.snap;
-        const std::string perr =
-            rs->put(key, store::encodeStoredCell(stored));
-        if (!perr.empty())
-            debug("store put (baseline " + workload + "): " + perr);
     }
+    storePut(&key, "baseline " + workload, out, art);
     return out;
 }
 
@@ -448,7 +403,15 @@ RunOutcome
 SweepRunner::staticBaseline(const std::string &workload,
                             const BenchOptions &opts)
 {
-    const std::string key = baselineMemoKey(workload, opts);
+    return memoBaseline(
+        baselineOf(identityOf(workload, baselineDesign, opts)), opts);
+}
+
+RunOutcome
+SweepRunner::memoBaseline(const trace::LibraryKey &id,
+                          const BenchOptions &opts)
+{
+    const std::string key = id.text();
     std::shared_future<RunOutcome> fut;
     std::shared_ptr<std::promise<RunOutcome>> mine;
     {
@@ -464,7 +427,7 @@ SweepRunner::staticBaseline(const std::string &workload,
     }
     if (mine != nullptr) {
         ShardArtifact art;
-        RunOutcome out = computeBaseline(workload, opts, art);
+        RunOutcome out = computeBaseline(id, opts, art);
         {
             const std::lock_guard<std::mutex> lock(artifactMutex);
             baselineArtifacts[key] = std::move(art);
@@ -475,7 +438,7 @@ SweepRunner::staticBaseline(const std::string &workload,
 }
 
 SweepRunner::FailureKind
-SweepRunner::attemptCell(const SweepCell &cell,
+SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
                          const std::atomic<bool> *cancel,
                          RunOutcome &run, const CacheRouting &routing)
 {
@@ -506,12 +469,10 @@ SweepRunner::attemptCell(const SweepCell &cell,
         fatalIf(controller == nullptr,
                 "cell factory returned no controller");
         TraceCacheContext cacheCtx;
-        if (routing.enabled && traceLibrary != nullptr &&
-            traceLibrary->ok()) {
+        if (routing.enabled) {
             cacheCtx.library = traceLibrary.get();
-            cacheCtx.key =
-                libraryKeyFor(cell.workload, cell.design, cell.opts,
-                              cell.runIndex, defaults.traceWhatIf);
+            cacheCtx.key = id;
+            cacheCtx.key.shared = defaults.traceWhatIf;
             cacheCtx.captureOnMiss = routing.captureOnMiss;
             cacheCtx.freshController = [&cell, &cfg, &app]()
                 -> std::unique_ptr<dvfs::DvfsController> {
@@ -548,48 +509,19 @@ SweepRunner::attemptCell(const SweepCell &cell,
 }
 
 CellOutcome
-SweepRunner::executeCell(const SweepCell &cell, CellWatch *watch,
-                         obs::Registry &farm, ShardArtifact &art,
-                         const CacheRouting &routing)
+SweepRunner::executeCell(const SweepCell &cell,
+                         const trace::LibraryKey &id, CellWatch *watch,
+                         ShardArtifact &art, const CacheRouting &routing)
 {
     CellOutcome out;
     if (cell.wantBaseline)
-        out.baseline = staticBaseline(cell.workload, cell.opts);
+        out.baseline = memoBaseline(baselineOf(id), cell.opts);
 
     const std::string label = cellLabel(cell.workload, cell.design);
-    store::ResultStore *rs =
-        storeBypassed(cell) ? nullptr : resultStore.get();
-    store::CellKey key;
-    if (rs != nullptr) {
-        key = storeKeyFor(defaults.harnessId, cell.workload,
-                          cell.design, cell.opts, cell.runIndex);
-        store::ResultStore::GetResult got = rs->get(key);
-        if (got.status == store::ResultStore::GetStatus::Corrupt) {
-            farm.counter("farm.cells.quarantined",
-                         obs::MetricKind::Timing)
-                .add(1);
-            warn(got.error + " (quarantined; recomputing)");
-        }
-        if (got.status == store::ResultStore::GetStatus::Hit) {
-            store::StoredCell stored;
-            std::string derr;
-            if (store::decodeStoredCell(got.payload, stored, derr)) {
-                farm.counter("farm.cells.hit", obs::MetricKind::Timing)
-                    .add(1);
-                debug("store hit: " + label);
-                out.run.result = std::move(stored.run.result);
-                out.run.ok = stored.run.ok;
-                out.run.error = std::move(stored.run.error);
-                art.snap = std::move(stored.metrics);
-                art.valid = true;
-                return out;
-            }
-            warn("store entry for " + label + ": " + derr +
-                 " (recomputing)");
-        }
-        farm.counter("farm.cells.miss", obs::MetricKind::Timing)
-            .add(1);
-    }
+    const store::CellKey key = storeKeyFor(id, cell.opts.auditRegret);
+    const store::CellKey *stored = storeBypassed(cell) ? nullptr : &key;
+    if (storeGet(stored, label, out.run, art))
+        return out;
 
     const std::int64_t budget_ns = static_cast<std::int64_t>(
         defaults.cellTimeoutSec * 1e9);
@@ -609,7 +541,7 @@ SweepRunner::executeCell(const SweepCell &cell, CellWatch *watch,
             const obs::ScopedContext scope(attempt_ctx);
             out.run = RunOutcome{};
             kind = attemptCell(
-                cell, watch != nullptr ? &watch->cancel : nullptr,
+                cell, id, watch != nullptr ? &watch->cancel : nullptr,
                 out.run, routing);
         }
         if (watch != nullptr)
@@ -622,13 +554,15 @@ SweepRunner::executeCell(const SweepCell &cell, CellWatch *watch,
         if (out.run.ok)
             break;
         if (kind == FailureKind::Timeout) {
-            farm.counter("farm.cells.timeout", obs::MetricKind::Timing)
+            obs::reg()
+                .counter("farm.cells.timeout", obs::MetricKind::Timing)
                 .add(1);
             break;
         }
         if (kind == FailureKind::Transient &&
             attempt + 1 < max_attempts) {
-            farm.counter("farm.cells.retried", obs::MetricKind::Timing)
+            obs::reg()
+                .counter("farm.cells.retried", obs::MetricKind::Timing)
                 .add(1);
             warn("sweep cell " + label + " attempt " +
                  std::to_string(attempt + 1) + " failed: " +
@@ -640,39 +574,34 @@ SweepRunner::executeCell(const SweepCell &cell, CellWatch *watch,
         break;
     }
 
-    if (out.run.ok) {
-        if (rs != nullptr) {
-            store::StoredCell stored;
-            stored.run.result = out.run.result;
-            stored.run.ok = true;
-            stored.metrics = art.snap;
-            const std::string perr =
-                rs->put(key, store::encodeStoredCell(stored));
-            if (!perr.empty())
-                debug("store put (" + label + "): " + perr);
-        }
-    } else {
+    if (!out.run.ok) {
         // The one-line diagnostic; the rest of the sweep completes
         // and guardedMain turns the tally into a non-zero exit.
         noteSweepFailure();
         warn("sweep cell " + label + " failed: " + out.run.error);
     }
+    storePut(stored, label, out.run, art);
     return out;
 }
 
 std::vector<CellOutcome>
 SweepRunner::run(std::vector<SweepCell> cells)
 {
-    // Repeat indices are assigned here, in submission order, on the
-    // FULL list before any shard filtering - the only place cell
-    // identity is decided, and deliberately independent of the shard
-    // layout so every worker and the merge pass agree on RNG streams
-    // and store keys.
+    // Cell identities and repeat indices are decided here, once, in
+    // submission order, on the FULL list before any shard filtering -
+    // deliberately independent of the shard layout so every worker
+    // and the merge pass agree on RNG streams and cache keys. Cells
+    // with equal identities are true repeats and get distinct run
+    // indices.
+    std::vector<trace::LibraryKey> ids;
+    ids.reserve(cells.size());
     std::map<std::string, std::size_t> repeats;
     for (SweepCell &cell : cells) {
-        const std::string key = cell.workload + '\x1f' + cell.design +
-            '\x1f' + configKey(cell.opts);
-        cell.runIndex = repeats[key]++;
+        trace::LibraryKey id =
+            identityOf(cell.workload, cell.design, cell.opts);
+        cell.runIndex = repeats[id.text()]++;
+        id.runIndex = cell.runIndex;
+        ids.push_back(std::move(id));
     }
 
     const unsigned shard_n =
@@ -705,14 +634,13 @@ SweepRunner::run(std::vector<SweepCell> cells)
         for (std::size_t i = 0; i < cells.size(); ++i) {
             if (!owned(i) || !routing[i].enabled)
                 continue;
-            const std::string digest =
-                libraryKeyFor(cells[i].workload, cells[i].design,
-                              cells[i].opts, cells[i].runIndex, true)
-                    .digest();
-            const auto it = groupFuture.find(digest);
+            trace::LibraryKey stream = ids[i];
+            stream.shared = true;
+            const std::string group = stream.text();
+            const auto it = groupFuture.find(group);
             if (it == groupFuture.end()) {
                 auto signal = std::make_shared<std::promise<void>>();
-                groupFuture.emplace(digest,
+                groupFuture.emplace(group,
                                     signal->get_future().share());
                 cellSignals[i] = std::move(signal);
             } else {
@@ -733,7 +661,7 @@ SweepRunner::run(std::vector<SweepCell> cells)
     std::set<std::string> seen;
     std::vector<const SweepCell *> appWork;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!owned(i) || storeProbablyHas(cells[i]))
+        if (!owned(i) || storeProbablyHas(cells[i], ids[i]))
             continue;
         if (seen.insert(appKey(cells[i].workload, cells[i].opts))
                 .second) {
@@ -745,13 +673,15 @@ SweepRunner::run(std::vector<SweepCell> cells)
     });
 
     seen.clear();
-    std::vector<const SweepCell *> baselineWork;
+    std::vector<std::size_t> baselineWork;
+    std::vector<trace::LibraryKey> baselineIds;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const SweepCell &cell = cells[i];
-        if (owned(i) && cell.wantBaseline &&
-            seen.insert(baselineMemoKey(cell.workload, cell.opts))
-                .second) {
-            baselineWork.push_back(&cell);
+        if (!owned(i) || !cells[i].wantBaseline)
+            continue;
+        trace::LibraryKey id = baselineOf(ids[i]);
+        if (seen.insert(id.text()).second) {
+            baselineWork.push_back(i);
+            baselineIds.push_back(std::move(id));
         }
     }
     // Metric sharding (see src/obs/context.hh): every baseline and
@@ -763,14 +693,13 @@ SweepRunner::run(std::vector<SweepCell> cells)
     // baseline work can leak into (and nondeterministically inflate)
     // a cell's shard.
     std::vector<std::unique_ptr<obs::RunContext>> baselineCtx;
-    for (const SweepCell *cell : baselineWork) {
+    for (const trace::LibraryKey &id : baselineIds) {
         baselineCtx.push_back(std::make_unique<obs::RunContext>(
-            "baseline: " + cell->workload));
+            "baseline: " + id.workload));
     }
     pool.forEach(baselineWork.size(), [&](std::size_t i) {
         const obs::ScopedContext scope(*baselineCtx[i]);
-        staticBaseline(baselineWork[i]->workload,
-                       baselineWork[i]->opts);
+        memoBaseline(baselineIds[i], cells[baselineWork[i]].opts);
     });
 
     std::vector<std::unique_ptr<obs::RunContext>> cellCtx;
@@ -890,8 +819,8 @@ SweepRunner::run(std::vector<SweepCell> cells)
         const obs::ScopedTimer wall(&registry.histogram(
             "sweep.cell_wall_ns", obs::MetricKind::Timing));
         out[i] = executeCell(
-            cells[i], watchdog_on ? watches[i].get() : nullptr,
-            registry, cellArt[i], routing[i]);
+            cells[i], ids[i], watchdog_on ? watches[i].get() : nullptr,
+            cellArt[i], routing[i]);
         if (cellSignals[i] != nullptr)
             cellSignals[i]->set_value();
         cells_done.fetch_add(1, std::memory_order_relaxed);
@@ -916,8 +845,8 @@ SweepRunner::run(std::vector<SweepCell> cells)
             ShardArtifact art;
             {
                 const std::lock_guard<std::mutex> lock(artifactMutex);
-                const auto it = baselineArtifacts.find(baselineMemoKey(
-                    baselineWork[i]->workload, baselineWork[i]->opts));
+                const auto it =
+                    baselineArtifacts.find(baselineIds[i].text());
                 if (it != baselineArtifacts.end()) {
                     art = std::move(it->second);
                     baselineArtifacts.erase(it);
@@ -925,7 +854,7 @@ SweepRunner::run(std::vector<SweepCell> cells)
             }
             if (art.valid) {
                 obs::collectShard(
-                    "baseline: " + baselineWork[i]->workload,
+                    "baseline: " + baselineIds[i].workload,
                     std::move(art.snap), std::move(art.timeline));
             }
             obs::collectContext(*baselineCtx[i]);

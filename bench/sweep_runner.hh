@@ -44,6 +44,10 @@
  * are retried with bounded backoff, deterministic FatalErrors and
  * timeouts never are.
  *
+ * Both caches key on one cell identity, the exact-tier
+ * trace::LibraryKey built by identityOf(): the store adds only the
+ * metrics-recorded and regret-audited bits.
+ *
  * Replay layer (docs/replay_studies.md): with --trace-cache DIR every
  * replay-eligible cell (and shared baseline) resolves against a
  * content-addressed trace library with capture-on-miss - a cold run
@@ -74,6 +78,7 @@
 
 namespace pcstall::store
 {
+struct CellKey;
 class ResultStore;
 }
 
@@ -81,13 +86,15 @@ namespace pcstall::bench
 {
 
 /**
- * Serialize every BenchOptions field that changes the simulated run
- * (not the output paths or observability toggles): CU count, scale,
- * epoch length, domain geometry, seed, objective, fault
- * configuration, watchdog/ECC. This is the config half of both the
- * results-store key (docs/sweep_farm.md) and the trace-library key
- * (docs/replay_studies.md): two cells agreeing on it - plus
- * (workload, design) - are true repeats of one simulated run.
+ * 32-hex digest of everything in @p opts that changes the simulated
+ * run: the RunConfig image a PCTR capture's META section records
+ * (trace::encodeRunConfigImage over opts.runConfig()), plus the
+ * workload scale and seed, which META does not carry. src/trace thus
+ * decides which RunConfig fields identify a run; output paths, thread
+ * counts, the oracle snapshot mode and observability toggles are not
+ * in the image. This is the config slot of a cell's identity, from
+ * which both the trace-library key (docs/replay_studies.md) and the
+ * results-store key (docs/sweep_farm.md) derive.
  */
 std::string simConfigFingerprint(const BenchOptions &opts);
 
@@ -117,9 +124,10 @@ struct SweepCell
      *  (workload, opts) - shared across cells via the memo cache. */
     bool wantBaseline = false;
     /**
-     * Repeat index among cells with the same (workload, design,
-     * config) key; assigned by run() in submission order and used to
-     * keep repeated runs' RNG streams and capture paths distinct.
+     * Repeat index among cells with the same identity (workload,
+     * design, configuration); assigned by run() in submission order
+     * and used to keep repeated runs' RNG streams, cache keys and
+     * capture paths distinct.
      */
     std::size_t runIndex = 0;
 };
@@ -294,41 +302,70 @@ class SweepRunner
     AppPtr appFor(const std::string &workload,
                   const BenchOptions &opts);
 
-    /** Store-checked, watchdog-guarded, retry-bounded cell execution
-     *  (the per-cell body of run()'s parallel phase). */
-    CellOutcome executeCell(const SweepCell &cell, CellWatch *watch,
-                            obs::Registry &farm, ShardArtifact &art,
+    /** Store-checked, watchdog-guarded, retry-bounded execution of
+     *  the cell identified by @p id (the per-cell body of run()'s
+     *  parallel phase). */
+    CellOutcome executeCell(const SweepCell &cell,
+                            const trace::LibraryKey &id,
+                            CellWatch *watch, ShardArtifact &art,
                             const CacheRouting &routing);
 
     /** One live attempt of a cell (no store, no retries). */
     FailureKind attemptCell(const SweepCell &cell,
+                            const trace::LibraryKey &id,
                             const std::atomic<bool> *cancel,
                             RunOutcome &run,
                             const CacheRouting &routing);
 
-    /** The trace-library identity of one run of this sweep.
-     *  @p shared selects the what-if tier (design/run-index blanked);
-     *  kernel-script workloads contribute a content digest so an
-     *  edited script misses instead of replaying stale epochs. */
-    trace::LibraryKey libraryKeyFor(const std::string &workload,
-                                    const std::string &design,
-                                    const BenchOptions &opts,
-                                    std::size_t run_index,
-                                    bool shared);
+    /**
+     * The one definition of a run's identity: its exact-tier trace
+     * library key (run index 0; run() numbers repeats). Both caches
+     * key on it: the library directly, or with shared = true for the
+     * what-if tier, and the results store through storeKeyFor(), so a
+     * field that reaches one key reaches the other. Kernel-script
+     * workloads contribute a content digest, so an edited script
+     * misses in both instead of serving stale results.
+     */
+    trace::LibraryKey identityOf(const std::string &workload,
+                                 const std::string &design,
+                                 const BenchOptions &opts);
 
     /** Memoized content digest of kernel-script workloads ("" for
      *  named Table II workloads). */
     std::string workloadDigestFor(const std::string &workload);
 
-    /** The store-checked baseline computation staticBaseline()'s
-     *  winner runs; fills @p art for submission-order collection. */
-    RunOutcome computeBaseline(const std::string &workload,
+    /**
+     * The one results-store lookup of a run (a cell or a shared
+     * baseline): true when @p key's entry is valid, filling @p run and
+     * the metrics shard in @p art. Corrupt entries are quarantined and
+     * read as a miss. A null @p key (a cell that bypasses the store),
+     * or no store, is an uncounted miss. @p label names the run in
+     * diagnostics.
+     */
+    bool storeGet(const store::CellKey *key, const std::string &label,
+                  RunOutcome &run, ShardArtifact &art) const;
+
+    /** Checkpoint @p run with the metrics shard in @p art under
+     *  @p key when it succeeded (no-op for a null key or no store). */
+    void storePut(const store::CellKey *key, const std::string &label,
+                  const RunOutcome &run, const ShardArtifact &art) const;
+
+    /** The memoized baseline run identified by @p id (see
+     *  staticBaseline()). */
+    RunOutcome memoBaseline(const trace::LibraryKey &id,
+                            const BenchOptions &opts);
+
+    /** The store-checked baseline computation memoBaseline()'s winner
+     *  runs; fills @p art for submission-order collection. */
+    RunOutcome computeBaseline(const trace::LibraryKey &id,
                                const BenchOptions &opts,
                                ShardArtifact &art);
 
     /** True when a (probably valid) store entry exists for the cell
-     *  and its baseline, so prepasses can skip warming its inputs. */
-    bool storeProbablyHas(const SweepCell &cell) const;
+     *  identified by @p id and its baseline, so prepasses can skip
+     *  warming its inputs. */
+    bool storeProbablyHas(const SweepCell &cell,
+                          const trace::LibraryKey &id) const;
 
     BenchOptions defaults;
     sim::ParallelExecutor pool;

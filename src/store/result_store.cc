@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <mutex>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,15 +24,6 @@ namespace
 
 constexpr char keySep = '\x1f';
 constexpr const char *corruptDirName = ".corrupt";
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 /**
  * Test hook: PCSTALL_TEST_CRASH_AFTER_PUTS=K SIGKILLs the process
@@ -99,15 +89,7 @@ CellKey::text() const
 std::string
 keyDigest(const CellKey &key)
 {
-    const std::string text = key.text();
-    // Two FNV-1a passes with independent seeds: 128 digest bits, so
-    // accidental collisions across even very large sweeps are moot
-    // (and the stored key text still guards the pathological case).
-    const std::uint64_t a =
-        trace::fnv1a(trace::fnvSeed, text.data(), text.size());
-    const std::uint64_t b = trace::fnv1a(
-        0x9E3779B97F4A7C15ULL ^ a, text.data(), text.size());
-    return hex64(a) + hex64(b);
+    return trace::digest128(key.text());
 }
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))

@@ -5,9 +5,8 @@
  *
  * Every completed sweep cell (and every shared static baseline) can
  * be checkpointed as one file whose name is a digest of the cell's
- * identity - (harness, workload, design, config fingerprint, run
- * index) - so a killed sweep restarted with the same flags, or a
- * sibling shard worker, finds the finished cells instead of
+ * identity (a CellKey), so a killed sweep restarted with the same
+ * flags, or a sibling shard worker, finds the finished cells instead of
  * recomputing them. Cell results are deterministic (PR 3's split-seed
  * contract), so any two writers of one key produce identical
  * payloads and last-writer-wins renames are safe.
@@ -51,7 +50,10 @@ struct CellKey
      *  the design label - so differently-configured controllers can
      *  never collide even when a harness normalizes its labels. */
     std::string controllerConfig;
-    /** Serialized run-relevant options (bench config fingerprint). */
+    /** Serialized run identity. bench::SweepRunner puts the cell's
+     *  whole identity here (its exact-tier trace::LibraryKey text
+     *  plus the metrics-recorded and regret-audited bits;
+     *  docs/sweep_farm.md) and leaves the other slots empty. */
     std::string fingerprint;
     /** Repeat index among identical (workload, design, config) cells. */
     std::uint64_t runIndex = 0;

@@ -54,46 +54,7 @@ encodeMeta(const TraceMeta &meta)
     putDouble(out, meta.hierarchical.powerCap);
     putVarint(out, meta.hierarchical.reviewEpochs);
     putDouble(out, meta.hierarchical.widenBelow);
-
-    putVarint(out, meta.numCus);
-    putVarint(out, meta.waveSlotsPerCu);
-    putVarint(out, meta.cusPerDomain);
-    putZigzag(out, meta.epochLen);
-    out.push_back(static_cast<char>(meta.objective));
-    putDouble(out, meta.perfDegradationLimit);
-    putVarint(out, meta.nominalFreq);
-    putZigzag(out, meta.maxSimTime);
-    putZigzag(out, meta.transitionLatency);
-    putBool(out, meta.collectTrace);
-    putBool(out, meta.watchdogFallback);
-    putBool(out, meta.eccProtectTables);
-
-    const power::PowerParams &p = meta.power;
-    for (double v : {p.eInst, p.eL1, p.eL2, p.eDram, p.cClk,
-                     p.leakPerCu, p.leakTempCoeff, p.tRef, p.memStatic,
-                     p.etaPeak, p.etaVopt, p.etaSlope, p.transitionCap,
-                     p.transitionFixed}) {
-        putDouble(out, v);
-    }
-
-    const faults::FaultConfig &f = meta.faults;
-    putFixed64(out, f.seed);
-    putBool(out, f.dvfs.enabled);
-    putDouble(out, f.dvfs.transitionFailProb);
-    putZigzag(out, f.dvfs.extraSwitchLatency);
-    putVarint(out, f.dvfs.granularity);
-    putBool(out, f.telemetry.enabled);
-    putDouble(out, f.telemetry.sigma);
-    putDouble(out, f.telemetry.dropoutProb);
-    putBool(out, f.storage.enabled);
-    putDouble(out, f.storage.upsetsPerEpoch);
-
-    putVarint(out, meta.vfStates.size());
-    for (const power::VfState &s : meta.vfStates) {
-        putVarint(out, s.freq);
-        putDouble(out, s.voltage);
-    }
-    return out;
+    return out + encodeRunConfigImage(meta);
 }
 
 std::string
@@ -436,17 +397,69 @@ decodeTrailer(Cursor &cur, TraceTrailer &trailer)
 
 } // namespace
 
+std::string
+encodeRunConfigImage(const TraceMeta &meta)
+{
+    std::string out;
+    putVarint(out, meta.numCus);
+    putVarint(out, meta.waveSlotsPerCu);
+    putVarint(out, meta.cusPerDomain);
+    putZigzag(out, meta.epochLen);
+    out.push_back(static_cast<char>(meta.objective));
+    putDouble(out, meta.perfDegradationLimit);
+    putVarint(out, meta.nominalFreq);
+    putZigzag(out, meta.maxSimTime);
+    putZigzag(out, meta.transitionLatency);
+    putBool(out, meta.collectTrace);
+    putBool(out, meta.watchdogFallback);
+    putBool(out, meta.eccProtectTables);
+
+    const power::PowerParams &p = meta.power;
+    for (double v : {p.eInst, p.eL1, p.eL2, p.eDram, p.cClk,
+                     p.leakPerCu, p.leakTempCoeff, p.tRef, p.memStatic,
+                     p.etaPeak, p.etaVopt, p.etaSlope, p.transitionCap,
+                     p.transitionFixed}) {
+        putDouble(out, v);
+    }
+
+    const faults::FaultConfig &f = meta.faults;
+    putFixed64(out, f.seed);
+    putBool(out, f.dvfs.enabled);
+    putDouble(out, f.dvfs.transitionFailProb);
+    putZigzag(out, f.dvfs.extraSwitchLatency);
+    putVarint(out, f.dvfs.granularity);
+    putBool(out, f.telemetry.enabled);
+    putDouble(out, f.telemetry.sigma);
+    putDouble(out, f.telemetry.dropoutProb);
+    putBool(out, f.storage.enabled);
+    putDouble(out, f.storage.upsetsPerEpoch);
+
+    putVarint(out, meta.vfStates.size());
+    for (const power::VfState &s : meta.vfStates) {
+        putVarint(out, s.freq);
+        putDouble(out, s.voltage);
+    }
+    return out;
+}
+
 TraceMeta
 makeTraceMeta(const sim::RunConfig &config, const power::VfTable &table,
               const std::string &workload,
               const dvfs::DvfsController &controller,
               const HierarchicalMeta &hier)
 {
-    TraceMeta meta;
+    TraceMeta meta = makeTraceMeta(config, table);
     meta.workload = workload;
     meta.controller = controller.name();
     meta.sweepNeed = static_cast<std::uint8_t>(controller.sweepNeed());
     meta.hierarchical = hier;
+    return meta;
+}
+
+TraceMeta
+makeTraceMeta(const sim::RunConfig &config, const power::VfTable &table)
+{
+    TraceMeta meta;
     meta.numCus = config.gpu.numCus;
     meta.waveSlotsPerCu = config.gpu.waveSlotsPerCu;
     meta.cusPerDomain = config.cusPerDomain;

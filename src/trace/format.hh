@@ -159,6 +159,22 @@ TraceMeta makeTraceMeta(const sim::RunConfig &config,
                         const dvfs::DvfsController &controller,
                         const HierarchicalMeta &hier = {});
 
+/** The RunConfig image of a meta block alone (no workload or
+ *  controller header). */
+TraceMeta makeTraceMeta(const sim::RunConfig &config,
+                        const power::VfTable &table);
+
+/**
+ * The RunConfig half of the META section: the wire image of every
+ * run-configuration field a capture records (geometry, epoch,
+ * objective, limits, power model, fault configuration, V/f table).
+ * The META encoder writes it after the workload/controller header,
+ * and bench::simConfigFingerprint digests it, so this one function
+ * decides both what a trace records about its run and which RunConfig
+ * fields make two runs the same for the caches.
+ */
+std::string encodeRunConfigImage(const TraceMeta &meta);
+
 /**
  * Reconstruct the RunConfig image a trace was captured under. The GPU
  * timing-model parameters not needed for replay keep their defaults.

@@ -1,7 +1,6 @@
 #include "trace/library.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -9,6 +8,7 @@
 
 #include "common/logging.hh"
 #include "store/atomic_file.hh"
+#include "trace/wire.hh"
 
 namespace pcstall::trace
 {
@@ -21,26 +21,6 @@ namespace fs = std::filesystem;
 /** Field separator of the canonical key text (same unit separator the
  *  results store uses; never appears in workload/design names). */
 constexpr char keySep = '\x1f';
-
-std::uint64_t
-fnv1a(const std::string &text, std::uint64_t basis)
-{
-    std::uint64_t h = basis;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 std::string
 readFileText(const std::string &path)
@@ -83,12 +63,7 @@ LibraryKey::text() const
 std::string
 LibraryKey::digest() const
 {
-    const std::string t = text();
-    // Two independent FNV-1a passes (offset bases differ) give 128
-    // digest bits; the sidecar text guards the residual collision
-    // case, exactly like store::keyDigest.
-    return hex64(fnv1a(t, 0xCBF29CE484222325ULL)) +
-        hex64(fnv1a(t, 0x84222325CBF29CE4ULL));
+    return digest128(text());
 }
 
 TraceLibrary::TraceLibrary(std::string dir) : dir_(std::move(dir))

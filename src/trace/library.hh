@@ -38,10 +38,17 @@ namespace pcstall::trace
 {
 
 /** Library key-schema version (bumped when key composition changes,
- *  so stale libraries miss instead of colliding). */
-inline constexpr std::uint16_t libraryKeyVersion = 1;
+ *  so stale libraries miss instead of colliding). Version 2: the
+ *  fingerprint digests the META run-config image. */
+inline constexpr std::uint16_t libraryKeyVersion = 2;
 
-/** The identity a cached epoch stream is addressed by. */
+/**
+ * The identity a cached epoch stream is addressed by. The exact tier is
+ * also a sweep cell's whole identity: bench::SweepRunner derives its
+ * results-store key from it (plus the metrics-recorded and
+ * regret-audited bits), so both caches always agree on what makes two
+ * runs the same.
+ */
 struct LibraryKey
 {
     /** Harness the capture belongs to (binary basename); custom
@@ -56,10 +63,13 @@ struct LibraryKey
     /** Repeat index among identical (workload, design, config) cells
      *  (distinct RNG streams => distinct epoch streams). */
     std::uint64_t runIndex = 0;
-    /** Serialized simulation-affecting bench options
-     *  (bench::simConfigFingerprint). Deliberately excludes
-     *  observability toggles: metrics on/off must not fork the
-     *  cache. */
+    /**
+     * 32-hex digest of the run configuration
+     * (bench::simConfigFingerprint): the RunConfig image the META
+     * section of a capture records (encodeRunConfigImage), plus the
+     * workload scale and seed. Observability toggles are not in that
+     * image, so metrics on/off never forks the cache.
+     */
     std::string fingerprint;
     /** PC-table warm-start path ("" = cold start): a warm start
      *  changes the decisions and with them the epoch stream. */
@@ -76,8 +86,8 @@ struct LibraryKey
      *  sidecar content). */
     std::string text() const;
 
-    /** 32-hex content digest of text() (two independent FNV-1a
-     *  passes, like store::keyDigest). */
+    /** 32-hex content digest of text() (trace::digest128, shared
+     *  with store::keyDigest). */
     std::string digest() const;
 };
 

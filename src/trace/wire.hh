@@ -84,6 +84,28 @@ fnv1a(std::uint64_t hash, const void *data, std::size_t len)
 inline constexpr std::uint64_t fnvSeed = 0xCBF29CE484222325ULL;
 
 /**
+ * 32-hex content digest of @p text: two chained FNV-1a passes (the
+ * second seeded from the first) give 128 bits. Names the entries of
+ * the content-addressed caches (trace library, results store); each
+ * entry also stores its key text, which guards the residual
+ * collision case.
+ */
+inline std::string
+digest128(const std::string &text)
+{
+    const std::uint64_t a = fnv1a(fnvSeed, text.data(), text.size());
+    const std::uint64_t b =
+        fnv1a(0x9E3779B97F4A7C15ULL ^ a, text.data(), text.size());
+    static constexpr char hex[] = "0123456789abcdef";
+    std::string out(32, '0');
+    for (int i = 0; i < 16; ++i) {
+        out[15 - i] = hex[(a >> (4 * i)) & 0xF];
+        out[31 - i] = hex[(b >> (4 * i)) & 0xF];
+    }
+    return out;
+}
+
+/**
  * Bounds-checked reader over a byte buffer. Any overrun or malformed
  * varint sets a sticky failure flag; subsequent reads return zeros, so
  * callers can decode a whole structure and check failed() once.

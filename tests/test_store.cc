@@ -4,7 +4,8 @@
  * atomic-file helpers, the content-addressed results store, the cell
  * payload codec, and the SweepRunner robustness behaviors - kill-and-
  * resume equivalence, shard-union-equals-full-enumeration, corruption
- * quarantine, the cell watchdog, and the transient-retry policy.
+ * quarantine, recompute of an edited kernel script, the cell
+ * watchdog, and the transient-retry policy.
  */
 
 #include <gtest/gtest.h>
@@ -561,6 +562,76 @@ TEST(SweepStore, InspectCellsBypassTheStore)
     ASSERT_NE(runner.store(), nullptr);
     EXPECT_EQ(runner.store()->entryCount(), 0u);
 }
+
+/** The example script of docs/workload_format.md, with the trip count
+ *  of its first loop as a parameter. */
+std::string
+stencilScript(int gather_trips)
+{
+    return "kernel stencil\n"
+           "  grid 80 4\n"
+           "  seed 11\n"
+           "  region grid_in 24M\n"
+           "  region table 2M\n"
+           "  loop " + std::to_string(gather_trips) + "\n"
+           "    load grid_in stream 16\n"
+           "    load table sharedhot\n"
+           "    waitcnt 0\n"
+           "    valu 2 2\n"
+           "  endloop\n"
+           "  loop 60\n"
+           "    valu 4 4\n"
+           "    lds 8 1\n"
+           "  endloop\n"
+           "  loop 8\n"
+           "    store grid_in stream 16\n"
+           "  endloop\n"
+           "endkernel\n"
+           "app demo = stencil stencil stencil stencil\n";
+}
+
+/** Which cache the stale-edit test runs against. */
+class SweepStoreStaleEdit : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SweepStoreStaleEdit, EditedKernelScriptIsRecomputedNotServedStale)
+{
+    // A kernel script edited in place between two runs on one cache is
+    // a different cell: the rerun must equal a fresh run of the edited
+    // script, never the cached result of the old one.
+    const std::string dir = scratchDir("stale_" + GetParam());
+    const std::string script = dir + "/w.kernel";
+    bench::BenchOptions cached = smallOptions(1);
+    if (GetParam() == "store")
+        cached.storeDir = dir + "/cache";
+    else
+        cached.traceCacheDir = dir + "/cache";
+    const auto runCell = [&](const bench::BenchOptions &opts) {
+        bench::SweepRunner runner(opts);
+        std::vector<bench::SweepCell> cells;
+        cells.push_back(runner.cell(script, "PCSTALL"));
+        return runner.run(std::move(cells)).at(0).run;
+    };
+
+    std::ofstream(script) << stencilScript(12);
+    const bench::RunOutcome before = runCell(cached);
+    ASSERT_TRUE(before.ok) << before.error;
+
+    std::ofstream(script, std::ios::trunc) << stencilScript(20);
+    const bench::RunOutcome rerun = runCell(cached);
+    const bench::RunOutcome fresh = runCell(smallOptions(1));
+    expectSameResult(fresh, rerun, "rerun of the edited script");
+    // Not vacuous: the edit changes the simulated run.
+    EXPECT_NE(before.result.execTime, fresh.result.execTime);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Caches, SweepStoreStaleEdit,
+    ::testing::Values("store", "trace_cache"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(SweepWatchdog, CellTimeoutCancelsAndIsNeverRetried)
 {

@@ -465,10 +465,15 @@ TEST(PcSnapshot, EmbeddedInTraceAndWarmStartsController)
 // Capture-vs-replay determinism (the subsystem's headline property).
 // ---------------------------------------------------------------------
 
-/** workload x controller-kind grid per the acceptance criteria. */
+/**
+ * workload x controller-kind grid per the acceptance criteria. The
+ * parameters are strings, not `const char *`, so gtest prints their
+ * text rather than their (load-address dependent) pointer values and
+ * the listed test names are the same on every build.
+ */
 class ReplayDeterminism
     : public ::testing::TestWithParam<
-          std::tuple<const char *, const char *>>
+          std::tuple<std::string, std::string>>
 {};
 
 TEST_P(ReplayDeterminism, ReplayReproducesLiveRunExactly)
@@ -545,8 +550,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("STALL", "PCSTALL",
                                          "PCSTALL+CAP")),
     [](const auto &info) {
-        std::string n = std::string(std::get<0>(info.param)) + "_" +
-                        std::get<1>(info.param);
+        std::string n =
+            std::get<0>(info.param) + "_" + std::get<1>(info.param);
         for (char &c : n)
             if (c == '+')
                 c = 'x';

@@ -124,6 +124,27 @@ TEST(LibraryKey, SimulationAffectingConfigChangesMiss)
     cus.cus = 8;
     EXPECT_NE(bench::simConfigFingerprint(base),
               bench::simConfigFingerprint(cus));
+
+    const auto misses = [&](const char *what, auto &&edit) {
+        bench::BenchOptions changed = base;
+        edit(changed);
+        EXPECT_NE(bench::simConfigFingerprint(base),
+                  bench::simConfigFingerprint(changed))
+            << what;
+    };
+    using Opts = bench::BenchOptions;
+    misses("objective",
+           [](Opts &o) { o.objective = dvfs::Objective::Edp; });
+    misses("perfDegradationLimit",
+           [](Opts &o) { o.perfDegradationLimit = 0.10; });
+    misses("cusPerDomain", [](Opts &o) { o.cusPerDomain = 2; });
+    misses("collectTrace", [](Opts &o) { o.collectTrace = true; });
+    misses("watchdog", [](Opts &o) { o.watchdog = true; });
+    misses("ecc", [](Opts &o) { o.ecc = true; });
+    misses("faults.dvfs.granularity",
+           [](Opts &o) { o.faults.dvfs.granularity = 100 * freqMHz; });
+    misses("faults.storage.upsetsPerEpoch",
+           [](Opts &o) { o.faults.storage.upsetsPerEpoch = 0.5; });
 }
 
 TEST(LibraryKey, ObservabilityOnlyChangesHit)
@@ -136,6 +157,25 @@ TEST(LibraryKey, ObservabilityOnlyChangesHit)
     obs.threads = 8;
     EXPECT_EQ(bench::simConfigFingerprint(base),
               bench::simConfigFingerprint(obs));
+
+    const auto hits = [&](const char *what, auto &&edit) {
+        bench::BenchOptions changed = base;
+        edit(changed);
+        EXPECT_EQ(bench::simConfigFingerprint(base),
+                  bench::simConfigFingerprint(changed))
+            << what;
+    };
+    using Opts = bench::BenchOptions;
+    hits("oracleMode",
+         [](Opts &o) { o.oracleMode = sim::OracleMode::Copy; });
+    hits("oracleThreads", [](Opts &o) { o.oracleThreads = 4; });
+    hits("auditRegret", [](Opts &o) { o.auditRegret = true; });
+    hits("provenanceOut",
+         [](Opts &o) { o.provenanceOut = "/tmp/never-written.pcpv"; });
+    hits("storeDir", [](Opts &o) { o.storeDir = "/tmp/never-a-store"; });
+    hits("traceCacheDir",
+         [](Opts &o) { o.traceCacheDir = "/tmp/never-a-library"; });
+    hits("progress", [](Opts &o) { o.progress = true; });
 }
 
 TEST(LibraryKey, ExactTierMissesAcrossControllersSharedTierHits)
