@@ -131,6 +131,18 @@ panicIf(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/**
+ * True in builds that compile in the simulator's self-checks (oracle
+ * restore fingerprints, the timing model's derived-state shadow
+ * checks): Debug builds and any build configured with
+ * -DPCSTALL_VERIFY=ON.
+ */
+#if defined(PCSTALL_VERIFY) || !defined(NDEBUG)
+inline constexpr bool verifyBuild = true;
+#else
+inline constexpr bool verifyBuild = false;
+#endif
+
 /** Throw FatalError with a message when @p cond is true (see panicIf). */
 inline void
 fatalIf(bool cond, const std::string &msg)

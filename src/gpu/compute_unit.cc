@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -30,6 +31,8 @@ ComputeUnit::init(std::uint32_t id, std::uint32_t slot_count,
         for (std::uint32_t i = s; i < slot_count; i += simds)
             simdMask_[s].set(i);
     }
+    picks_.assign(simds, -1);
+    pickedAt_ = tickInf;
     freeSlots = slot_count;
     numReady = 0;
     wakeScanAt = 0;
@@ -53,6 +56,14 @@ ComputeUnit::setFrequency(Freq freq, Tick now, Tick trans)
     freqStallUntil = now + trans;
     if (nextEventAt != tickInf)
         nextEventAt = std::max(nextEventAt, freqStallUntil);
+}
+
+void
+ComputeUnit::catchUp(Tick now)
+{
+    drainLoadCompletions(now);
+    closeSleep(now);
+    wakeWaves(now);
 }
 
 void
@@ -163,27 +174,32 @@ ComputeUnit::closeSleep(Tick now)
     sleepGate = SleepGate::None;
 }
 
-int
-ComputeUnit::pickReadyWave(std::uint32_t simd) const
+void
+ComputeUnit::pickReady()
 {
-    const BitMask &mine = simdMask_[simd];
-    // Oldest-first pick. Packing (seq << 16 | slot) into one key keeps
-    // the min-reduction branchless (seqs are unique, so the slot bits
-    // never decide the comparison; they just ride along).
-    std::uint64_t best_key = ~std::uint64_t{0};
-    for (std::size_t wi = 0; wi < readyMask_.wordCount(); ++wi) {
-        std::uint64_t w = readyMask_.word(wi) & mine.word(wi);
-        while (w != 0) {
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(w));
-            w &= w - 1;
-            best_key = std::min(best_key, (seq_[i] << 16) | i);
+    // Oldest-first pick per SIMD; the SIMD masks partition the slots,
+    // so this visits every ready wave once. Packing (seq << 16 | slot)
+    // into one key keeps the min-reduction branchless (seqs are
+    // unique, so the slot bits never decide the comparison; they just
+    // ride along).
+    for (std::size_t simd = 0; simd < picks_.size(); ++simd) {
+        std::uint64_t best_key = ~std::uint64_t{0};
+        if (numReady > 0) {
+            const BitMask &mine = simdMask_[simd];
+            for (std::size_t wi = 0; wi < readyMask_.wordCount(); ++wi) {
+                std::uint64_t w = readyMask_.word(wi) & mine.word(wi);
+                while (w != 0) {
+                    const std::size_t i =
+                        (wi << 6) +
+                        static_cast<std::size_t>(std::countr_zero(w));
+                    w &= w - 1;
+                    best_key = std::min(best_key, (seq_[i] << 16) | i);
+                }
+            }
         }
+        picks_[simd] = best_key == ~std::uint64_t{0}
+            ? -1 : static_cast<std::int32_t>(best_key & 0xffff);
     }
-    if (best_key == ~std::uint64_t{0})
-        return -1;
-    return static_cast<int>(best_key & 0xffff);
 }
 
 std::uint32_t
@@ -347,7 +363,7 @@ ComputeUnit::releaseBarrier(std::uint32_t wg_index, Tick now)
     wgs[wg_index].arrived = 0;
 }
 
-void
+bool
 ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
 {
     Wavefront &wave = slots[slot];
@@ -458,8 +474,10 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         setWaveState(slot, WaveState::WaitBarrier);
         wave.barrierEnter = now;
         ++wg.arrived;
-        if (wg.arrived + wg.done >= wg.waveCount)
+        if (wg.arrived + wg.done >= wg.waveCount) {
             releaseBarrier(wave.wgIndex, now);
+            return true;
+        }
         break;
       }
 
@@ -490,7 +508,58 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         break;
       }
     }
+    return false;
+}
 
+bool
+ComputeUnit::probe(const CuContext &ctx, Tick now)
+{
+    if (idle())
+        return false;
+    cuDirty_ = true;
+    catchUp(now);
+    if (now < freqStallUntil)
+        return true;
+    // Every resident wave belongs to the current launch, so while this
+    // CU holds waves no launch can finish and wgUndispatched can only
+    // fall: a zero read now is still zero at the step.
+    if (freeSlots > 0 && ctx.dispatch.wgUndispatched > 0)
+        return false;
+    pickReady();
+    pickedAt_ = now;
+
+    // Walk the picks in issue order, tracking the MSHR count the
+    // earlier SIMDs' private memory ops will have raised.
+    std::uint32_t outstanding = outstandingTotal;
+    for (const std::int32_t slot : picks_) {
+        if (slot < 0)
+            continue;
+        const Wavefront &wave = slots[static_cast<std::size_t>(slot)];
+        const isa::Kernel &kernel = ctx.app.launches[wave.launchIndex];
+        const isa::Instruction &ins = kernel.code[wave.pc];
+        switch (ins.op) {
+          case isa::OpType::VAlu:
+          case isa::OpType::SAlu:
+          case isa::OpType::Lds:
+          case isa::OpType::Waitcnt:
+          case isa::OpType::Branch:
+            break;
+          case isa::OpType::VMemLoad:
+          case isa::OpType::VMemStore:
+            if (outstanding >= ctx.cfg.mem.maxOutstandingPerCu)
+                break; // MSHR-full retry
+            if (!ctx.mem.staysInCu(cuId, genAddress(kernel, wave, ins),
+                                   ins.op == isa::OpType::VMemStore)) {
+                return false;
+            }
+            ++outstanding;
+            break;
+          case isa::OpType::Barrier:
+          case isa::OpType::EndPgm:
+            return false;
+        }
+    }
+    return true;
 }
 
 StepResult
@@ -499,35 +568,39 @@ ComputeUnit::step(CuContext &ctx, Tick now)
     StepResult result;
     cuDirty_ = true;
 
-    drainLoadCompletions(now);
-    closeSleep(now);
-    wakeWaves(now);
-
-    if (now < freqStallUntil) {
-        result.next = freqStallUntil;
-        return result;
+    // A probe() at this tick already caught the CU up (a repeat would
+    // be a no-op), found it past any V/f stall, and picked.
+    const bool probed = pickedAt_ == now;
+    pickedAt_ = tickInf;
+    if (!probed) {
+        catchUp(now);
+        if (now < freqStallUntil) {
+            result.next = freqStallUntil;
+            return result;
+        }
     }
 
     const std::uint32_t completed_before = ctx.dispatch.wgCompleted;
-    const std::uint32_t num_simds = std::max(ctx.cfg.simdsPerCu, 1u);
 
     // Refill free slots from the dispatcher before issuing.
-    if (freeSlots > 0 && ctx.dispatch.wgUndispatched > 0)
-        tryDispatch(ctx, now);
+    const bool dispatched = freeSlots > 0 &&
+        ctx.dispatch.wgUndispatched > 0 && tryDispatch(ctx, now);
+    if (!probed || dispatched)
+        pickReady();
 
     // Each SIMD issues at most one instruction this cycle,
-    // oldest-ready-first among its resident waves. The cached ready
-    // count skips the per-SIMD scans entirely on wake-only steps.
+    // oldest-ready-first among its resident waves. Only a barrier
+    // release changes another SIMD's ready set mid-step; the SIMDs
+    // after it then pick again, as they would have from scratch.
     bool issued_any = false;
-    if (numReady > 0) {
-        for (std::uint32_t simd = 0; simd < num_simds; ++simd) {
-            const int ready = pickReadyWave(simd);
-            if (ready >= 0) {
-                issue(ctx, static_cast<std::uint32_t>(ready), now);
-                issued_any = true;
-                epBusy += period_;
-            }
-        }
+    for (std::size_t simd = 0; simd < picks_.size(); ++simd) {
+        const std::int32_t ready = picks_[simd];
+        if (ready < 0)
+            continue;
+        if (issue(ctx, static_cast<std::uint32_t>(ready), now))
+            pickReady();
+        issued_any = true;
+        epBusy += period_;
     }
 
     if (issued_any) {
@@ -836,6 +909,8 @@ ComputeUnit::restoreDeltaFrom(const ComputeUnit &base,
     memMask_ = base.memMask_;
     occMask_ = base.occMask_;
     // simdMask_ is configuration-derived and identical by shape.
+    picks_ = base.picks_;
+    pickedAt_ = base.pickedAt_;
 
     // Cold wave records: only the slots either side touched.
     dirty_slots.forEachSet([&](std::size_t i) {
@@ -844,6 +919,43 @@ ComputeUnit::restoreDeltaFrom(const ComputeUnit &base,
     // The caller (SnapshotPool) took this CU's dirty marks before the
     // copy, and raw restores must not re-mark: after this call the CU
     // is identical to base, i.e. clean relative to it.
+}
+
+void
+ComputeUnit::verifyDerivedState() const
+{
+    std::uint32_t ready = 0;
+    std::uint32_t free = 0;
+    Tick busy_wake = tickInf;
+    Tick mem_wake = tickInf;
+    for (std::size_t i = 0; i < wstate_.size(); ++i) {
+        const WaveState s = wstate_[i];
+        const bool pend = s == WaveState::Busy || s == WaveState::WaitMem;
+        if (readyMask_.test(i) != (s == WaveState::Ready) ||
+            pendMask_.test(i) != pend ||
+            memMask_.test(i) != (s == WaveState::WaitMem) ||
+            occMask_.test(i) != (s != WaveState::Idle)) {
+            panic("CU " + std::to_string(cuId) + " slot " +
+                  std::to_string(i) + ": wave-state masks out of sync");
+        }
+        ready += s == WaveState::Ready ? 1 : 0;
+        free += s == WaveState::Idle ? 1 : 0;
+        if (s == WaveState::Busy)
+            busy_wake = std::min(busy_wake, readyAt_[i]);
+        else if (s == WaveState::WaitMem)
+            mem_wake = std::min(mem_wake, readyAt_[i]);
+    }
+    if (numReady != ready || freeSlots != free)
+        panic("CU " + std::to_string(cuId) +
+              ": cached ready/free counts out of sync");
+    if (wakeScanAt > std::min(busy_wake, mem_wake) ||
+        memWakeAt_ > mem_wake) {
+        panic("CU " + std::to_string(cuId) +
+              ": wake-scan bound lies past a pending wake");
+    }
+    if (pickedAt_ != tickInf)
+        panic("CU " + std::to_string(cuId) +
+              ": cached picks outlived their step");
 }
 
 void

@@ -91,9 +91,35 @@ class ComputeUnit
 
     /**
      * Process one activation at global time @p now: wake waves, issue
-     * at most one instruction, or compute the next wake time.
+     * at most one instruction per SIMD, or compute the next wake time.
      */
     StepResult step(CuContext &ctx, Tick now);
+
+    /**
+     * Decide whether the step at @p now touches only this CU's own
+     * state, so it commutes with every other CU's step before it and
+     * may run ahead of the global event queue. Private: VALU, SALU,
+     * LDS, branch and waitcnt issues, an MSHR-full retry, an L1 load
+     * hit, a write-combined store, a step inside a V/f transition
+     * stall, and a step that only goes to sleep. Shared: an L1 miss,
+     * a store that reaches L2, a barrier, EndPgm, and any step that
+     * would call the dispatcher.
+     *
+     * To decide, the probe brings the CU to @p now (load drains, sleep
+     * close and wakes are idempotent at a fixed tick) and picks each
+     * SIMD's oldest ready wave; step(@p now) reuses those picks. An
+     * idle CU is never probed forward: a launch-finished broadcast may
+     * wake it before @p now.
+     */
+    bool probe(const CuContext &ctx, Tick now);
+
+    /**
+     * Recompute the derived scheduling caches (ready/free counts, the
+     * ready/pending/memory/occupied masks and the wake-scan bounds)
+     * from the per-slot states and panic on any mismatch. Verify
+     * builds call it after every step.
+     */
+    void verifyDerivedState() const;
 
     /**
      * Close all accrual intervals at @p boundary, emit this CU's and
@@ -174,14 +200,20 @@ class ComputeUnit
                           const BitMask &dirty_slots);
 
   private:
+    /** Retire completions, close the sleep and wake waves up to @p now
+     *  (idempotent at a fixed tick). */
+    void catchUp(Tick now);
     /** Retire CU-level load completions up to @p now. */
     void drainLoadCompletions(Tick now);
     /** Move waves whose wake time has passed back to Ready. */
     void wakeWaves(Tick now);
     /** Close an in-progress CU sleep interval. */
     void closeSleep(Tick now);
-    /** Issue slot @p slot's next instruction. */
-    void issue(CuContext &ctx, std::uint32_t slot, Tick now);
+    /**
+     * Issue slot @p slot's next instruction. Returns true when it
+     * released a barrier, which readies waves on every SIMD.
+     */
+    bool issue(CuContext &ctx, std::uint32_t slot, Tick now);
     /** Try to pull new workgroups from the dispatcher. */
     bool tryDispatch(CuContext &ctx, Tick now);
     /** Release every wave of workgroup @p wg_index blocked at barrier. */
@@ -190,8 +222,8 @@ class ComputeUnit
     std::uint64_t genAddress(const isa::Kernel &kernel,
                              const Wavefront &wave,
                              const isa::Instruction &ins) const;
-    /** Oldest ready wave on SIMD @p simd (-1 when none). */
-    int pickReadyWave(std::uint32_t simd) const;
+    /** Fill picks_ with each SIMD's oldest ready wave (-1 when none). */
+    void pickReady();
     /** Age rank (0 = oldest) of slot @p slot among resident waves. */
     std::uint32_t ageRankOf(std::uint32_t slot) const;
 
@@ -258,6 +290,12 @@ class ComputeUnit
     BitMask occMask_;
     /** Slots belonging to each SIMD (slot % num_simds == simd). */
     std::vector<BitMask> simdMask_;
+    /** Per SIMD: the slot it issues next (-1 = none), valid only at
+     *  tick pickedAt_. probe() fills them and the step at the same
+     *  tick consumes them; every step resets pickedAt_, so they never
+     *  outlive GpuChip::runUntil. Excluded from fingerprint(). */
+    std::vector<std::int32_t> picks_;
+    Tick pickedAt_ = tickInf;
 
     /** Cached count of Idle slots (dispatch gating). */
     std::uint32_t freeSlots = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -109,17 +110,43 @@ GpuChip::runUntil(Tick until)
     Tick t = 0;
     std::uint32_t id = 0;
     while (queue.popMin(t, id)) {
-        const StepResult res = cus[id].step(ctx, t);
-        cus[id].nextEventAt = res.next;
+        ComputeUnit &cu = cus[id];
+        StepResult res = cu.step(ctx, t);
+        if constexpr (verifyBuild)
+            cu.verifyDerivedState();
+
+        // Run ahead: while the CU's next step touches only its own
+        // state it commutes with every other CU's step before it, so
+        // take it now instead of round-tripping through the queue.
+        // Shared-state steps and the epoch boundary go back into the
+        // queue and still run in global (tick, id) order.
+        while (res.next < until && !res.launchFinished &&
+               cu.probe(ctx, res.next)) {
+            const std::uint64_t shared_before =
+                verifyBuild ? sharedDigest() : 0;
+            res = cu.step(ctx, res.next);
+            if constexpr (verifyBuild) {
+                if (sharedDigest() != shared_before)
+                    panic("CU " + std::to_string(id) +
+                          ": a run-ahead step changed shared state");
+                cu.verifyDerivedState();
+            }
+        }
+        cu.nextEventAt = res.next;
         if (res.next < until)
             queue.schedule(id, res.next);
 
         if (res.launchFinished) {
             // A new kernel launch became available: wake every CU so
-            // idle ones can pull workgroups.
+            // idle ones can pull workgroups. A launch finishes only
+            // when all its waves ended, so every CU is idle here and
+            // none can be mid-run-ahead.
             for (std::uint32_t i = 0; i < cus.size(); ++i) {
                 if (i == id)
                     continue;
+                if (verifyBuild && !cus[i].idle())
+                    panic("launch-finished broadcast reached CU " +
+                          std::to_string(i) + " with resident waves");
                 if (cus[i].nextEventAt > t) {
                     cus[i].nextEventAt = t;
                     // The reschedule mutates CU state outside step().
@@ -192,6 +219,17 @@ GpuChip::stateFingerprint() const
     for (const ComputeUnit &cu : cus)
         cu.fingerprint(h);
     mem.fingerprint(h);
+    return h;
+}
+
+std::uint64_t
+GpuChip::sharedDigest() const
+{
+    std::uint64_t h = mem.sharedDigest();
+    h = hashCombine(h, dispatch.curLaunch);
+    h = hashCombine(h, dispatch.wgUndispatched);
+    h = hashCombine(h, dispatch.wgCompleted);
+    h = hashCombine(h, dispatch.nextGlobalWaveId);
     return h;
 }
 

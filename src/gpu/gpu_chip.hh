@@ -183,6 +183,10 @@ class GpuChip
   private:
     CuContext makeContext();
 
+    /** Digest of the state CUs share: the dispatcher and the memory
+     *  system's shared levels (verify builds' run-ahead check). */
+    std::uint64_t sharedDigest() const;
+
     GpuConfig cfg;
     std::shared_ptr<const isa::Application> app;
     memory::MemorySystem mem;

@@ -121,17 +121,6 @@ struct Wavefront
         stallGateStore = false;
     }
 
-    /** Number of outstanding ops, ignoring ones completed by @p now. */
-    std::uint32_t
-    outstandingAt(Tick now) const
-    {
-        std::uint32_t n = 0;
-        for (const PendingMem &p : pending)
-            if (p.completion > now)
-                ++n;
-        return n;
-    }
-
     /** Drop ops completed by @p now (pending is kept sorted). */
     void
     retireCompleted(Tick now)

@@ -154,6 +154,30 @@ MemorySystem::access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
     return result;
 }
 
+bool
+MemorySystem::staysInCu(std::uint32_t cu_id, std::uint64_t addr,
+                        bool is_store) const
+{
+    const std::uint64_t line_addr = addr & ~static_cast<std::uint64_t>(
+        cfg.lineBytes - 1);
+    if (is_store)
+        return cfg.storeCombining && lastStoreLine[cu_id] == line_addr;
+    return l1s[cu_id].probe(line_addr);
+}
+
+std::uint64_t
+MemorySystem::sharedDigest() const
+{
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (Tick t : bankFree)
+        h = hashCombine(h, static_cast<std::uint64_t>(t));
+    for (Tick t : channelFree)
+        h = hashCombine(h, static_cast<std::uint64_t>(t));
+    for (const CacheModel &slice : l2Slices)
+        h = hashCombine(h, slice.accessCount());
+    return h;
+}
+
 void
 MemorySystem::resetActivity()
 {

@@ -162,6 +162,23 @@ class MemorySystem
     MemResult access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
                      Tick now, Tick cu_period);
 
+    /**
+     * True when access(@p cu_id, @p addr, @p is_store, ...) would touch
+     * only CU @p cu_id's own state (its L1, activity counters and
+     * write-combining line): a load that hits the L1, or a store the
+     * write buffer absorbs. Every other access reaches an L2 bank.
+     */
+    bool staysInCu(std::uint32_t cu_id, std::uint64_t addr,
+                   bool is_store) const;
+
+    /**
+     * Digest of the state every CU's accesses share: L2 bank and DRAM
+     * channel queue heads and each L2 slice's access count. A step
+     * that leaves it unchanged touched no shared level (verify
+     * builds check this around every CU-private step).
+     */
+    std::uint64_t sharedDigest() const;
+
     const MemConfig &config() const { return cfg; }
 
     /** Activity accumulated for a CU since the last reset. */

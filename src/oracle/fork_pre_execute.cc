@@ -191,18 +191,11 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
                                          obs::MetricKind::Timing);
     }
 
-    // Per-sample restore verification: always on in debug builds and
-    // in builds configured with -DPCSTALL_VERIFY_SNAPSHOTS=ON (the
-    // sanitizer CI); opt-in per sweep otherwise. Fingerprinting every
-    // restored chip costs more than the restore itself, so release
-    // builds default it off.
-#if defined(PCSTALL_VERIFY_SNAPSHOTS)
-    const bool verify = true;
-#elif defined(NDEBUG)
-    const bool verify = options.verifyRestore;
-#else
-    const bool verify = true;
-#endif
+    // Per-sample restore verification: always on in verify builds
+    // (Debug, or -DPCSTALL_VERIFY=ON as in the sanitizer CI); opt-in
+    // per sweep otherwise. Fingerprinting every restored chip costs
+    // more than the restore itself, so release builds default it off.
+    const bool verify = verifyBuild || options.verifyRestore;
     const std::uint64_t base_fp =
         verify ? chip.stateFingerprint() : 0;
 
@@ -276,7 +269,8 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
             fork_wall->record(wall);
             // Keyed by the sample's base state (domain 0's state; with
             // shuffle, domain d runs state (k + d) mod S this sample).
-            char name[40];
+            // Room for any %zu (20 digits) after the 21-char prefix.
+            char name[48];
             std::snprintf(name, sizeof(name),
                           "oracle.fork_wall_ns.s%02zu", k);
             registry->histogram(name, obs::MetricKind::Timing)

@@ -33,7 +33,8 @@ EpochLedger::EpochLedger(const RunConfig &config,
     errorPctMetric = &registry.histogram("predict.error_pct");
     residencyMetric.reserve(table.numStates());
     for (std::size_t s = 0; s < table.numStates(); ++s) {
-        char name[32];
+        // Room for any %zu (20 digits) after the 16-char prefix.
+        char name[40];
         std::snprintf(name, sizeof(name), "dvfs.residency.s%02zu", s);
         residencyMetric.push_back(&registry.counter(name));
     }

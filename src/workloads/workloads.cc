@@ -349,7 +349,10 @@ makeQuickS(const WorkloadParams &p)
     // variation is the source of the paper's highest inter-wavefront
     // sensitivity variation (Figure 11a), and the ragged per-launch
     // drain it causes is chaotic for reactive prediction.
-    b.loop(trips(p, 40), trips(p, 32));
+    // Rounding at small scales can push the variation up to the base
+    // count; keep it below so every wave runs at least one trip.
+    const std::uint32_t base = trips(p, 40);
+    b.loop(base, std::min(trips(p, 32), base - 1));
         b.load(mats, AccessPattern::Random);
         b.waitcnt(0);
         b.valu(4, 6);

@@ -67,6 +67,31 @@ TEST(Workloads, AllValidateAndHaveCodeBases)
     }
 }
 
+TEST(Workloads, EveryWorkloadBuildsAtEveryScale)
+{
+    // Trip counts round per scale, so a loop's variation can round up
+    // to its base count at small scales; every Table II workload must
+    // still build a valid kernel at every scale from 0.01 to 1.
+    WorkloadParams p;
+    p.numCus = 64;
+    std::vector<std::string> failures;
+    for (int milli = 10; milli <= 1000; ++milli) {
+        p.scale = milli / 1000.0;
+        for (const auto &info : workloadTable()) {
+            try {
+                for (const auto &k : makeWorkload(info.name, p).launches)
+                    k.validate();
+            } catch (const FatalError &e) {
+                failures.push_back(info.name + " @ " +
+                                   std::to_string(p.scale) + ": " +
+                                   e.what());
+            }
+        }
+    }
+    EXPECT_TRUE(failures.empty())
+        << failures.size() << " failing builds, first: " << failures[0];
+}
+
 TEST(Workloads, GridsScaleWithCuCount)
 {
     WorkloadParams small = smallParams();
