@@ -20,23 +20,26 @@ ComputeUnit::init(std::uint32_t id, std::uint32_t slot_count,
     wstate_.assign(slot_count, WaveState::Idle);
     readyAt_.assign(slot_count, 0);
     seq_.assign(slot_count, 0);
-    readyMask_.resize(slot_count);
+    nextOp_.assign(slot_count, isa::OpType::EndPgm);
     pendMask_.resize(slot_count);
-    memMask_.resize(slot_count);
     occMask_.resize(slot_count);
+    ageSlot_.assign(slot_count, 0);
+    ageOf_.assign(slot_count, 0);
+    readyAge_.resize(slot_count);
     const std::uint32_t simds = std::max(num_simds, 1u);
-    simdMask_.assign(simds, BitMask{});
-    for (std::uint32_t s = 0; s < simds; ++s) {
-        simdMask_[s].resize(slot_count);
-        for (std::uint32_t i = s; i < slot_count; i += simds)
-            simdMask_[s].set(i);
-    }
+    simdAge_.assign(simds, BitMask{});
+    for (BitMask &m : simdAge_)
+        m.resize(slot_count);
+    wheel_.assign(static_cast<std::size_t>(wheelBuckets) *
+                      pendMask_.wordCount(),
+                  0);
+    wheelLive_ = 0;
+    wheelBlock_ = 0;
+    farMask_.resize(slot_count);
+    farWakeAt_ = tickInf;
     picks_.assign(simds, -1);
     pickedAt_ = tickInf;
     freeSlots = slot_count;
-    numReady = 0;
-    wakeScanAt = 0;
-    memWakeAt_ = tickInf;
     freq_ = freq;
     period_ = clockPeriod(freq);
     nextEventAt = 0;
@@ -96,66 +99,103 @@ ComputeUnit::drainLoadCompletions(Tick now)
 }
 
 void
-ComputeUnit::wakeWaves(Tick now)
+ComputeUnit::wakeSlot(std::uint32_t i)
 {
-    // wakeScanAt is a lower bound on the earliest pending wake, so
-    // nothing can be due yet and the slot scan would be a no-op.
-    if (now < wakeScanAt)
-        return;
-    // WaitMem wakes sit minutes (of CU cycles) in the future, while
-    // Busy wakes land a cycle or two out and re-arm wakeScanAt almost
-    // every step. Scanning the whole pending set each cycle therefore
-    // wastes most of its time re-checking memory waiters that cannot
-    // possibly be due; skip them while now < memWakeAt_. The wake
-    // updates per due wave are independent (per-slot accrual plus one
-    // state transition), so processing near and far waves in separate
-    // passes is observationally identical to the old ascending scan.
-    //
-    // Each pass computes the due set and the next wake branchlessly
-    // first (data-dependent branches on readyAt mispredict badly),
-    // then processes the few due waves.
-    Tick next_wake = tickInf;
-    const bool scan_mem = now >= memWakeAt_;
-    if (scan_mem)
-        memWakeAt_ = tickInf;
-    for (std::size_t wi = 0; wi < pendMask_.wordCount(); ++wi) {
-        const std::uint64_t mem_w = memMask_.word(wi);
-        std::uint64_t w = pendMask_.word(wi);
-        if (!scan_mem)
-            w &= ~mem_w;
-        std::uint64_t due = 0;
+    if (wstate_[i] == WaveState::WaitMem) {
+        // The stall semantically ended at the wake tick, even if this
+        // CU only got around to processing it now.
+        const Tick at = readyAt_[i];
+        Wavefront &w = slots[i];
+        w.epMemStall += at - w.stallEnter;
+        w.retireCompleted(at);
+    }
+    setWaveState(i, WaveState::Ready);
+}
+
+void
+ComputeUnit::drainBucket(std::size_t b)
+{
+    const std::size_t words = pendMask_.wordCount();
+    for (std::size_t wi = 0; wi < words; ++wi) {
+        std::uint64_t &word = wheel_[b * words + wi];
+        std::uint64_t w = word;
+        word = 0;
         while (w != 0) {
-            const std::uint64_t bit = w & (~w + 1);
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(w));
+            wakeSlot(static_cast<std::uint32_t>(
+                (wi << 6) + static_cast<std::size_t>(std::countr_zero(w))));
             w &= w - 1;
-            const Tick at = readyAt_[i];
-            const bool is_due = at <= now;
-            due |= is_due ? bit : 0;
-            const Tick pend_at = is_due ? tickInf : at;
-            next_wake = std::min(next_wake, pend_at);
-            if (scan_mem && (mem_w & bit) != 0)
-                memWakeAt_ = std::min(memWakeAt_, pend_at);
-        }
-        while (due != 0) {
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(due));
-            due &= due - 1;
-            const Tick at = readyAt_[i];
-            if (wstate_[i] == WaveState::WaitMem) {
-                // The stall semantically ended at the wake tick, even
-                // if this CU only got around to processing it now.
-                Wavefront &w2 = slots[i];
-                w2.epMemStall += at - w2.stallEnter;
-                w2.retireCompleted(at);
-            }
-            setWaveState(static_cast<std::uint32_t>(i),
-                         WaveState::Ready);
         }
     }
-    wakeScanAt = std::min(next_wake, memWakeAt_);
+}
+
+void
+ComputeUnit::pullFar()
+{
+    farWakeAt_ = tickInf;
+    const Tick horizon = wheelBlock_ + wheelBuckets;
+    farMask_.forEachSet([&](std::size_t i) {
+        const Tick at = readyAt_[i];
+        if ((at >> wheelShift) < horizon) {
+            farMask_.reset(i);
+            armWake(static_cast<std::uint32_t>(i), at);
+        } else {
+            farWakeAt_ = std::min(farWakeAt_, at);
+        }
+    });
+}
+
+void
+ComputeUnit::wakeWaves(Tick now)
+{
+    // Every wake processed here is per-slot stall accrual plus one
+    // state transition, so wakes commute and their order does not
+    // matter; a second call at the same tick finds nothing due.
+    const Tick block = now >> wheelShift;
+    if (block > wheelBlock_) {
+        // A member of a bucket the cursor leaves behind wakes before
+        // its block ends, so it is due: drain those buckets whole.
+        const Tick passed = block - wheelBlock_;
+        std::uint64_t due = wheelLive_;
+        if (passed < wheelBuckets) {
+            due &= std::rotl((1ULL << passed) - 1,
+                             static_cast<int>(wheelBlock_ &
+                                              (wheelBuckets - 1)));
+        }
+        wheelLive_ &= ~due;
+        while (due != 0) {
+            drainBucket(static_cast<std::size_t>(std::countr_zero(due)));
+            due &= due - 1;
+        }
+        wheelBlock_ = block;
+        // The horizon moved with the cursor: file the far wakes that
+        // now fall inside it (a due one lands in the current bucket).
+        if ((farWakeAt_ >> wheelShift) < wheelBlock_ + wheelBuckets)
+            pullFar();
+    }
+    // The current bucket's members wake somewhere in this block.
+    const std::size_t cur =
+        static_cast<std::size_t>(wheelBlock_) & (wheelBuckets - 1);
+    if (((wheelLive_ >> cur) & 1) == 0)
+        return;
+    const std::size_t words = pendMask_.wordCount();
+    std::uint64_t left = 0;
+    for (std::size_t wi = 0; wi < words; ++wi) {
+        std::uint64_t &word = wheel_[cur * words + wi];
+        std::uint64_t w = word;
+        while (w != 0) {
+            const std::uint64_t bit = w & (~w + 1);
+            const std::uint32_t i = static_cast<std::uint32_t>(
+                (wi << 6) + static_cast<std::size_t>(std::countr_zero(w)));
+            w &= w - 1;
+            if (readyAt_[i] <= now) {
+                word &= ~bit;
+                wakeSlot(i);
+            }
+        }
+        left |= word;
+    }
+    if (left == 0)
+        wheelLive_ &= ~(1ULL << cur);
 }
 
 void
@@ -177,41 +217,63 @@ ComputeUnit::closeSleep(Tick now)
 void
 ComputeUnit::pickReady()
 {
-    // Oldest-first pick per SIMD; the SIMD masks partition the slots,
-    // so this visits every ready wave once. Packing (seq << 16 | slot)
-    // into one key keeps the min-reduction branchless (seqs are
-    // unique, so the slot bits never decide the comparison; they just
-    // ride along).
+    // Age ranks follow dispatch order, so the lowest ready rank among
+    // a SIMD's waves is its oldest ready wave: the lowest seq_, which
+    // is unique.
+    const std::size_t words = readyAge_.wordCount();
     for (std::size_t simd = 0; simd < picks_.size(); ++simd) {
-        std::uint64_t best_key = ~std::uint64_t{0};
-        if (numReady > 0) {
-            const BitMask &mine = simdMask_[simd];
-            for (std::size_t wi = 0; wi < readyMask_.wordCount(); ++wi) {
-                std::uint64_t w = readyMask_.word(wi) & mine.word(wi);
-                while (w != 0) {
-                    const std::size_t i =
-                        (wi << 6) +
-                        static_cast<std::size_t>(std::countr_zero(w));
-                    w &= w - 1;
-                    best_key = std::min(best_key, (seq_[i] << 16) | i);
-                }
+        const BitMask &mine = simdAge_[simd];
+        std::int32_t pick = -1;
+        for (std::size_t wi = 0; wi < words; ++wi) {
+            const std::uint64_t w = readyAge_.word(wi) & mine.word(wi);
+            if (w != 0) {
+                pick = static_cast<std::int32_t>(ageSlot_[
+                    (wi << 6) + static_cast<std::size_t>(
+                        std::countr_zero(w))]);
+                break;
             }
         }
-        picks_[simd] = best_key == ~std::uint64_t{0}
-            ? -1 : static_cast<std::int32_t>(best_key & 0xffff);
+        picks_[simd] = pick;
     }
 }
 
-std::uint32_t
-ComputeUnit::ageRankOf(std::uint32_t slot) const
+void
+ComputeUnit::joinAge(std::uint32_t i)
 {
-    const std::uint64_t my_seq = seq_[slot];
-    std::uint32_t rank = 0;
-    occMask_.forEachSet([&](std::size_t i) {
-        if (seq_[i] < my_seq)
-            ++rank;
-    });
-    return rank;
+    // Dispatch hands out seqs in increasing order, so a new wave is
+    // the youngest resident one.
+    const std::uint32_t rank =
+        static_cast<std::uint32_t>(slots.size()) - freeSlots;
+    ageSlot_[rank] = i;
+    ageOf_[i] = rank;
+    simdAge_[i % simdAge_.size()].set(rank);
+    occMask_.set(i);
+    --freeSlots;
+}
+
+void
+ComputeUnit::leaveAge(std::uint32_t i)
+{
+    occMask_.reset(i);
+    ++freeSlots;
+    const std::uint32_t resident =
+        static_cast<std::uint32_t>(slots.size()) - freeSlots;
+    for (std::uint32_t r = ageOf_[i]; r < resident; ++r) {
+        ageSlot_[r] = ageSlot_[r + 1];
+        ageOf_[ageSlot_[r]] = r;
+    }
+    // Every younger wave moved down one rank. Rebuilding the
+    // age-indexed masks is simpler than shifting bits across words,
+    // and a wave retires once per thousands of steps.
+    readyAge_.clearAll();
+    for (BitMask &m : simdAge_)
+        m.clearAll();
+    for (std::uint32_t r = 0; r < resident; ++r) {
+        const std::uint32_t slot = ageSlot_[r];
+        if (wstate_[slot] == WaveState::Ready)
+            readyAge_.set(r);
+        simdAge_[slot % simdAge_.size()].set(r);
+    }
 }
 
 std::uint64_t
@@ -299,9 +361,10 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
             const std::uint32_t slot = free_slots[i];
             Wavefront &w = slots[slot];
             w.resetKeepCapacity();
+            seq_[slot] = seqCounter++;
             setWaveState(slot, WaveState::Ready);
             readyAt_[slot] = 0;
-            seq_[slot] = seqCounter++;
+            nextOp_[slot] = kernel.code[0].op;
             w.pc = 0;
             w.globalId = ctx.dispatch.nextGlobalWaveId++;
             w.wgIndex = wg_index;
@@ -335,13 +398,13 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
 }
 
 void
-ComputeUnit::releaseBarrier(std::uint32_t wg_index, Tick now)
+ComputeUnit::releaseBarrier(const isa::Application &app,
+                            std::uint32_t wg_index, Tick now)
 {
-    // WaitBarrier slots are exactly the occupied ones with no ready
-    // bit and no pending wake.
+    // WaitBarrier slots are among the occupied ones with no pending
+    // wake (the rest of those are Ready).
     for (std::size_t wi = 0; wi < occMask_.wordCount(); ++wi) {
-        std::uint64_t w = occMask_.word(wi) & ~readyMask_.word(wi) &
-            ~pendMask_.word(wi);
+        std::uint64_t w = occMask_.word(wi) & ~pendMask_.word(wi);
         while (w != 0) {
             const std::uint32_t i = static_cast<std::uint32_t>(
                 (wi << 6) + std::countr_zero(w));
@@ -354,6 +417,7 @@ ComputeUnit::releaseBarrier(std::uint32_t wg_index, Tick now)
             wave.epBarrierStall += now - wave.barrierEnter;
             setWaveState(i, WaveState::Ready);
             ++wave.pc;
+            nextOp_[i] = app.launches[wave.launchIndex].code[wave.pc].op;
             ++wave.epCommitted;
             ++epCommitted;
             ++lifeCommitted_;
@@ -376,10 +440,10 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         ++lifeCommitted_;
         lastCommit_ = now;
     };
+    // Every path that moves pc on ends here, so nextOp_ follows it.
     auto busy_for = [&](Cycles cycles) {
-        setWaveState(slot, WaveState::Busy);
-        readyAt_[slot] = now + cycles * period_;
-        wakeScanAt = std::min(wakeScanAt, readyAt_[slot]);
+        nextOp_[slot] = kernel.code[wave.pc].op;
+        park(slot, WaveState::Busy, now + cycles * period_);
     };
 
     switch (ins.op) {
@@ -406,10 +470,7 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
                  storeCompletions.front() < loadCompletions.front())) {
                 wake = std::max(now + period_, storeCompletions.front());
             }
-            setWaveState(slot, WaveState::WaitMem);
-            readyAt_[slot] = wake;
-            wakeScanAt = std::min(wakeScanAt, wake);
-            memWakeAt_ = std::min(memWakeAt_, wake);
+            park(slot, WaveState::WaitMem, wake);
             wave.stallEnter = now;
             wave.stallGateStore = is_store;
             break;
@@ -459,10 +520,8 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         } else {
             const std::size_t gate_idx =
                 wave.pending.size() - ins.maxOutstanding - 1;
-            setWaveState(slot, WaveState::WaitMem);
-            readyAt_[slot] = wave.pending[gate_idx].completion;
-            wakeScanAt = std::min(wakeScanAt, readyAt_[slot]);
-            memWakeAt_ = std::min(memWakeAt_, readyAt_[slot]);
+            park(slot, WaveState::WaitMem,
+                 wave.pending[gate_idx].completion);
             wave.stallEnter = now;
             wave.stallGateStore = wave.pending[gate_idx].isStore;
         }
@@ -475,7 +534,7 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         wave.barrierEnter = now;
         ++wg.arrived;
         if (wg.arrived + wg.done >= wg.waveCount) {
-            releaseBarrier(wave.wgIndex, now);
+            releaseBarrier(ctx.app, wave.wgIndex, now);
             return true;
         }
         break;
@@ -529,35 +588,33 @@ ComputeUnit::probe(const CuContext &ctx, Tick now)
     pickedAt_ = now;
 
     // Walk the picks in issue order, tracking the MSHR count the
-    // earlier SIMDs' private memory ops will have raised.
+    // earlier SIMDs' private memory ops will have raised. nextOp_
+    // classifies each pick; only a memory op that may reach the memory
+    // system loads the wave's cold record and instruction (for its
+    // address).
     std::uint32_t outstanding = outstandingTotal;
     for (const std::int32_t slot : picks_) {
         if (slot < 0)
             continue;
-        const Wavefront &wave = slots[static_cast<std::size_t>(slot)];
-        const isa::Kernel &kernel = ctx.app.launches[wave.launchIndex];
-        const isa::Instruction &ins = kernel.code[wave.pc];
-        switch (ins.op) {
-          case isa::OpType::VAlu:
-          case isa::OpType::SAlu:
-          case isa::OpType::Lds:
-          case isa::OpType::Waitcnt:
-          case isa::OpType::Branch:
-            break;
-          case isa::OpType::VMemLoad:
-          case isa::OpType::VMemStore:
+        const isa::OpType op = nextOp_[static_cast<std::size_t>(slot)];
+        if (isa::isVMem(op)) {
             if (outstanding >= ctx.cfg.mem.maxOutstandingPerCu)
-                break; // MSHR-full retry
+                continue; // MSHR-full retry
+            const Wavefront &wave =
+                slots[static_cast<std::size_t>(slot)];
+            const isa::Kernel &kernel =
+                ctx.app.launches[wave.launchIndex];
+            const isa::Instruction &ins = kernel.code[wave.pc];
             if (!ctx.mem.staysInCu(cuId, genAddress(kernel, wave, ins),
-                                   ins.op == isa::OpType::VMemStore)) {
+                                   op == isa::OpType::VMemStore)) {
                 return false;
             }
             ++outstanding;
-            break;
-          case isa::OpType::Barrier:
-          case isa::OpType::EndPgm:
+        } else if (op == isa::OpType::Barrier ||
+                   op == isa::OpType::EndPgm) {
             return false;
         }
+        // VALU, SALU, LDS, branch and waitcnt issues stay private.
     }
     return true;
 }
@@ -749,7 +806,7 @@ ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
         rec.committed = w.epCommitted;
         rec.memStall = w.epMemStall;
         rec.barrierStall = w.epBarrierStall;
-        rec.ageRank = state == WaveState::Idle ? 0 : ageRankOf(i);
+        rec.ageRank = state == WaveState::Idle ? 0 : ageOf_[i];
         rec.active = true;
         waves_out.push_back(rec);
 
@@ -869,9 +926,6 @@ ComputeUnit::restoreDeltaFrom(const ComputeUnit &base,
     freqStallUntil = base.freqStallUntil;
     nextEventAt = base.nextEventAt;
     freeSlots = base.freeSlots;
-    numReady = base.numReady;
-    wakeScanAt = base.wakeScanAt;
-    memWakeAt_ = base.memWakeAt_;
     seqCounter = base.seqCounter;
     lifeCommitted_ = base.lifeCommitted_;
     lastCommit_ = base.lastCommit_;
@@ -904,11 +958,18 @@ ComputeUnit::restoreDeltaFrom(const ComputeUnit &base,
     wstate_ = base.wstate_;
     readyAt_ = base.readyAt_;
     seq_ = base.seq_;
-    readyMask_ = base.readyMask_;
+    nextOp_ = base.nextOp_;
     pendMask_ = base.pendMask_;
-    memMask_ = base.memMask_;
     occMask_ = base.occMask_;
-    // simdMask_ is configuration-derived and identical by shape.
+    ageSlot_ = base.ageSlot_;
+    ageOf_ = base.ageOf_;
+    readyAge_ = base.readyAge_;
+    simdAge_ = base.simdAge_;
+    wheel_ = base.wheel_;
+    wheelLive_ = base.wheelLive_;
+    wheelBlock_ = base.wheelBlock_;
+    farMask_ = base.farMask_;
+    farWakeAt_ = base.farWakeAt_;
     picks_ = base.picks_;
     pickedAt_ = base.pickedAt_;
 
@@ -922,40 +983,104 @@ ComputeUnit::restoreDeltaFrom(const ComputeUnit &base,
 }
 
 void
-ComputeUnit::verifyDerivedState() const
+ComputeUnit::verifyDerivedState(const isa::Application &app) const
 {
-    std::uint32_t ready = 0;
-    std::uint32_t free = 0;
-    Tick busy_wake = tickInf;
-    Tick mem_wake = tickInf;
-    for (std::size_t i = 0; i < wstate_.size(); ++i) {
+    auto fail = [this](const char *what) {
+        panic("CU " + std::to_string(cuId) + ": " + what);
+    };
+
+    // Occupancy and pending masks, and the free count.
+    static thread_local std::vector<std::uint32_t> order;
+    order.clear();
+    for (std::uint32_t i = 0; i < wstate_.size(); ++i) {
         const WaveState s = wstate_[i];
         const bool pend = s == WaveState::Busy || s == WaveState::WaitMem;
-        if (readyMask_.test(i) != (s == WaveState::Ready) ||
-            pendMask_.test(i) != pend ||
-            memMask_.test(i) != (s == WaveState::WaitMem) ||
+        if (pendMask_.test(i) != pend ||
             occMask_.test(i) != (s != WaveState::Idle)) {
-            panic("CU " + std::to_string(cuId) + " slot " +
-                  std::to_string(i) + ": wave-state masks out of sync");
+            fail("wave-state masks out of sync");
         }
-        ready += s == WaveState::Ready ? 1 : 0;
-        free += s == WaveState::Idle ? 1 : 0;
-        if (s == WaveState::Busy)
-            busy_wake = std::min(busy_wake, readyAt_[i]);
-        else if (s == WaveState::WaitMem)
-            mem_wake = std::min(mem_wake, readyAt_[i]);
+        if (s != WaveState::Idle)
+            order.push_back(i);
     }
-    if (numReady != ready || freeSlots != free)
-        panic("CU " + std::to_string(cuId) +
-              ": cached ready/free counts out of sync");
-    if (wakeScanAt > std::min(busy_wake, mem_wake) ||
-        memWakeAt_ > mem_wake) {
-        panic("CU " + std::to_string(cuId) +
-              ": wake-scan bound lies past a pending wake");
+    if (freeSlots != wstate_.size() - order.size())
+        fail("cached free count out of sync");
+
+    // Age order: the resident slots sorted by seq_, and the masks
+    // indexed by age rank.
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return seq_[a] < seq_[b];
+              });
+    for (std::uint32_t r = 0; r < order.size(); ++r) {
+        if (ageSlot_[r] != order[r] || ageOf_[order[r]] != r)
+            fail("age order out of sync");
     }
+    const std::size_t simds = simdAge_.size();
+    for (std::uint32_t r = 0; r < readyAge_.size(); ++r) {
+        const bool live = r < order.size();
+        if (readyAge_.test(r) !=
+            (live && wstate_[order[r]] == WaveState::Ready)) {
+            fail("age-space ready mask out of sync");
+        }
+        for (std::size_t simd = 0; simd < simds; ++simd) {
+            if (simdAge_[simd].test(r) !=
+                (live && order[r] % simds == simd)) {
+                fail("age-space SIMD masks out of sync");
+            }
+        }
+    }
+
+    // Wake wheel: each pending slot sits in the bucket of its wake
+    // block (clamped to the current one) while that block is inside
+    // the horizon, else in the far set; the buckets hold nothing else.
+    const std::size_t words = pendMask_.wordCount();
+    std::size_t in_wheel = 0;
+    Tick far_wake = tickInf;
+    for (std::uint32_t i = 0; i < wstate_.size(); ++i) {
+        bool want_far = false;
+        if (pendMask_.test(i)) {
+            const Tick block =
+                std::max(readyAt_[i] >> wheelShift, wheelBlock_);
+            if (block - wheelBlock_ < wheelBuckets) {
+                const std::size_t b = static_cast<std::size_t>(block) &
+                    (wheelBuckets - 1);
+                if (((wheel_[b * words + (i >> 6)] >> (i & 63)) & 1) == 0)
+                    fail("pending wave missing from its wheel bucket");
+                ++in_wheel;
+            } else {
+                want_far = true;
+                far_wake = std::min(far_wake, readyAt_[i]);
+            }
+        }
+        if (farMask_.test(i) != want_far)
+            fail("far wake set out of sync");
+    }
+    std::size_t filed = 0;
+    for (std::size_t b = 0; b < static_cast<std::size_t>(wheelBuckets);
+         ++b) {
+        std::uint64_t any = 0;
+        for (std::size_t wi = 0; wi < words; ++wi) {
+            any |= wheel_[b * words + wi];
+            filed += static_cast<std::size_t>(
+                std::popcount(wheel_[b * words + wi]));
+        }
+        if (((wheelLive_ >> b) & 1) != (any != 0 ? 1u : 0u))
+            fail("wheel bucket summary out of sync");
+    }
+    if (filed != in_wheel)
+        fail("wheel holds a wave that is not pending there");
+    if (farWakeAt_ != far_wake)
+        fail("far wake bound is not the earliest far wake");
+
+    // Next-op array: the opcode at each resident wave's pc.
+    for (const std::uint32_t i : order) {
+        const Wavefront &w = slots[i];
+        if (nextOp_[i] != app.launches[w.launchIndex].code[w.pc].op)
+            fail("next-op array out of sync");
+    }
+
     if (pickedAt_ != tickInf)
-        panic("CU " + std::to_string(cuId) +
-              ": cached picks outlived their step");
+        fail("cached picks outlived their step");
 }
 
 void
@@ -971,7 +1096,7 @@ ComputeUnit::appendSnapshots(const isa::Application &app,
         snap.slot = i;
         snap.pc = w.pc;
         snap.pcAddr = app.launches[w.launchIndex].pcAddr(w.pc);
-        snap.ageRank = ageRankOf(i);
+        snap.ageRank = ageOf_[i];
         out.push_back(snap);
     }
 }

@@ -10,16 +10,26 @@
  * pointers, so GpuChip snapshots are plain copies.
  *
  * Layout: the scheduling-hot per-wave fields are stored SoA
- * (wstate_/readyAt_/seq_) next to ready/pending/occupied bitmasks, so
- * the per-tick scans (wake, pick-ready, sleep classification) iterate
- * mask words and a few contiguous arrays instead of striding through
- * the cold Wavefront records. The CU also tracks which slots changed
- * since the last snapshot take (dirty-region delta restores).
+ * (wstate_/readyAt_/seq_/nextOp_) next to pending/occupied bitmasks,
+ * so per-tick work touches mask words and a few contiguous arrays
+ * instead of the cold Wavefront records. Three derived structures
+ * keep that work from growing with the number of resident waves:
+ *  - the age order: resident slots in dispatch order, with ready and
+ *    per-SIMD masks indexed by age rank, so each SIMD's oldest-ready
+ *    pick is a countr_zero and a wave's age rank is a lookup;
+ *  - the wake wheel: Busy/WaitMem wakes bucketed by tick into a ring
+ *    of slot masks plus a far set, so a wake touches only the waves
+ *    due by then and the current bucket's members;
+ *  - the next-op array: each resident wave's next opcode, so the
+ *    run-ahead probe classifies most picks without the cold records.
+ * The CU also tracks which slots changed since the last snapshot take
+ * (dirty-region delta restores).
  */
 
 #ifndef PCSTALL_GPU_COMPUTE_UNIT_HH
 #define PCSTALL_GPU_COMPUTE_UNIT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -114,12 +124,14 @@ class ComputeUnit
     bool probe(const CuContext &ctx, Tick now);
 
     /**
-     * Recompute the derived scheduling caches (ready/free counts, the
-     * ready/pending/memory/occupied masks and the wake-scan bounds)
-     * from the per-slot states and panic on any mismatch. Verify
-     * builds call it after every step.
+     * Rebuild every derived scheduling structure (free count, pending
+     * and occupied masks, the age order and its ready/SIMD masks, wake
+     * wheel and far-set membership, the far bound and the next-op
+     * array) from wstate_/seq_/readyAt_ and @p app's code, and panic
+     * on any mismatch. Verify builds call it after every step and
+     * every snapshot restore.
      */
-    void verifyDerivedState() const;
+    void verifyDerivedState(const isa::Application &app) const;
 
     /**
      * Close all accrual intervals at @p boundary, emit this CU's and
@@ -166,8 +178,11 @@ class ComputeUnit
     // slots) dirty; takeDirty() hands the accumulated marks to a
     // snapshot pool and clears them. The flags are mutable so a const
     // base chip can be taken from. If you add a member to this class,
-    // wire it into fingerprint() AND restoreDeltaFrom() (the
-    // restore-exactness tests in test_snapshot_delta.cc catch misses).
+    // wire it into restoreDeltaFrom() and, if it is simulation state,
+    // fingerprint() (the restore-exactness tests in
+    // test_snapshot_delta.cc catch misses); derived state goes into
+    // verifyDerivedState() instead, which verify builds run after
+    // every restore.
 
     /** Mark the CU's scheduling scalars dirty (external reschedule). */
     void markScheduleDirty() const { cuDirty_ = true; }
@@ -217,49 +232,80 @@ class ComputeUnit
     /** Try to pull new workgroups from the dispatcher. */
     bool tryDispatch(CuContext &ctx, Tick now);
     /** Release every wave of workgroup @p wg_index blocked at barrier. */
-    void releaseBarrier(std::uint32_t wg_index, Tick now);
+    void releaseBarrier(const isa::Application &app,
+                        std::uint32_t wg_index, Tick now);
     /** Compute the address of a vector memory access. */
     std::uint64_t genAddress(const isa::Kernel &kernel,
                              const Wavefront &wave,
                              const isa::Instruction &ins) const;
     /** Fill picks_ with each SIMD's oldest ready wave (-1 when none). */
     void pickReady();
-    /** Age rank (0 = oldest) of slot @p slot among resident waves. */
-    std::uint32_t ageRankOf(std::uint32_t slot) const;
+
+    /** Append newly dispatched slot @p i to the age order. */
+    void joinAge(std::uint32_t i);
+    /** Remove retiring slot @p i from the age order. */
+    void leaveAge(std::uint32_t i);
+    /** Wake slot @p i (its wake time has passed) back to Ready. */
+    void wakeSlot(std::uint32_t i);
+    /** Drain every member of wheel bucket @p b (all are due). */
+    void drainBucket(std::size_t b);
+    /** Move far-set waves whose wake entered the wheel's horizon. */
+    void pullFar();
 
     /**
-     * Move slot @p i to state @p ns, maintaining the ready/pending/
-     * occupied masks, the ready/free counters and the dirty marks.
-     * The single chokepoint for wave-state transitions.
+     * Move slot @p i to state @p ns, maintaining the pending/occupied
+     * masks, the age order and its ready mask, the free count and the
+     * dirty marks. The single chokepoint for wave-state transitions;
+     * a move into Busy/WaitMem goes through park() to arm its wake.
      */
     void
     setWaveState(std::uint32_t i, WaveState ns)
     {
         const WaveState os = wstate_[i];
-        if (os == WaveState::Ready) {
-            readyMask_.reset(i);
-            --numReady;
-        } else if (os == WaveState::Busy || os == WaveState::WaitMem) {
+        if (os == WaveState::Ready)
+            readyAge_.reset(ageOf_[i]);
+        else if (os == WaveState::Busy || os == WaveState::WaitMem)
             pendMask_.reset(i);
-        } else if (os == WaveState::Idle) {
-            occMask_.set(i);
-            --freeSlots;
-        }
-        if (ns == WaveState::Ready) {
-            readyMask_.set(i);
-            ++numReady;
-        } else if (ns == WaveState::Busy || ns == WaveState::WaitMem) {
+        else if (os == WaveState::Idle)
+            joinAge(i);
+        if (ns == WaveState::Ready)
+            readyAge_.set(ageOf_[i]);
+        else if (ns == WaveState::Busy || ns == WaveState::WaitMem)
             pendMask_.set(i);
-        } else if (ns == WaveState::Idle) {
-            occMask_.reset(i);
-            ++freeSlots;
-        }
-        if (os == WaveState::WaitMem)
-            memMask_.reset(i);
-        if (ns == WaveState::WaitMem)
-            memMask_.set(i);
+        else if (ns == WaveState::Idle)
+            leaveAge(i);
         wstate_[i] = ns;
         dirtySlots_.set(i);
+    }
+
+    /** Put slot @p i into Busy or WaitMem until tick @p at. */
+    void
+    park(std::uint32_t i, WaveState ns, Tick at)
+    {
+        setWaveState(i, ns);
+        readyAt_[i] = at;
+        armWake(i, at);
+    }
+
+    /**
+     * File pending slot @p i under its wake tick @p at: in the bucket
+     * of its block (never earlier than the current one) while that
+     * block lies inside the wheel, otherwise in the far set.
+     */
+    void
+    armWake(std::uint32_t i, Tick at)
+    {
+        const Tick block = std::max(at >> wheelShift, wheelBlock_);
+        if (block - wheelBlock_ < wheelBuckets) {
+            const std::size_t b =
+                static_cast<std::size_t>(block) & (wheelBuckets - 1);
+            wheel_[b * pendMask_.wordCount() + (i >> 6)] |=
+                1ULL << (i & 63);
+            wheelLive_ |= 1ULL << b;
+        } else {
+            farMask_.set(i);
+            farWakeAt_ = std::min(farWakeAt_, at);
+        }
     }
 
     std::uint32_t cuId = 0;
@@ -278,18 +324,50 @@ class ComputeUnit
     std::vector<Tick> readyAt_;
     /** Dispatch order within the CU; oldest-first scheduling key. */
     std::vector<std::uint64_t> seq_;
-    /** Slots in WaveState::Ready. */
-    BitMask readyMask_;
+    /** Resident slots: the opcode at the wave's pc, refreshed wherever
+     *  pc changes (dispatch, issue, barrier release). Derived. */
+    std::vector<isa::OpType> nextOp_;
     /** Slots in Busy or WaitMem (have a pending wake in readyAt_). */
     BitMask pendMask_;
-    /** Slots in WaitMem only (far wakes). The per-cycle wake scan
-     *  skips these while now < memWakeAt_, so it only walks the
-     *  short-latency Busy set. */
-    BitMask memMask_;
     /** Slots not Idle. */
     BitMask occMask_;
-    /** Slots belonging to each SIMD (slot % num_simds == simd). */
-    std::vector<BitMask> simdMask_;
+
+    // --- age order (derived state, excluded from fingerprint()) ---
+    // Resident slots sorted by seq_. A dispatch appends (seqs only
+    // grow); a retiring wave is erased and the age-indexed masks are
+    // rebuilt, which costs O(resident) but happens once per wave.
+    /** Slot of each age rank (0 = oldest), for ranks < resident. */
+    std::vector<std::uint32_t> ageSlot_;
+    /** Age rank of each resident slot (inverse of ageSlot_). */
+    std::vector<std::uint32_t> ageOf_;
+    /** Age ranks whose wave is Ready. */
+    BitMask readyAge_;
+    /** Per SIMD: age ranks whose slot belongs to it (slot % simds). */
+    std::vector<BitMask> simdAge_;
+
+    // --- wake wheel (derived state, excluded from fingerprint()) ---
+    // Every Busy/WaitMem slot sits in exactly one place: the bucket of
+    // its wake block max(readyAt >> wheelShift, wheelBlock_) while
+    // that block is below wheelBlock_ + wheelBuckets, otherwise the
+    // far set. Buckets of passed blocks are wholly due; only the
+    // current bucket's members need their wake tick checked.
+    /** log2 of the ticks one bucket spans. */
+    static constexpr unsigned wheelShift = 9;
+    /** Buckets in the ring (one bit each in wheelLive_). */
+    static constexpr Tick wheelBuckets = 64;
+    /** Bucket b's slot mask: words [b * W, (b + 1) * W), W =
+     *  pendMask_.wordCount(). */
+    std::vector<std::uint64_t> wheel_;
+    /** Bit b set when bucket b has members. */
+    std::uint64_t wheelLive_ = 0;
+    /** Block (tick >> wheelShift) of the current bucket: the block of
+     *  the latest wakeWaves() call. */
+    Tick wheelBlock_ = 0;
+    /** Pending slots whose wake lies past the wheel's horizon. */
+    BitMask farMask_;
+    /** Exact earliest wake in farMask_ (tickInf when empty). */
+    Tick farWakeAt_ = tickInf;
+
     /** Per SIMD: the slot it issues next (-1 = none), valid only at
      *  tick pickedAt_. probe() fills them and the step at the same
      *  tick consumes them; every step resets pickedAt_, so they never
@@ -299,16 +377,6 @@ class ComputeUnit
 
     /** Cached count of Idle slots (dispatch gating). */
     std::uint32_t freeSlots = 0;
-    /** Cached count of Ready slots (skips the per-SIMD issue scans
-     *  when nothing can issue). Derived state: maintained at every
-     *  wave-state transition, excluded from fingerprint(). */
-    std::uint32_t numReady = 0;
-    /** Lower bound on the earliest Busy/WaitMem wake time; wakeWaves()
-     *  skips its slot scan while now is below it. Derived state. */
-    Tick wakeScanAt = 0;
-    /** Lower bound on the earliest WaitMem wake; wakeWaves() skips the
-     *  memMask_ slots while now is below it. Derived state. */
-    Tick memWakeAt_ = tickInf;
     std::uint64_t seqCounter = 0;
     std::uint64_t lifeCommitted_ = 0;
     Tick lastCommit_ = 0;

@@ -113,7 +113,7 @@ GpuChip::runUntil(Tick until)
         ComputeUnit &cu = cus[id];
         StepResult res = cu.step(ctx, t);
         if constexpr (verifyBuild)
-            cu.verifyDerivedState();
+            cu.verifyDerivedState(ctx.app);
 
         // Run ahead: while the CU's next step touches only its own
         // state it commutes with every other CU's step before it, so
@@ -129,7 +129,7 @@ GpuChip::runUntil(Tick until)
                 if (sharedDigest() != shared_before)
                     panic("CU " + std::to_string(id) +
                           ": a run-ahead step changed shared state");
-                cu.verifyDerivedState();
+                cu.verifyDerivedState(ctx.app);
             }
         }
         cu.nextEventAt = res.next;
@@ -220,6 +220,13 @@ GpuChip::stateFingerprint() const
         cu.fingerprint(h);
     mem.fingerprint(h);
     return h;
+}
+
+void
+GpuChip::verifyDerivedState() const
+{
+    for (const ComputeUnit &cu : cus)
+        cu.verifyDerivedState(*app);
 }
 
 std::uint64_t

@@ -152,6 +152,14 @@ class GpuChip
      */
     std::uint64_t stateFingerprint() const;
 
+    /**
+     * Rebuild every CU's derived scheduling state from its primary
+     * state and panic on a mismatch (ComputeUnit::verifyDerivedState).
+     * stateFingerprint() excludes derived state, so this is the check
+     * that a copy or restore carried it over intact.
+     */
+    void verifyDerivedState() const;
+
     const GpuConfig &config() const { return cfg; }
     const memory::MemorySystem &memory() const { return mem; }
     const isa::Application &application() const { return *app; }

@@ -34,22 +34,17 @@ SnapshotPool::restore(std::size_t i, const gpu::GpuChip &base)
 {
     panicIf(i >= slots_.size(), "snapshot pool slot out of range");
     Slot &slot = slots_[i];
-    if (!slot.chip) {
-        slot.chip = std::make_unique<gpu::GpuChip>(base);
-        slot.pending.clearAll();
-        slot.canDelta = delta_;
-        slot.syncSeq = 0;
-        fullRestores_.fetch_add(1, std::memory_order_relaxed);
-        return *slot.chip;
-    }
-
     // Delta is sound only when the slot was synced for this very
     // sweep against this very base chip and the base has no untaken
     // dirt (i.e. it was not mutated after beginSweep).
-    const bool use_delta = delta_ && slot.canDelta &&
+    const bool use_delta = delta_ && slot.chip && slot.canDelta &&
         sweepSeq_ > 0 && slot.syncSeq == sweepSeq_ &&
         base.snapshotUid() == baseUid_ && !base.hasPendingDirty();
-    if (use_delta) {
+    if (!slot.chip) {
+        slot.chip = std::make_unique<gpu::GpuChip>(base);
+        slot.canDelta = delta_;
+        fullRestores_.fetch_add(1, std::memory_order_relaxed);
+    } else if (use_delta) {
         // Regions to copy: what this slot's chip touched since its
         // last take (the previous sample's pre-execution) plus what
         // the base did while the slot sat out.
@@ -71,6 +66,11 @@ SnapshotPool::restore(std::size_t i, const gpu::GpuChip &base)
     // Consume the sync: a restore without a fresh beginSweep in
     // between must not take the delta path again.
     slot.syncSeq = 0;
+    // The fingerprint check leaves derived scheduling state out, so a
+    // member restoreDeltaFrom forgot would otherwise only diverge
+    // epochs later.
+    if constexpr (verifyBuild)
+        slot.chip->verifyDerivedState();
     return *slot.chip;
 }
 

@@ -11,7 +11,8 @@
  * Rows cover the 4-CU figure chip run to completion, the paper's
  * 64-CU / 16-bank chip over its first epochs, and 4-CU variants that
  * move the boundary between CU-private and shared steps (MSHR depth,
- * store write combining, SIMD count).
+ * store write combining, SIMD count) or widen every wave-slot mask
+ * past one 64-bit word (80 slots per CU).
  *
  * Regenerate after a deliberate model change by running the binary
  * directly (each case rewrites its own lines, so do not use ctest -j):
@@ -63,6 +64,9 @@ const Row kRows[] = {
      [](gpu::GpuConfig &c) { c.simdsPerCu = 1; }},
     {"cu4_simd2", 4, 50000, true,
      [](gpu::GpuConfig &c) { c.simdsPerCu = 2; }},
+    // 80 resident waves per CU: every wave-slot mask spans two words.
+    {"cu4_slots80", 4, 50000, true,
+     [](gpu::GpuConfig &c) { c.waveSlotsPerCu = 80; }},
 };
 
 constexpr double kScale = 0.1;
@@ -134,6 +138,9 @@ chipDigest(const std::string &workload, const Row &row)
     while (!done && epoch < row.maxEpochs) {
         const Tick start = chip.now();
         done = chip.runUntil(start + tickUs);
+        // Verify builds shadow-check after every CU step; this runs
+        // the same check once per epoch in every build.
+        chip.verifyDerivedState();
         h = hashCombine(h, chip.stateFingerprint());
         chip.harvestEpoch(start, rec);
         mixRecord(h, rec);
