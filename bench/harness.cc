@@ -303,17 +303,6 @@ BenchOptions::parse(int argc, char **argv)
     opts.watchdog = cli.has("watchdog");
     opts.ecc = cli.has("ecc");
 
-    const std::string oracle_mode = cli.get("oracle-mode", "pool");
-    if (oracle_mode == "copy") {
-        opts.oracleMode = sim::OracleMode::Copy;
-    } else if (oracle_mode == "pool") {
-        opts.oracleMode = sim::OracleMode::Pool;
-    } else if (oracle_mode == "pool-full") {
-        opts.oracleMode = sim::OracleMode::PoolFull;
-    } else {
-        warn("--oracle-mode must be copy|pool|pool-full (got '" +
-             oracle_mode + "'); using pool");
-    }
     const std::int64_t oracle_threads = cli.getInt("oracle-threads", 1);
     if (oracle_threads < 1) {
         warn("--oracle-threads must be >= 1 (using 1)");
@@ -487,7 +476,6 @@ BenchOptions::runConfig() const
     cfg.perfDegradationLimit = perfDegradationLimit;
     cfg.collectTrace = collectTrace;
     cfg.auditRegret = auditRegret || !provenanceOut.empty();
-    cfg.oracleMode = oracleMode;
     cfg.oracleThreads = oracleThreads;
     cfg.scaled();
     return cfg;
@@ -501,7 +489,6 @@ BenchOptions::profileConfig() const
     cfg.gpu.seed = seed;
     cfg.epochLen = epochLen;
     cfg.cusPerDomain = cusPerDomain;
-    cfg.poolSnapshots = oracleMode != sim::OracleMode::Copy;
     cfg.oracleThreads = oracleThreads;
     power::PowerParams ignored;
     sim::scaleToCus(cfg.gpu, ignored, cus);

@@ -78,12 +78,6 @@ struct BenchOptions
     bool watchdog = false;
     /** Parity-protect PC tables (scrub corrupted entries). */
     bool ecc = false;
-    /** Oracle chip-snapshot strategy (--oracle-mode
-     *  copy|pool|pool-full). Pool reuses scratch chips across epochs
-     *  and restores only dirty regions; pool-full forces full
-     *  restores; results are byte-identical in all three modes
-     *  (docs/performance.md). */
-    sim::OracleMode oracleMode = sim::OracleMode::Pool;
     /** Threads for in-cell oracle sample parallelism
      *  (--oracle-threads; 1 = serial, thread-count independent). */
     unsigned oracleThreads = 1;
@@ -209,7 +203,7 @@ struct BenchOptions
      *  guardedMain exits 0) plus the fault flags
      *  --fault-seed --noise-sigma --noise-dropout --trans-fail
      *  --trans-extra-ns --freq-quant-mhz --bitflips --ecc --watchdog,
-     *  the performance flags --oracle-mode --oracle-threads,
+     *  the performance flag --oracle-threads,
      *  the trace flags --trace-out --replay --pc-snapshot-out
      *  --pc-snapshot-in --trace-cache --trace-what-if
      *  (docs/replay_studies.md), the provenance flag --provenance-out, the

@@ -53,15 +53,11 @@ validateWorkload(const std::string &name,
 
     oracle::SnapshotPool pool;
     std::unique_ptr<sim::ParallelExecutor> exec;
+    if (opts.oracleThreads > 1)
+        exec = std::make_unique<sim::ParallelExecutor>(opts.oracleThreads);
     oracle::SweepOptions sweep_opts;
-    if (opts.oracleMode != sim::OracleMode::Copy) {
-        pool.setDeltaRestore(opts.oracleMode == sim::OracleMode::Pool);
-        sweep_opts.pool = &pool;
-        if (opts.oracleThreads > 1)
-            exec = std::make_unique<sim::ParallelExecutor>(
-                opts.oracleThreads);
-        sweep_opts.executor = exec.get();
-    }
+    sweep_opts.pool = &pool;
+    sweep_opts.executor = exec.get();
 
     double acc_sum = 0.0;
     std::size_t n = 0;

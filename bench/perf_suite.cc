@@ -2,16 +2,16 @@
  * @file
  * Tracked performance benchmark suite (docs/performance.md).
  *
- * Times the simulator's hot paths - oracle fork-pre-execute sweeps in
- * every snapshot mode, raw epoch simulation, predictor table updates,
- * trace encoding - plus end-to-end experiment cells (ACCPC per
- * oracle snapshot mode, PCSTALL with and without the decision-
- * provenance audit), as median-of-N wall times. Alongside the
- * timings it *always* verifies that the copy, pooled and
- * pooled+parallel oracle paths produce bit-identical estimates and
- * that end-to-end runs produce bit-identical metrics (audited
- * included), so a perf regression can never hide a correctness
- * regression.
+ * Times the simulator's hot paths - a deep chip copy against a pooled
+ * restore, oracle fork-pre-execute sweeps serial and in-cell
+ * parallel, raw epoch simulation, predictor table updates, trace
+ * encoding - plus end-to-end experiment cells (ACCPC, PCSTALL with
+ * and without the decision-provenance audit), as median-of-N wall
+ * times. Alongside the timings it *always* verifies that the serial
+ * and parallel oracle sweeps produce bit-identical estimates and that
+ * end-to-end runs produce bit-identical metrics (at 1 and N oracle
+ * threads, audited included), so a perf regression can never hide a
+ * correctness regression.
  *
  * Modes:
  *  - default: run the suite, print a table (honours --csv);
@@ -24,8 +24,9 @@
  *    carry scheduler interference, while the min approaches the true
  *    cost of the code path. Absolute comparisons use --tolerance
  *    (default 4.0x, generous because CI machines differ); same-machine
- *    mode ratios (pooled/delta vs copy) use fixed bands. Non-zero
- *    exit on regression.
+ *    ratios (pooled restore vs deep copy, audited vs unaudited cell,
+ *    warm vs cold trace cache) use fixed bands. Non-zero exit on
+ *    regression.
  *
  * Flags beyond the common set: --repeats N (default 5), --out FILE,
  * --check-regression FILE, --tolerance X, --oracle-threads N (thread
@@ -357,7 +358,7 @@ main(int argc, char **argv)
             ? opts.oracleThreads : 4;
 
         bench::banner("PERF SUITE",
-                      "Hot-path wall times and mode identity", opts);
+                      "Hot-path wall times and oracle identity", opts);
 
         const std::string workload = opts.firstWorkload("comd");
         const auto app = bench::makeApp(workload, opts);
@@ -385,46 +386,14 @@ main(int argc, char **argv)
             fatalIf(copy.now() != chip.now(), "copy diverged");
         }));
 
-        // Full-restore pool: copy-assign restores only, the pooled
-        // reference mode the committed baseline names refer to.
+        // Pooled restore: the copy-assign every oracle sample starts
+        // from, into a slot chip pre-warmed with a deep copy.
         oracle::SnapshotPool pool;
-        pool.setDeltaRestore(false);
-        pool.ensureSlots(table.numStates());
+        pool.ensureSlots(table.numStates(), chip);
         timings.push_back(timeBench("pool_restore", repeats, [&] {
             gpu::GpuChip &c = pool.restore(0, chip);
             fatalIf(c.now() != chip.now(), "restore diverged");
         }));
-
-        // Delta restore: per iteration, pre-execute one epoch on the
-        // slot chip (untimed prep) so it diverges from the base the
-        // way a real oracle sample does, then time the steady-state
-        // per-sweep resync: take the base's dirt and copy only the
-        // dirty regions back.
-        oracle::SnapshotPool delta_pool;
-        delta_pool.ensureSlots(1, chip);
-        delta_pool.beginSweep(chip);
-        delta_pool.restore(0, chip); // anchor the delta chain
-        timings.push_back(timeBenchPrepared(
-            "chip_delta_restore", repeats,
-            [&] {
-                delta_pool.beginSweep(chip);
-                gpu::GpuChip &c = delta_pool.restore(0, chip);
-                c.runUntil(chip.now() + opts.epochLen);
-                c.harvestEpoch(chip.now(), scratch_record);
-            },
-            [&] {
-                delta_pool.beginSweep(chip);
-                gpu::GpuChip &c = delta_pool.restore(0, chip);
-                fatalIf(c.now() != chip.now(), "delta restore diverged");
-            }));
-        fatalIf(delta_pool.deltaRestores() == 0,
-                "chip_delta_restore never took the delta path");
-        {
-            delta_pool.beginSweep(chip);
-            gpu::GpuChip &c = delta_pool.restore(0, chip);
-            fatalIf(c.stateFingerprint() != chip.stateFingerprint(),
-                    "delta-restored chip fingerprint diverged");
-        }
 
         // --- one oracle sample: restore + simulate + harvest ---
         timings.push_back(timeBench("epoch_simulate", repeats, [&] {
@@ -433,39 +402,14 @@ main(int argc, char **argv)
             c.harvestEpoch(chip.now(), scratch_record);
         }));
 
-        // --- full sweeps, one per snapshot mode, identity-checked ---
-        oracle::SweepOptions copy_opts;
-        std::uint64_t copy_fp = 0;
-        timings.push_back(timeBench("oracle_fork_copy", repeats, [&] {
-            copy_fp = estimatesFingerprint(oracle::forkPreExecuteSweep(
-                chip, domains, table, opts.epochLen, copy_opts));
-        }));
-
+        // --- full sweeps, serial and in-cell parallel ---
         oracle::SweepOptions pool_opts;
         pool_opts.pool = &pool;
+        std::uint64_t pool_fp = 0;
         timings.push_back(timeBench("oracle_fork_pool", repeats, [&] {
-            const std::uint64_t fp =
-                estimatesFingerprint(oracle::forkPreExecuteSweep(
-                    chip, domains, table, opts.epochLen, pool_opts));
-            fatalIf(fp != copy_fp,
-                    "pooled sweep diverged from copy sweep");
+            pool_fp = estimatesFingerprint(oracle::forkPreExecuteSweep(
+                chip, domains, table, opts.epochLen, pool_opts));
         }));
-
-        // Same sweep through a delta-restoring pool (the default for
-        // experiment runs). Identity against the copy sweep makes this
-        // benchmark double as the delta-correctness gate.
-        oracle::SnapshotPool sweep_delta_pool;
-        oracle::SweepOptions delta_opts;
-        delta_opts.pool = &sweep_delta_pool;
-        timings.push_back(timeBench("oracle_fork_delta", repeats, [&] {
-            const std::uint64_t fp =
-                estimatesFingerprint(oracle::forkPreExecuteSweep(
-                    chip, domains, table, opts.epochLen, delta_opts));
-            fatalIf(fp != copy_fp,
-                    "delta sweep diverged from copy sweep");
-        }));
-        fatalIf(sweep_delta_pool.deltaRestores() == 0,
-                "oracle_fork_delta never took the delta path");
 
         sim::ParallelExecutor exec(mt_threads);
         oracle::SweepOptions mt_opts = pool_opts;
@@ -474,8 +418,8 @@ main(int argc, char **argv)
             const std::uint64_t fp =
                 estimatesFingerprint(oracle::forkPreExecuteSweep(
                     chip, domains, table, opts.epochLen, mt_opts));
-            fatalIf(fp != copy_fp,
-                    "parallel sweep diverged from copy sweep");
+            fatalIf(fp != pool_fp,
+                    "parallel sweep diverged from serial sweep");
         }));
 
         // --- predictor table hot path ---
@@ -517,28 +461,20 @@ main(int argc, char **argv)
             std::remove(tmp.c_str());
         }
 
-        // --- end-to-end ACCPC cell, copy vs pooled ---
-        auto run_cell = [&](sim::OracleMode mode) {
+        // --- end-to-end ACCPC cell at --oracle-threads, checked
+        // against the same cell with a serial oracle ---
+        auto run_accpc = [&](unsigned oracle_threads) {
             sim::RunConfig cfg = opts.runConfig();
-            cfg.oracleMode = mode;
+            cfg.oracleThreads = oracle_threads;
             sim::ExperimentDriver driver(cfg);
             auto controller = bench::makeController("ACCPC", cfg);
             return driver.run(app, *controller);
         };
-        std::uint64_t e2e_copy_fp = 0;
-        timings.push_back(timeBench("e2e_accpc_copy", repeats, [&] {
-            e2e_copy_fp = resultFingerprint(
-                run_cell(sim::OracleMode::Copy));
-        }));
+        const std::uint64_t e2e_serial_fp = resultFingerprint(run_accpc(1));
         timings.push_back(timeBench("e2e_accpc_pool", repeats, [&] {
-            fatalIf(resultFingerprint(run_cell(
-                        sim::OracleMode::PoolFull)) != e2e_copy_fp,
-                    "pooled e2e run diverged from copy run");
-        }));
-        timings.push_back(timeBench("e2e_accpc_delta", repeats, [&] {
-            fatalIf(resultFingerprint(run_cell(
-                        sim::OracleMode::Pool)) != e2e_copy_fp,
-                    "delta e2e run diverged from copy run");
+            fatalIf(resultFingerprint(run_accpc(opts.oracleThreads)) !=
+                        e2e_serial_fp,
+                    "e2e run diverged from its serial-oracle run");
         }));
 
         // --- decision provenance: audited end-to-end cell ---
@@ -621,8 +557,8 @@ main(int argc, char **argv)
         }
 
         inform("identity checks passed: "
-               "copy == pool == delta == pool+mt == audited == "
-               "replayed");
+               "sweep serial == parallel, e2e serial == threaded, "
+               "audited, replayed");
 
         // --- report ---
         obs::Registry &reg = obs::reg();
@@ -649,19 +585,6 @@ main(int argc, char **argv)
         };
 
         bench::emit(opts, out_table);
-        std::printf(
-            "\nmode ratios (this machine, min-of-N): "
-            "fork pool/copy %.2f, fork delta/copy %.2f, "
-            "e2e pool/copy %.2f, e2e delta/copy %.2f\n",
-            min_of("oracle_fork_pool") /
-                std::max(min_of("oracle_fork_copy"), 1.0),
-            min_of("oracle_fork_delta") /
-                std::max(min_of("oracle_fork_copy"), 1.0),
-            min_of("e2e_accpc_pool") /
-                std::max(min_of("e2e_accpc_copy"), 1.0),
-            min_of("e2e_accpc_delta") /
-                std::max(min_of("e2e_accpc_copy"), 1.0));
-
         if (!out_path.empty())
             writeJson(out_path, opts, workload, repeats, mt_threads,
                       timings);
@@ -699,41 +622,17 @@ main(int argc, char **argv)
                     }
                 }
             }
-            // Same-machine invariants: the pooled and delta paths
-            // must never meaningfully lose to the dumber modes they
-            // exist to beat.
-            if (min_of("oracle_fork_pool") >
-                min_of("oracle_fork_copy") * 1.25) {
-                warn("pooled sweep slower than copy sweep by >25%");
-                ++failures;
-            }
-            if (min_of("oracle_fork_delta") >
-                min_of("oracle_fork_pool") * 1.25) {
-                warn("delta sweep slower than full-restore pooled "
-                     "sweep by >25%");
-                ++failures;
-            }
-            if (min_of("chip_delta_restore") > min_of("chip_copy")) {
-                warn("delta restore slower than a full chip copy");
-                ++failures;
-            }
-            // e2e cells run hundreds of ms and pick up the most
-            // scheduler noise; the bands are wide enough to survive a
-            // busy machine while still catching a real mode
-            // regression.
-            if (min_of("e2e_accpc_pool") >
-                min_of("e2e_accpc_copy") * 1.35) {
-                warn("pooled e2e cell slower than copy cell by >35%");
-                ++failures;
-            }
-            if (min_of("e2e_accpc_delta") >
-                min_of("e2e_accpc_copy") * 1.35) {
-                warn("delta e2e cell slower than copy cell by >35%");
+            // Same-machine invariant: a pooled restore must beat the
+            // deep copy it replaces, the one reason the pool exists.
+            if (min_of("pool_restore") > min_of("chip_copy")) {
+                warn("pooled restore slower than a full chip copy");
                 ++failures;
             }
             // The decision audit re-scores every candidate state
             // once per epoch - bounded work that must stay a small
-            // fraction of the cell it observes.
+            // fraction of the cell it observes. e2e cells run tens of
+            // ms and pick up the most scheduler noise, so the band is
+            // wide enough to survive a busy machine.
             if (min_of("provenance_overhead") >
                 min_of("e2e_pcstall") * 1.35) {
                 warn("audited cell slower than unaudited cell by "

@@ -2,12 +2,12 @@
  * @file
  * A small flat bitset over 64-bit words, sized at runtime.
  *
- * Used both for the ComputeUnit scheduling masks (ready / pending /
- * occupied wave slots) and for the snapshot dirty-region bitmaps
- * (wave slots per CU, cache sets per bank). The hot operations -
- * set, clear, test, word access and set-bit iteration - are all
- * inline and branch-light; the word array is a plain vector so the
- * mask itself is value-semantic and snapshots by assignment.
+ * Used for the ComputeUnit scheduling masks (pending / occupied /
+ * far wave slots, and the age order's ready and per-SIMD masks). The
+ * hot operations - set, clear, test, word access and set-bit
+ * iteration - are all inline and branch-light; the word array is a
+ * plain vector so the mask itself is value-semantic and snapshots by
+ * assignment.
  */
 
 #ifndef PCSTALL_COMMON_BIT_MASK_HH
@@ -52,19 +52,6 @@ class BitMask
         return (words_[i >> 6] >> (i & 63)) & 1ULL;
     }
 
-    /** Set every bit (the tail of the last word stays clear). */
-    void
-    setAll()
-    {
-        if (words_.empty())
-            return;
-        for (std::uint64_t &w : words_)
-            w = ~0ULL;
-        const std::size_t tail = bits_ & 63;
-        if (tail != 0)
-            words_.back() = (1ULL << tail) - 1;
-    }
-
     /** Clear every bit, keeping the size. */
     void
     clearAll()
@@ -82,38 +69,8 @@ class BitMask
         return false;
     }
 
-    /** Number of set bits. */
-    std::size_t
-    count() const
-    {
-        std::size_t n = 0;
-        for (const std::uint64_t w : words_)
-            n += static_cast<std::size_t>(std::popcount(w));
-        return n;
-    }
-
     std::uint64_t word(std::size_t wi) const { return words_[wi]; }
     std::uint64_t &word(std::size_t wi) { return words_[wi]; }
-
-    /** OR another mask in. An empty (unsized) mask adopts the other's
-     *  size first, so accumulation buffers need no explicit sizing. */
-    BitMask &
-    operator|=(const BitMask &other)
-    {
-        if (words_.size() < other.words_.size()) {
-            words_.resize(other.words_.size(), 0);
-            bits_ = other.bits_;
-        }
-        for (std::size_t wi = 0; wi < other.words_.size(); ++wi)
-            words_[wi] |= other.words_[wi];
-        return *this;
-    }
-
-    bool
-    operator==(const BitMask &other) const
-    {
-        return bits_ == other.bits_ && words_ == other.words_;
-    }
 
     /**
      * Call @p fn(index) for every set bit in ascending order. @p fn

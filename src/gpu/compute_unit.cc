@@ -43,9 +43,6 @@ ComputeUnit::init(std::uint32_t id, std::uint32_t slot_count,
     freq_ = freq;
     period_ = clockPeriod(freq);
     nextEventAt = 0;
-    cuDirty_ = true;
-    dirtySlots_.resize(slot_count);
-    dirtySlots_.setAll();
 }
 
 void
@@ -53,7 +50,6 @@ ComputeUnit::setFrequency(Freq freq, Tick now, Tick trans)
 {
     if (freq == freq_)
         return;
-    cuDirty_ = true;
     freq_ = freq;
     period_ = clockPeriod(freq);
     freqStallUntil = now + trans;
@@ -575,7 +571,6 @@ ComputeUnit::probe(const CuContext &ctx, Tick now)
 {
     if (idle())
         return false;
-    cuDirty_ = true;
     catchUp(now);
     if (now < freqStallUntil)
         return true;
@@ -623,7 +618,6 @@ StepResult
 ComputeUnit::step(CuContext &ctx, Tick now)
 {
     StepResult result;
-    cuDirty_ = true;
 
     // A probe() at this tick already caught the CU up (a repeat would
     // be a no-op), found it past any V/f stall, and picked.
@@ -738,7 +732,6 @@ void
 ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
                      std::vector<WaveEpochRecord> &waves_out)
 {
-    cuDirty_ = true;
     drainLoadCompletions(boundary);
     wakeWaves(boundary);
 
@@ -784,7 +777,6 @@ ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
         const WaveState state = wstate_[i];
         if (!w.epActive && state == WaveState::Idle)
             continue;
-        dirtySlots_.set(i);
         // Clip in-progress waits at the boundary.
         if (state == WaveState::WaitMem) {
             const Tick end = std::min(boundary, readyAt_[i]);
@@ -910,76 +902,6 @@ ComputeUnit::fingerprint(std::uint64_t &h) const
     mix(static_cast<std::uint64_t>(epStoreStall));
     mix(static_cast<std::uint64_t>(epLeadLoad));
     mix(static_cast<std::uint64_t>(epMemInterval));
-}
-
-void
-ComputeUnit::restoreDeltaFrom(const ComputeUnit &base,
-                              const BitMask &dirty_slots)
-{
-    // Scalars and small vectors copy wholesale: together they are a
-    // few hundred bytes, far below the cost of tracking them
-    // individually. Keep this list in sync with the member list (the
-    // restore-exactness grid asserts fingerprint equality).
-    cuId = base.cuId;
-    freq_ = base.freq_;
-    period_ = base.period_;
-    freqStallUntil = base.freqStallUntil;
-    nextEventAt = base.nextEventAt;
-    freeSlots = base.freeSlots;
-    seqCounter = base.seqCounter;
-    lifeCommitted_ = base.lifeCommitted_;
-    lastCommit_ = base.lastCommit_;
-    outstandingLoads = base.outstandingLoads;
-    outstandingTotal = base.outstandingTotal;
-    sleeping = base.sleeping;
-    sleepStart = base.sleepStart;
-    sleepUntil = base.sleepUntil;
-    sleepGate = base.sleepGate;
-    memActive = base.memActive;
-    memStart = base.memStart;
-    leadActive = base.leadActive;
-    leadStart = base.leadStart;
-    leadUntil = base.leadUntil;
-    epCommitted = base.epCommitted;
-    epLoads = base.epLoads;
-    epStores = base.epStores;
-    epBusy = base.epBusy;
-    epOverlap = base.epOverlap;
-    epLoadStall = base.epLoadStall;
-    epStoreStall = base.epStoreStall;
-    epLeadLoad = base.epLeadLoad;
-    epMemInterval = base.epMemInterval;
-
-    wgs = base.wgs;
-    loadCompletions = base.loadCompletions;
-    storeCompletions = base.storeCompletions;
-
-    // SoA arrays and masks: contiguous memcpy-class assignments.
-    wstate_ = base.wstate_;
-    readyAt_ = base.readyAt_;
-    seq_ = base.seq_;
-    nextOp_ = base.nextOp_;
-    pendMask_ = base.pendMask_;
-    occMask_ = base.occMask_;
-    ageSlot_ = base.ageSlot_;
-    ageOf_ = base.ageOf_;
-    readyAge_ = base.readyAge_;
-    simdAge_ = base.simdAge_;
-    wheel_ = base.wheel_;
-    wheelLive_ = base.wheelLive_;
-    wheelBlock_ = base.wheelBlock_;
-    farMask_ = base.farMask_;
-    farWakeAt_ = base.farWakeAt_;
-    picks_ = base.picks_;
-    pickedAt_ = base.pickedAt_;
-
-    // Cold wave records: only the slots either side touched.
-    dirty_slots.forEachSet([&](std::size_t i) {
-        slots[i] = base.slots[i];
-    });
-    // The caller (SnapshotPool) took this CU's dirty marks before the
-    // copy, and raw restores must not re-mark: after this call the CU
-    // is identical to base, i.e. clean relative to it.
 }
 
 void

@@ -22,8 +22,8 @@
  *    due by then and the current bucket's members;
  *  - the next-op array: each resident wave's next opcode, so the
  *    run-ahead probe classifies most picks without the cold records.
- * The CU also tracks which slots changed since the last snapshot take
- * (dirty-region delta restores).
+ * Derived structures are rebuilt-and-compared by verifyDerivedState(),
+ * which verify builds run after every step and every snapshot restore.
  */
 
 #ifndef PCSTALL_GPU_COMPUTE_UNIT_HH
@@ -172,48 +172,6 @@ class ComputeUnit
      */
     void fingerprint(std::uint64_t &h) const;
 
-    // --- dirty-region snapshot support -------------------------------
-    //
-    // Every mutating entry point marks the CU (and the touched wave
-    // slots) dirty; takeDirty() hands the accumulated marks to a
-    // snapshot pool and clears them. The flags are mutable so a const
-    // base chip can be taken from. If you add a member to this class,
-    // wire it into restoreDeltaFrom() and, if it is simulation state,
-    // fingerprint() (the restore-exactness tests in
-    // test_snapshot_delta.cc catch misses); derived state goes into
-    // verifyDerivedState() instead, which verify builds run after
-    // every restore.
-
-    /** Mark the CU's scheduling scalars dirty (external reschedule). */
-    void markScheduleDirty() const { cuDirty_ = true; }
-
-    /**
-     * Copy the dirty marks into @p slots_out, clear them, and return
-     * whether anything on this CU changed since the previous take.
-     */
-    bool
-    takeDirty(BitMask &slots_out) const
-    {
-        slots_out = dirtySlots_;
-        dirtySlots_.clearAll();
-        const bool touched = cuDirty_;
-        cuDirty_ = false;
-        return touched;
-    }
-
-    /** True when unharvested dirty marks are pending. */
-    bool hasPendingDirty() const { return cuDirty_; }
-
-    /**
-     * Make this CU equal to @p base, given that the two differ only
-     * in the CU-level scalars plus the wave slots set in @p
-     * dirty_slots (the union of both chips' dirt since they were last
-     * identical). Scalars, SoA arrays and the small vectors copy
-     * wholesale; cold Wavefront records copy per dirty slot only.
-     */
-    void restoreDeltaFrom(const ComputeUnit &base,
-                          const BitMask &dirty_slots);
-
   private:
     /** Retire completions, close the sleep and wake waves up to @p now
      *  (idempotent at a fixed tick). */
@@ -254,8 +212,8 @@ class ComputeUnit
 
     /**
      * Move slot @p i to state @p ns, maintaining the pending/occupied
-     * masks, the age order and its ready mask, the free count and the
-     * dirty marks. The single chokepoint for wave-state transitions;
+     * masks, the age order and its ready mask and the free count. The
+     * single chokepoint for wave-state transitions;
      * a move into Busy/WaitMem goes through park() to arm its wake.
      */
     void
@@ -275,7 +233,6 @@ class ComputeUnit
         else if (ns == WaveState::Idle)
             leaveAge(i);
         wstate_[i] = ns;
-        dirtySlots_.set(i);
     }
 
     /** Put slot @p i into Busy or WaitMem until tick @p at. */
@@ -412,12 +369,6 @@ class ComputeUnit
     Tick epStoreStall = 0;
     Tick epLeadLoad = 0;
     Tick epMemInterval = 0;
-
-    // --- dirty marks (snapshot delta support; not simulation state) ---
-    /** Anything on this CU changed since the last takeDirty(). */
-    mutable bool cuDirty_ = true;
-    /** Wave slots whose cold record changed since the last take. */
-    mutable BitMask dirtySlots_;
 };
 
 } // namespace pcstall::gpu

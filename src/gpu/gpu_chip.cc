@@ -1,7 +1,6 @@
 #include "gpu/gpu_chip.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/logging.hh"
@@ -10,28 +9,6 @@
 
 namespace pcstall::gpu
 {
-
-SnapshotIdentity::SnapshotIdentity()
-{
-    static std::atomic<std::uint64_t> next_uid{1};
-    uid = next_uid.fetch_add(1, std::memory_order_relaxed);
-}
-
-SnapshotIdentity::SnapshotIdentity(const SnapshotIdentity &)
-    : SnapshotIdentity()
-{
-}
-
-SnapshotIdentity &
-SnapshotIdentity::operator=(const SnapshotIdentity &)
-{
-    // Assignment makes the owning chip a different simulation: new
-    // lineage, no takes yet.
-    const SnapshotIdentity fresh;
-    uid = fresh.uid;
-    takeSeq = 0;
-    return *this;
-}
 
 namespace
 {
@@ -149,8 +126,6 @@ GpuChip::runUntil(Tick until)
                           std::to_string(i) + " with resident waves");
                 if (cus[i].nextEventAt > t) {
                     cus[i].nextEventAt = t;
-                    // The reschedule mutates CU state outside step().
-                    cus[i].markScheduleDirty();
                     queue.schedule(i, t);
                 }
             }
@@ -238,42 +213,6 @@ GpuChip::sharedDigest() const
     h = hashCombine(h, dispatch.wgCompleted);
     h = hashCombine(h, dispatch.nextGlobalWaveId);
     return h;
-}
-
-std::uint64_t
-GpuChip::takeDirty(ChipDirty &out) const
-{
-    if (out.cuTouched.size() != cus.size()) {
-        out.cuTouched.assign(cus.size(), 0);
-        out.cuSlots.resize(cus.size());
-    }
-    for (std::size_t i = 0; i < cus.size(); ++i)
-        out.cuTouched[i] = cus[i].takeDirty(out.cuSlots[i]) ? 1 : 0;
-    mem.takeDirty(out.mem);
-    return ++ident_.takeSeq;
-}
-
-bool
-GpuChip::hasPendingDirty() const
-{
-    for (const ComputeUnit &cu : cus)
-        if (cu.hasPendingDirty())
-            return true;
-    return mem.hasPendingDirty();
-}
-
-void
-GpuChip::restoreDeltaFrom(const GpuChip &base, const ChipDirty &dirty)
-{
-    panicIf(app.get() != base.app.get() || cus.size() != base.cus.size(),
-            "restoreDeltaFrom: chips are not copies of each other");
-    curTick = base.curTick;
-    dispatch = base.dispatch;
-    for (std::size_t i = 0; i < cus.size(); ++i) {
-        if (dirty.cuTouched[i])
-            cus[i].restoreDeltaFrom(base.cus[i], dirty.cuSlots[i]);
-    }
-    mem.restoreDeltaFrom(base.mem, dirty.mem);
 }
 
 std::uint64_t

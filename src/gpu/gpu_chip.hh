@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/bit_mask.hh"
 #include "common/types.hh"
 #include "gpu/compute_unit.hh"
 #include "gpu/epoch_stats.hh"
@@ -26,64 +25,6 @@
 
 namespace pcstall::gpu
 {
-
-/**
- * Dirty marks for a whole chip relative to its last snapshot take:
- * which CUs changed (and which of their wave slots), plus the memory
- * hierarchy's marks. curTick and the dispatcher are tiny and always
- * restored, so they are not tracked.
- */
-struct ChipDirty
-{
-    /** Per-CU: anything on that CU changed. */
-    std::vector<std::uint8_t> cuTouched;
-    /** Per-CU: wave slots whose cold record changed. */
-    std::vector<BitMask> cuSlots;
-    memory::MemDirty mem;
-
-    void
-    clearAll()
-    {
-        for (std::uint8_t &b : cuTouched)
-            b = 0;
-        for (BitMask &m : cuSlots)
-            m.clearAll();
-        mem.clearAll();
-    }
-
-    ChipDirty &
-    operator|=(const ChipDirty &other)
-    {
-        if (cuTouched.size() < other.cuTouched.size()) {
-            cuTouched.resize(other.cuTouched.size(), 0);
-            cuSlots.resize(other.cuSlots.size());
-        }
-        for (std::size_t i = 0; i < other.cuTouched.size(); ++i) {
-            cuTouched[i] |= other.cuTouched[i];
-            cuSlots[i] |= other.cuSlots[i];
-        }
-        mem |= other.mem;
-        return *this;
-    }
-};
-
-/**
- * Identity of a chip as a snapshot-delta base. Copying a chip (either
- * construction or assignment) creates a *different* simulation whose
- * subsequent mutations are unrelated, so the copy gets a fresh uid and
- * a reset take counter; a snapshot pool uses (uid, takeSeq) to prove
- * that the dirt it accumulated still describes the same base lineage.
- */
-struct SnapshotIdentity
-{
-    SnapshotIdentity();
-    SnapshotIdentity(const SnapshotIdentity &);
-    SnapshotIdentity &operator=(const SnapshotIdentity &);
-
-    std::uint64_t uid = 0;
-    /** Number of takeDirty() calls on this chip since it got its uid. */
-    mutable std::uint64_t takeSeq = 0;
-};
 
 /** The simulated GPU chip. */
 class GpuChip
@@ -164,30 +105,6 @@ class GpuChip
     const memory::MemorySystem &memory() const { return mem; }
     const isa::Application &application() const { return *app; }
 
-    // --- dirty-region snapshot support -------------------------------
-
-    /** Identity of this chip as a delta base (fresh after any copy). */
-    std::uint64_t snapshotUid() const { return ident_.uid; }
-
-    /**
-     * Move all dirty marks accumulated since the last take into
-     * @p out and return this chip's new take sequence number.
-     * Consecutive takes with the same snapshotUid() and consecutive
-     * sequence numbers cover the chip's mutations with no gap.
-     */
-    std::uint64_t takeDirty(ChipDirty &out) const;
-
-    /** True when un-taken dirty marks are pending anywhere. */
-    bool hasPendingDirty() const;
-
-    /**
-     * Make this chip equal to @p base given that the two differ only
-     * in curTick, the dispatcher and the regions flagged in @p dirty
-     * (the union of both chips' dirt since they were last identical).
-     * The chips must share the application and geometry.
-     */
-    void restoreDeltaFrom(const GpuChip &base, const ChipDirty &dirty);
-
   private:
     CuContext makeContext();
 
@@ -201,7 +118,6 @@ class GpuChip
     DispatchState dispatch;
     std::vector<ComputeUnit> cus;
     Tick curTick = 0;
-    SnapshotIdentity ident_;
 };
 
 /**

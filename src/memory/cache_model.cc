@@ -23,8 +23,6 @@ CacheModel::CacheModel(std::uint64_t size_bytes, std::uint32_t line_bytes,
     fatalIf(sets == 0, "cache must have at least one set");
     lineShift = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
     lines.assign(static_cast<std::size_t>(sets) * ways, Line{});
-    dirtySets_.resize(sets);
-    dirtySets_.setAll();
 }
 
 std::uint64_t
@@ -43,7 +41,6 @@ bool
 CacheModel::access(std::uint64_t addr, bool allocate_on_miss)
 {
     ++accesses;
-    dirtyAny_ = true;
     const std::uint64_t set = setIndex(addr);
     const std::uint64_t tag = tagOf(addr);
     Line *base = &lines[set * ways];
@@ -54,7 +51,6 @@ CacheModel::access(std::uint64_t addr, bool allocate_on_miss)
         if (line.valid && line.tag == tag) {
             line.lastUse = ++useCounter;
             ++hits;
-            dirtySets_.set(set);
             return true;
         }
         if (!line.valid) {
@@ -68,7 +64,6 @@ CacheModel::access(std::uint64_t addr, bool allocate_on_miss)
         victim->valid = true;
         victim->tag = tag;
         victim->lastUse = ++useCounter;
-        dirtySets_.set(set);
     }
     return false;
 }
@@ -91,8 +86,6 @@ CacheModel::flush()
 {
     for (Line &line : lines)
         line.valid = false;
-    dirtyAny_ = true;
-    dirtySets_.setAll();
 }
 
 void

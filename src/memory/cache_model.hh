@@ -10,11 +10,8 @@
 #ifndef PCSTALL_MEMORY_CACHE_MODEL_HH
 #define PCSTALL_MEMORY_CACHE_MODEL_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
-
-#include "common/bit_mask.hh"
 
 namespace pcstall::memory
 {
@@ -56,52 +53,6 @@ class CacheModel
      *  (oracle snapshot-restore verification). */
     void fingerprint(std::uint64_t &h) const;
 
-    // --- dirty-region snapshot support -------------------------------
-
-    /**
-     * Copy the per-set dirty bitmap into @p sets_out, clear it, and
-     * return whether anything changed since the previous take. Mutable
-     * tracking state: callable on a const base cache.
-     */
-    bool
-    takeDirty(BitMask &sets_out) const
-    {
-        sets_out = dirtySets_;
-        dirtySets_.clearAll();
-        const bool touched = dirtyAny_;
-        dirtyAny_ = false;
-        return touched;
-    }
-
-    /** True when un-taken dirty marks are pending. */
-    bool hasPendingDirty() const { return dirtyAny_; }
-
-    /**
-     * Make this cache equal to @p base given that the two differ only
-     * in the counters plus the sets flagged in @p sets_mask (the union
-     * of both caches' dirt since they were last identical). Each dirty
-     * set restores as one contiguous ways-sized copy.
-     */
-    void
-    restoreSetsFrom(const CacheModel &base, const BitMask &sets_mask)
-    {
-        useCounter = base.useCounter;
-        hits = base.hits;
-        accesses = base.accesses;
-        // Scattered per-set copies beat one bulk memcpy only while
-        // the dirty fraction is small; past roughly a quarter of the
-        // sets, the per-set loop overhead costs more than copying the
-        // clean sets along with the dirty ones (the result is
-        // identical either way).
-        if (sets_mask.count() * 4 >= sets) {
-            lines = base.lines;
-            return;
-        }
-        sets_mask.forEachSet([&](std::size_t s) {
-            std::copy_n(&base.lines[s * ways], ways, &lines[s * ways]);
-        });
-    }
-
   private:
     struct Line
     {
@@ -121,12 +72,6 @@ class CacheModel
     std::uint64_t useCounter = 0;
     std::uint64_t hits = 0;
     std::uint64_t accesses = 0;
-
-    // --- dirty marks (snapshot delta support; not simulation state) ---
-    /** Anything (counters or lines) changed since the last take. */
-    mutable bool dirtyAny_ = true;
-    /** Sets whose lines changed since the last take. */
-    mutable BitMask dirtySets_;
 };
 
 } // namespace pcstall::memory

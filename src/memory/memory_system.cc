@@ -73,9 +73,6 @@ MemorySystem::access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
                      Tick now, Tick cu_period)
 {
     panicIf(cu_id >= cfg.numCus, "memory access from unknown CU");
-    // Every access at least bumps an activity counter; the touched
-    // caches mark their own sets.
-    smallDirty_ = true;
     MemActivity &act = cuActivity[cu_id];
     MemResult result;
 
@@ -182,55 +179,6 @@ void
 MemorySystem::resetActivity()
 {
     std::fill(cuActivity.begin(), cuActivity.end(), MemActivity{});
-    smallDirty_ = true;
-}
-
-bool
-MemorySystem::takeDirty(MemDirty &out) const
-{
-    if (out.l1Sets.size() != l1s.size())
-        out.l1Sets.resize(l1s.size());
-    if (out.l2Sets.size() != l2Slices.size())
-        out.l2Sets.resize(l2Slices.size());
-
-    bool touched = smallDirty_;
-    out.smallState = smallDirty_;
-    smallDirty_ = false;
-    for (std::size_t i = 0; i < l1s.size(); ++i)
-        touched = l1s[i].takeDirty(out.l1Sets[i]) || touched;
-    for (std::size_t i = 0; i < l2Slices.size(); ++i)
-        touched = l2Slices[i].takeDirty(out.l2Sets[i]) || touched;
-    return touched;
-}
-
-bool
-MemorySystem::hasPendingDirty() const
-{
-    if (smallDirty_)
-        return true;
-    for (const CacheModel &l1 : l1s)
-        if (l1.hasPendingDirty())
-            return true;
-    for (const CacheModel &slice : l2Slices)
-        if (slice.hasPendingDirty())
-            return true;
-    return false;
-}
-
-void
-MemorySystem::restoreDeltaFrom(const MemorySystem &base,
-                               const MemDirty &dirty)
-{
-    if (dirty.smallState) {
-        bankFree = base.bankFree;
-        channelFree = base.channelFree;
-        cuActivity = base.cuActivity;
-        lastStoreLine = base.lastStoreLine;
-    }
-    for (std::size_t i = 0; i < l1s.size(); ++i)
-        l1s[i].restoreSetsFrom(base.l1s[i], dirty.l1Sets[i]);
-    for (std::size_t i = 0; i < l2Slices.size(); ++i)
-        l2Slices[i].restoreSetsFrom(base.l2Slices[i], dirty.l2Sets[i]);
 }
 
 void

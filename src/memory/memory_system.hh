@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bit_mask.hh"
 #include "common/types.hh"
 #include "memory/cache_model.hh"
 
@@ -102,46 +101,6 @@ struct MemActivity
 };
 
 /**
- * Dirty marks for one MemorySystem relative to its last snapshot
- * take: the "small" flat state (queue heads, activity counters, store
- * lines) as a single flag, plus per-cache set bitmaps.
- */
-struct MemDirty
-{
-    /** bankFree/channelFree/cuActivity/lastStoreLine changed. */
-    bool smallState = false;
-    /** Per-CU L1 dirty-set bitmaps. */
-    std::vector<BitMask> l1Sets;
-    /** Per-bank L2 dirty-set bitmaps. */
-    std::vector<BitMask> l2Sets;
-
-    void
-    clearAll()
-    {
-        smallState = false;
-        for (BitMask &m : l1Sets)
-            m.clearAll();
-        for (BitMask &m : l2Sets)
-            m.clearAll();
-    }
-
-    MemDirty &
-    operator|=(const MemDirty &other)
-    {
-        smallState = smallState || other.smallState;
-        if (l1Sets.size() < other.l1Sets.size())
-            l1Sets.resize(other.l1Sets.size());
-        for (std::size_t i = 0; i < other.l1Sets.size(); ++i)
-            l1Sets[i] |= other.l1Sets[i];
-        if (l2Sets.size() < other.l2Sets.size())
-            l2Sets.resize(other.l2Sets.size());
-        for (std::size_t i = 0; i < other.l2Sets.size(); ++i)
-            l2Sets[i] |= other.l2Sets[i];
-        return *this;
-    }
-};
-
-/**
  * The full hierarchy. Copyable: a copy is an independent, identical
  * memory system (caches, queues, counters).
  */
@@ -203,25 +162,6 @@ class MemorySystem
      *  activity counters) into the digest @p h. */
     void fingerprint(std::uint64_t &h) const;
 
-    // --- dirty-region snapshot support -------------------------------
-
-    /**
-     * Copy all accumulated dirty marks into @p out (sizing its bitmap
-     * vectors on first use), clear them, and return whether anything
-     * changed since the previous take.
-     */
-    bool takeDirty(MemDirty &out) const;
-
-    /** True when un-taken dirty marks are pending anywhere. */
-    bool hasPendingDirty() const;
-
-    /**
-     * Make this hierarchy equal to @p base given that the two differ
-     * only in the regions flagged in @p dirty (the union of both
-     * sides' dirt since they were last identical).
-     */
-    void restoreDeltaFrom(const MemorySystem &base, const MemDirty &dirty);
-
   private:
     std::uint32_t bankOf(std::uint64_t addr) const;
     std::uint32_t channelOf(std::uint64_t addr) const;
@@ -237,11 +177,6 @@ class MemorySystem
     /** Line address of each CU's most recent store (write combining). */
     std::vector<std::uint64_t> lastStoreLine;
     Tick l2Period;
-
-    // --- dirty marks (snapshot delta support; not simulation state) ---
-    /** The flat non-cache state changed since the last take. The
-     *  caches track their own dirt (CacheModel::takeDirty). */
-    mutable bool smallDirty_ = true;
 };
 
 } // namespace pcstall::memory

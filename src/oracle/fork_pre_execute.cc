@@ -36,8 +36,8 @@ sameWave(const WaveSample &a, const WaveSample &b)
            a.startPcAddr == b.startPcAddr;
 }
 
-/** Per-sample work shared by the copy, pooled and parallel paths:
- *  pin each domain to its sample frequency, pre-execute the epoch,
+/** Per-sample work shared by the serial and parallel paths: pin
+ *  each domain to its sample frequency, pre-execute the epoch,
  *  and harvest domain instruction counts plus wave observations. */
 void
 runOneSample(std::size_t k, gpu::GpuChip &sample,
@@ -203,21 +203,16 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
     est.domainInstr.assign(domains.numDomains(),
                            std::vector<double>(num_states, 0.0));
 
-    // Copy mode still routes records/waves/scratch through a pool so
-    // every path shares one sample body; only the chip handling (deep
-    // copy versus pooled restore) differs.
+    // A caller's pool is pre-warmed so its (possibly parallel, timed)
+    // restores never copy-construct. Without one the sweep uses a
+    // pool of its own, whose first-use restores are the per-sample
+    // deep copies.
     SnapshotPool local_pool;
-    const bool pooled = options.pool != nullptr;
-    SnapshotPool &pool = pooled ? *options.pool : local_pool;
-    if (pooled) {
-        // Pre-warm chipless slots (first sweep) so the possibly
-        // parallel restore phase never copy-constructs, then take the
-        // base chip's dirt so unbroken slots can delta-restore.
+    SnapshotPool &pool = options.pool ? *options.pool : local_pool;
+    if (options.pool)
         pool.ensureSlots(num_states, chip);
-        pool.beginSweep(chip);
-    } else {
+    else
         pool.ensureSlots(num_states);
-    }
 
     SnapshotPool::Scratch &scratch = pool.scratch();
     scratch.stateFreq.resize(num_states);
@@ -230,28 +225,19 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
 
     auto run_sample = [&](std::size_t k) {
         const std::int64_t fork_t0 = obs::nowNsIfEnabled();
-        gpu::EpochRecord &record = pool.record(k);
-        std::vector<WaveSample> &waves = pool.waves(k);
-        if (pooled) {
-            gpu::GpuChip &sample = pool.restore(k, chip);
-            if (verify) {
-                panicIf(sample.stateFingerprint() != base_fp,
-                        "snapshot pool restore diverged from the "
-                        "source chip");
-            }
-            runOneSample(k, sample, record, waves, domains, start,
-                         epoch_len, options, num_states, scratch, est);
-        } else {
-            gpu::GpuChip sample = chip;
-            runOneSample(k, sample, record, waves, domains, start,
-                         epoch_len, options, num_states, scratch, est);
+        gpu::GpuChip &sample = pool.restore(k, chip);
+        if (verify) {
+            panicIf(sample.stateFingerprint() != base_fp,
+                    "snapshot pool restore diverged from the source "
+                    "chip");
         }
+        runOneSample(k, sample, pool.record(k), pool.waves(k), domains,
+                     start, epoch_len, options, num_states, scratch, est);
         scratch.sampleWallNs[k] =
             fork_t0 >= 0 ? obs::nowNsIfEnabled() - fork_t0 : -1;
     };
 
-    sim::ParallelExecutor *exec =
-        pooled ? options.executor : nullptr;
+    sim::ParallelExecutor *exec = options.executor;
     if (exec && exec->threadCount() > 1 && num_states > 1) {
         exec->forEach(num_states, run_sample);
     } else {

@@ -42,15 +42,15 @@ struct SweepOptions
     /** Also regress per-wavefront sensitivities (needed by ACCPC and
      *  the characterization studies; costs some bookkeeping). */
     bool waveLevel = true;
-    /** Snapshot-restore into this pool's scratch chips instead of
-     *  deep-copying the chip per sample. Decisions, metrics and wave
-     *  fits are byte-identical to the copy path; null keeps the
-     *  legacy per-sample copies. */
+    /** Restore each sample from this pool's scratch chips, reused
+     *  across sweeps. Null gives the sweep a pool of its own, whose
+     *  restores are all first-use deep copies; the estimates are
+     *  byte-identical either way. */
     SnapshotPool *pool = nullptr;
-    /** Run the S independent samples on this executor (ignored unless
-     *  @ref pool is set). The reduction runs on the calling thread in
-     *  submission order, so results stay byte-identical to the serial
-     *  path regardless of the thread count. Null = serial. */
+    /** Run the S independent samples on this executor. The reduction
+     *  runs on the calling thread in submission order, so results
+     *  stay byte-identical to the serial path regardless of the
+     *  thread count. Null = serial. */
     sim::ParallelExecutor *executor = nullptr;
     /** Fingerprint-verify that the sweep leaves @p chip untouched
      *  even in NDEBUG builds (always verified in debug builds). */
@@ -63,10 +63,10 @@ struct SweepOptions
  * estimates.
  *
  * @param chip       Simulator state at the epoch boundary. Left
- *                   untouched: each sample runs on either a
- *                   per-sample copy or a pooled scratch chip restored
- *                   from @p chip (see SweepOptions::pool); debug
- *                   builds verify this with state fingerprints.
+ *                   untouched: each sample runs on a pooled scratch
+ *                   chip restored from @p chip (see
+ *                   SweepOptions::pool); verify builds check this
+ *                   with state fingerprints.
  * @param domains    CU-to-clock-domain mapping for the sweep.
  * @param table      V/f operating points; one sample per state.
  * @param epoch_len  Length of the pre-executed epoch in ticks.

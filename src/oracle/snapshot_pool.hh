@@ -10,22 +10,9 @@
  * by copy assignment: vectors assign element-wise into their existing
  * allocations, so after the first epoch the pool reaches a capacity
  * high-water mark and restores stop touching the heap entirely
- * (Scarab-style cheap per-interval checkpointing).
- *
- * On top of that, the pool supports dirty-region *delta* restores. A
- * pre-executed epoch touches a small fraction of the chip (a few wave
- * slots per CU, a few hundred cache sets), so copying the whole chip
- * back is mostly redundant. Every GpuChip tracks which regions
- * changed since its last snapshot take; beginSweep() takes the base
- * chip's accumulated dirt and folds it into each slot's pending mask,
- * and restore() then copies only the union of (what the slot's chip
- * touched during its last sample) and (what the base chip has done
- * since the slot was last synced). Any break in the chain - a new or
- * different base chip, a missed beginSweep, untaken base dirt - makes
- * the affected slot fall back to a full copy-assign restore, so the
- * delta path is an optimization with a proof obligation, not a new
- * semantics: delta and full restores produce byte-identical chips
- * (asserted by tests/test_snapshot_delta.cc and the perf suite).
+ * (Scarab-style cheap per-interval checkpointing). restore() is the
+ * only way the oracle forks a chip; a slot's first restore (or the
+ * ensureSlots() pre-warm) is a plain deep copy.
  *
  * The pool also owns the per-sample harvest records, the per-sample
  * wave-observation buffers and the reduction scratch, so a steady-
@@ -35,14 +22,13 @@
  * not thread-safe across concurrent *sweeps*), but the per-slot
  * accessors are safe to use from concurrent per-sample tasks as long
  * as each task touches only its own slot index (that is exactly what
- * the in-cell parallel sweep does). beginSweep() and ensureSlots()
- * must be called from the sweep's serial prologue.
+ * the in-cell parallel sweep does). ensureSlots() must be called from
+ * the sweep's serial prologue.
  */
 
 #ifndef PCSTALL_ORACLE_SNAPSHOT_POOL_HH
 #define PCSTALL_ORACLE_SNAPSHOT_POOL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -75,33 +61,17 @@ struct WaveSample
 class SnapshotPool
 {
   public:
-    /**
-     * Enable or disable the dirty-region delta restore path. On by
-     * default; turning it off forces every restore() to a full
-     * copy-assign (the pooled-full reference mode the identity tests
-     * and benchmarks compare against).
-     */
-    void setDeltaRestore(bool enabled) { delta_ = enabled; }
-
-    /** Whether delta restores are enabled. */
-    bool deltaRestore() const { return delta_; }
-
-    /**
-     * Start a sweep against @p base: take the base chip's dirty marks
-     * accumulated since the previous sweep and fold them into every
-     * slot's pending mask. Must be called once per sweep, after
-     * ensureSlots() and before any restore(), with no base mutation
-     * in between. A no-op when delta restores are disabled.
-     */
-    void beginSweep(const gpu::GpuChip &base);
+    /** Does nothing: kept only so perfbench/traced.cc compiles.
+     *  Every restore is a copy-assign. */
+    void setDeltaRestore(bool) {}
 
     /**
      * Restore a slot's scratch chip to an exact copy of a base chip.
      * The first use of a slot copy-constructs its chip (unless
-     * pre-warmed by ensureSlots); later uses either copy-assign into
-     * the existing storage or, when the slot's delta chain against
-     * @p base is unbroken, copy only the dirty regions. Safe to call
-     * concurrently for distinct slot indices.
+     * pre-warmed by ensureSlots); later uses copy-assign into the
+     * existing storage. Verify builds then shadow-check the chip's
+     * derived scheduling state. Safe to call concurrently for
+     * distinct slot indices.
      *
      * @param i     Sample slot index; must be < slotCount().
      * @param base  Chip state to restore the scratch chip to.
@@ -128,9 +98,9 @@ class SnapshotPool
     std::vector<WaveSample> &waves(std::size_t i);
 
     /**
-     * Grow the pool to at least @p n sample slots. Must be called (by
-     * the sweep, before any parallel phase) so that the concurrent
-     * per-slot accessors never reallocate the slot array.
+     * Grow the pool to at least @p n sample slots. Serial prologue
+     * only: growing may reallocate the slot array, which the
+     * concurrent per-slot accessors never do.
      *
      * @param n  Minimum number of sample slots to provide.
      */
@@ -146,30 +116,6 @@ class SnapshotPool
 
     /** @return Number of sample slots currently allocated. */
     std::size_t slotCount() const { return slots_.size(); }
-
-    /** Restores served by the dirty-region delta path (lifetime). */
-    std::uint64_t
-    deltaRestores() const
-    {
-        return deltaRestores_.load(std::memory_order_relaxed);
-    }
-
-    /** Restores served by full copy-assign or copy-construct
-     *  (lifetime). Benchmarks and tests use the two counters to prove
-     *  the path they think they measured is the one that ran. */
-    std::uint64_t
-    fullRestores() const
-    {
-        return fullRestores_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Forget all snapshot state while keeping the allocated capacity
-     * (chips, buffers, masks). The next sweep full-restores every
-     * slot; steady-state allocation behavior is preserved across
-     * application switches in a long-lived driver.
-     */
-    void clear();
 
     /** Reduction scratch shared across one sweep (and reused by the
      *  next one). Owned here so sweeps are allocation-free in steady
@@ -199,38 +145,10 @@ class SnapshotPool
         std::unique_ptr<gpu::GpuChip> chip;
         gpu::EpochRecord record;
         std::vector<WaveSample> waves;
-
-        // --- delta-restore state ---
-        /** Base-chip dirt accumulated while this slot sat out (every
-         *  beginSweep ORs the base's take in here). */
-        gpu::ChipDirty pending;
-        /** Scratch for the slot chip's own take at restore time. */
-        gpu::ChipDirty takeBuf;
-        /** Sweep this slot was synced for; consumed by restore(). */
-        std::uint64_t syncSeq = 0;
-        /** The slot chip equals base-as-of-some-take plus tracked
-         *  dirt; false forces the next restore to be a full copy. */
-        bool canDelta = false;
     };
 
     std::vector<Slot> slots_;
     Scratch scratch_;
-
-    /** Delta restores enabled (setDeltaRestore). */
-    bool delta_ = true;
-    /** Identity of the base chip the delta chain follows. */
-    std::uint64_t baseUid_ = 0;
-    /** The base chip's take sequence as of the last beginSweep. */
-    std::uint64_t baseSeq_ = 0;
-    /** Monotone sweep counter (restore() checks slot sync against it). */
-    std::uint64_t sweepSeq_ = 0;
-    /** Scratch for the base chip's take in beginSweep. */
-    gpu::ChipDirty baseTake_;
-
-    /** Lifetime restore-path counters (relaxed: restores may run on
-     *  concurrent per-slot tasks; exact ordering is irrelevant). */
-    std::atomic<std::uint64_t> deltaRestores_{0};
-    std::atomic<std::uint64_t> fullRestores_{0};
 };
 
 } // namespace pcstall::oracle

@@ -95,21 +95,16 @@ ExperimentDriver::run(std::shared_ptr<const isa::Application> app,
     // is allocation-free. The in-cell executor (if requested) spreads
     // the S independent samples across threads; the reduction stays on
     // this thread in sample order, so results are byte-identical to
-    // the serial copy path either way.
+    // the serial path either way.
     oracle::SnapshotPool sweep_pool;
     std::unique_ptr<ParallelExecutor> sweep_exec;
+    if (cfg.oracleThreads > 1 && need != dvfs::SweepNeed::None)
+        sweep_exec = std::make_unique<ParallelExecutor>(cfg.oracleThreads);
     oracle::SweepOptions sweep_opts;
     sweep_opts.shuffle = true;
     sweep_opts.waveLevel = controller.needsWaveLevel();
-    if (cfg.oracleMode == OracleMode::Pool ||
-        cfg.oracleMode == OracleMode::PoolFull) {
-        sweep_pool.setDeltaRestore(cfg.oracleMode == OracleMode::Pool);
-        sweep_opts.pool = &sweep_pool;
-        if (cfg.oracleThreads > 1 && need != dvfs::SweepNeed::None)
-            sweep_exec =
-                std::make_unique<ParallelExecutor>(cfg.oracleThreads);
-        sweep_opts.executor = sweep_exec.get();
-    }
+    sweep_opts.pool = &sweep_pool;
+    sweep_opts.executor = sweep_exec.get();
 
     faults::FaultInjector injector(cfg.faults);
     // All metric arithmetic lives in the ledger, shared with the trace

@@ -38,20 +38,13 @@ namespace pcstall::sim
 void scaleToCus(gpu::GpuConfig &gpu_cfg, power::PowerParams &power_cfg,
                 std::uint32_t num_cus);
 
-/** Chip-snapshot strategy for the fork-pre-execute oracle sweeps. */
+/** Kept only so perfbench/traced.cc compiles: the oracle has one
+ *  snapshot path (oracle::SnapshotPool::restore), so both names are
+ *  the same value. */
 enum class OracleMode
 {
-    /** Deep-copy the chip once per V/f sample (legacy reference
-     *  path; allocation-heavy but trivially correct). */
-    Copy,
-    /** Restore pooled scratch chips, copying only dirty regions - no
-     *  steady-state allocations, byte-identical results
-     *  (docs/performance.md). */
     Pool,
-    /** Pooled restores with the delta path disabled: every restore is
-     *  a full copy-assign. Reference mode for the delta identity
-     *  checks in tests and CI. */
-    PoolFull,
+    PoolFull = Pool,
 };
 
 /** Configuration of one experiment run. */
@@ -83,8 +76,9 @@ struct RunConfig
     bool watchdogFallback = false;
     /** Parity-protect PC tables (scrub corrupted entries on lookup). */
     bool eccProtectTables = false;
-    /** Snapshot strategy for oracle sweeps. */
-    OracleMode oracleMode = OracleMode::Pool;
+    /** Kept only so perfbench/traced.cc compiles; nothing can set
+     *  it. */
+    static constexpr OracleMode oracleMode = OracleMode::Pool;
     /** Worker threads for in-cell oracle sample parallelism (<= 1 =
      *  serial; results are independent of the thread count). */
     unsigned oracleThreads = 1;

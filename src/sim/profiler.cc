@@ -45,15 +45,13 @@ SensitivityProfiler::profile(
                                  : power::VfTable::paperTable();
     oracle::SnapshotPool pool;
     std::unique_ptr<ParallelExecutor> exec;
+    if (cfg.oracleThreads > 1)
+        exec = std::make_unique<ParallelExecutor>(cfg.oracleThreads);
     oracle::SweepOptions opts;
     opts.shuffle = cfg.shuffle;
     opts.waveLevel = cfg.waveLevel;
-    if (cfg.poolSnapshots) {
-        opts.pool = &pool;
-        if (cfg.oracleThreads > 1)
-            exec = std::make_unique<ParallelExecutor>(cfg.oracleThreads);
-        opts.executor = exec.get();
-    }
+    opts.pool = &pool;
+    opts.executor = exec.get();
 
     Tick epoch_start = 0;
     std::size_t epoch_index = 0;

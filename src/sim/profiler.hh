@@ -44,8 +44,6 @@ struct ProfileConfig
     Tick maxSimTime = 20 * tickMs;
     /** Profile only every Nth epoch (sampling; 1 = every epoch). */
     std::size_t sampleEvery = 1;
-    /** Pool snapshots across sweeps instead of per-sample copies. */
-    bool poolSnapshots = true;
     /** Worker threads for in-cell sample parallelism (<= 1 serial). */
     unsigned oracleThreads = 1;
 };

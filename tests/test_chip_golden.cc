@@ -14,6 +14,13 @@
  * store write combining, SIMD count) or widen every wave-slot mask
  * past one 64-bit word (80 slots per CU).
  *
+ * The sweep_cu4_20ep row pins the fork-pre-execute oracle: the cu4
+ * chip under the same schedule, with one oracle sweep after each of
+ * its first 20 epochs, digesting every estimate the sweep returns.
+ * Its digests were recorded through per-sample deep copies of the
+ * chip; the row reuses one snapshot pool across all 20 sweeps, once
+ * serially and once on a 4-thread executor, and both must match.
+ *
  * Regenerate after a deliberate model change by running the binary
  * directly (each case rewrites its own lines, so do not use ctest -j):
  *   PCSTALL_REGEN_GOLDEN=1 ./tests/test_chip_golden
@@ -21,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,9 +40,13 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "dvfs/domain_map.hh"
 #include "gpu/gpu_chip.hh"
+#include "oracle/fork_pre_execute.hh"
+#include "oracle/snapshot_pool.hh"
 #include "power/vf_table.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel_executor.hh"
 #include "workloads/workloads.hh"
 
 using namespace pcstall;
@@ -109,14 +121,9 @@ mixRecord(std::uint64_t &h, const gpu::EpochRecord &rec)
     }
 }
 
-/**
- * Run @p workload on @p row's chip with 1 µs epochs. After epoch e,
- * CU c moves to V/f state (3e + c) mod 10; the transition latency
- * alternates between the paper's 1 µs value and 0 (the value oracle
- * samples use).
- */
-std::uint64_t
-chipDigest(const std::string &workload, const Row &row)
+/** @p row's chip running @p workload at the golden scale. */
+gpu::GpuChip
+makeChip(const std::string &workload, const Row &row)
 {
     gpu::GpuConfig gpu_cfg;
     power::PowerParams power;
@@ -128,7 +135,32 @@ chipDigest(const std::string &workload, const Row &row)
     params.scale = kScale;
     auto app = std::make_shared<const isa::Application>(
         workloads::makeWorkload(workload, params));
-    gpu::GpuChip chip(gpu_cfg, app);
+    return gpu::GpuChip(gpu_cfg, app);
+}
+
+/**
+ * The golden V/f schedule: after epoch @p epoch, CU c moves to state
+ * (3 epoch + c) mod 10; the transition latency alternates between the
+ * paper's 1 µs value and 0 (the value oracle samples use).
+ */
+void
+applySchedule(gpu::GpuChip &chip, const power::VfTable &table,
+              std::size_t epoch)
+{
+    const Tick trans =
+        epoch % 2 == 0 ? gpu::transitionLatencyFor(tickUs) : 0;
+    for (std::uint32_t c = 0; c < chip.config().numCus; ++c) {
+        const std::size_t s = (3 * epoch + c) % table.numStates();
+        chip.setCuFrequency(c, table.state(s).freq, trans);
+    }
+}
+
+/** Run @p workload on @p row's chip with 1 µs epochs under the
+ *  golden schedule. */
+std::uint64_t
+chipDigest(const std::string &workload, const Row &row)
+{
+    gpu::GpuChip chip = makeChip(workload, row);
     const power::VfTable table = power::VfTable::paperTable();
 
     std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -144,12 +176,7 @@ chipDigest(const std::string &workload, const Row &row)
         h = hashCombine(h, chip.stateFingerprint());
         chip.harvestEpoch(start, rec);
         mixRecord(h, rec);
-        const Tick trans =
-            epoch % 2 == 0 ? gpu::transitionLatencyFor(tickUs) : 0;
-        for (std::uint32_t c = 0; c < row.cus; ++c) {
-            const std::size_t s = (3 * epoch + c) % table.numStates();
-            chip.setCuFrequency(c, table.state(s).freq, trans);
-        }
+        applySchedule(chip, table, epoch);
         ++epoch;
     }
     EXPECT_TRUE(done || !row.mustFinish)
@@ -157,6 +184,60 @@ chipDigest(const std::string &workload, const Row &row)
         << " epochs";
     h = hashCombine(h, epoch);
     h = hashCombine(h, done ? 1 : 0);
+    return h;
+}
+
+constexpr const char *kSweepRow = "sweep_cu4_20ep";
+constexpr std::size_t kSweepEpochs = 20;
+
+/**
+ * Drive the cu4 chip under the golden schedule and, after each of its
+ * first kSweepEpochs epochs, run one oracle sweep (shuffled, wave
+ * level, 1-CU domains) over the next epoch, restoring from one pool
+ * reused across every sweep and sampling on @p executor (null =
+ * serial). Every per-domain I(f) point and wave fit is mixed in bit
+ * for bit, with the base chip's fingerprint after the sweep.
+ */
+std::uint64_t
+sweepDigest(const std::string &workload,
+            sim::ParallelExecutor *executor)
+{
+    oracle::SnapshotPool pool;
+    oracle::SweepOptions opts;
+    opts.pool = &pool;
+    opts.executor = executor;
+    const Row &row = kRows[0];
+    gpu::GpuChip chip = makeChip(workload, row);
+    const power::VfTable table = power::VfTable::paperTable();
+    const dvfs::DomainMap domains(row.cus, 1);
+
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    gpu::EpochRecord rec;
+    std::size_t epoch = 0;
+    for (; epoch < kSweepEpochs; ++epoch) {
+        const Tick start = chip.now();
+        if (chip.runUntil(start + tickUs))
+            break;
+        chip.harvestEpoch(start, rec);
+        const dvfs::AccurateEstimates est = oracle::forkPreExecuteSweep(
+            chip, domains, table, tickUs, opts);
+        mix(chip.stateFingerprint());
+        for (const std::vector<double> &curve : est.domainInstr)
+            for (double instr : curve)
+                mix(std::bit_cast<std::uint64_t>(instr));
+        mix(est.waves.size());
+        for (const dvfs::AccurateEstimates::WaveSens &w : est.waves) {
+            mix(w.cu);
+            mix(w.slot);
+            mix(w.startPcAddr);
+            mix(std::bit_cast<std::uint64_t>(w.sensitivity));
+            mix(std::bit_cast<std::uint64_t>(w.level));
+            mix(w.ageRank);
+        }
+        applySchedule(chip, table, epoch);
+    }
+    mix(epoch);
     return h;
 }
 
@@ -220,19 +301,31 @@ TEST_P(ChipStateGolden, MatchesRecordedDigests)
     const std::string &workload = GetParam();
     std::map<std::string, std::string> golden = readGolden();
     const bool regen = std::getenv("PCSTALL_REGEN_GOLDEN") != nullptr;
-    for (const Row &row : kRows) {
-        const std::string key = std::string(row.name) + " " + workload;
-        const std::string got = hex(chipDigest(workload, row));
+    // Check @p got against the recorded line (regen: record it).
+    auto expect = [&](const std::string &key, const std::string &got,
+                      const char *what) {
         if (regen) {
             golden[key] = got;
-            continue;
+            return;
         }
         const auto it = golden.find(key);
         ASSERT_NE(it, golden.end())
             << key << " missing from " << kGoldenPath
             << "; regenerate with PCSTALL_REGEN_GOLDEN=1";
-        EXPECT_EQ(got, it->second)
-            << key << ": the timing model's behaviour changed";
+        EXPECT_EQ(got, it->second) << key << ": " << what;
+    };
+    for (const Row &row : kRows) {
+        expect(std::string(row.name) + " " + workload,
+               hex(chipDigest(workload, row)),
+               "the timing model's behaviour changed");
+    }
+    const std::string sweep_key = std::string(kSweepRow) + " " + workload;
+    expect(sweep_key, hex(sweepDigest(workload, nullptr)),
+           "the oracle sweep's estimates changed");
+    if (!regen) {
+        sim::ParallelExecutor exec(4);
+        expect(sweep_key, hex(sweepDigest(workload, &exec)),
+               "the 4-thread sweep diverged");
     }
     if (regen) {
         writeGolden(golden);

@@ -1,10 +1,13 @@
 /**
  * @file
  * Regression tests for the hot-path performance work
- * (docs/performance.md): the pooled snapshot oracle and the in-cell
- * parallel sweep must be byte-identical to the legacy per-sample-copy
- * path, must leave the input chip untouched, must reuse pool storage
- * across epochs, and must not allocate per-sample in steady state.
+ * (docs/performance.md): a pooled restore must reproduce a fresh deep
+ * copy of the base chip at every epoch, the pooled oracle must match
+ * a sweep-local pool's deep copies, the in-cell parallel sweep must
+ * match the serial one (sweep by sweep and end to end, including a
+ * fault-injected run), the sweep must leave its input chip untouched
+ * and reuse pool storage across epochs, and a steady-state sweep must
+ * not allocate per sample.
  *
  * The binary overrides global operator new/delete with a counting
  * shim so the allocation guard can measure the sweep hot path
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "dvfs/hierarchical.hh"
 #include "gpu/gpu_chip.hh"
 #include "harness.hh"
 #include "oracle/fork_pre_execute.hh"
@@ -98,9 +102,14 @@ smallOpts()
     return opts;
 }
 
-/** The workloads the identity matrix runs over (ISSUE: three). */
+/** The workloads the identity matrix runs over. */
 const std::vector<std::string> kWorkloads = {"comd", "lulesh",
                                              "minife"};
+
+/** The controllers of the end-to-end identity matrix: ACCPC and
+ *  ORACLE sweep the oracle every epoch, the others never do. */
+const std::vector<std::string> kControllers = {
+    "STALL", "PCSTALL", "PCSTALL+CAP", "ACCPC", "ORACLE"};
 
 /** Exact field-by-field RunResult comparison (no tolerances). */
 void
@@ -118,6 +127,9 @@ expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
     EXPECT_EQ(a.transitionEnergy, b.transitionEnergy);
     EXPECT_EQ(a.freqTimeShare, b.freqTimeShare);
     EXPECT_EQ(a.finalTemperature, b.finalTemperature);
+    EXPECT_EQ(a.faults.tableBitFlips, b.faults.tableBitFlips);
+    EXPECT_EQ(a.faults.tableScrubs, b.faults.tableScrubs);
+    EXPECT_EQ(a.faults.transitionFailures, b.faults.transitionFailures);
     ASSERT_EQ(a.trace.size(), b.trace.size());
     for (std::size_t i = 0; i < a.trace.size(); ++i) {
         EXPECT_EQ(a.trace[i].start, b.trace[i].start);
@@ -129,16 +141,31 @@ expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
 
 sim::RunResult
 runCell(const std::string &workload, const std::string &controller,
-        sim::OracleMode mode, unsigned oracle_threads)
+        unsigned oracle_threads,
+        const faults::FaultConfig *fault_cfg = nullptr,
+        bool ecc_tables = false)
 {
     const bench::BenchOptions opts = smallOpts();
     const auto app = bench::makeApp(workload, opts);
     EXPECT_TRUE(app);
     sim::RunConfig cfg = opts.runConfig();
-    cfg.oracleMode = mode;
     cfg.oracleThreads = oracle_threads;
+    if (fault_cfg != nullptr)
+        cfg.faults = *fault_cfg;
+    cfg.eccProtectTables = ecc_tables;
     sim::ExperimentDriver driver(cfg);
-    const auto ctrl = bench::makeController(controller, cfg);
+    // "PCSTALL+CAP" is not a registry name: it is the hierarchical
+    // power manager wrapped around PCSTALL (bench/extensions.cc).
+    std::unique_ptr<dvfs::DvfsController> ctrl;
+    if (controller == "PCSTALL+CAP") {
+        dvfs::HierarchicalConfig hcfg;
+        hcfg.powerCap = 40.0;
+        hcfg.reviewEpochs = 10;
+        ctrl = std::make_unique<dvfs::HierarchicalPowerManager>(
+            bench::makeController("PCSTALL", cfg), hcfg);
+    } else {
+        ctrl = bench::makeController(controller, cfg);
+    }
     return driver.run(app, *ctrl);
 }
 
@@ -177,35 +204,104 @@ warmChip(const std::string &workload, const bench::BenchOptions &opts)
 
 } // namespace
 
-// --- pooled-vs-copy end-to-end identity -----------------------------
+// --- pooled restore vs fresh deep copy, every epoch ----------------
 
-TEST(PerfPath, PooledRunsAreByteIdenticalAcrossWorkloadsAndControllers)
+/**
+ * Drive a base chip epoch by epoch; at every boundary restore each
+ * V/f sample slot from one pool reused across epochs and, next to it,
+ * take a fresh deep copy of the base. Pin per-CU frequencies to a
+ * perturbed pattern, pre-execute the upcoming epoch on both chips,
+ * and demand fingerprint equality before and after.
+ */
+TEST(PerfPath, PooledRestoreMatchesFreshCopyEveryEpoch)
 {
+    const power::VfTable table = power::VfTable::paperTable();
+    const std::size_t num_states = table.numStates();
+
     for (const std::string &workload : kWorkloads) {
-        for (const std::string &controller :
-             {std::string("ACCPC"), std::string("ORACLE")}) {
-            const auto copy =
-                runCell(workload, controller, sim::OracleMode::Copy, 1);
-            const auto pool =
-                runCell(workload, controller, sim::OracleMode::Pool, 1);
-            const auto pool_full = runCell(
-                workload, controller, sim::OracleMode::PoolFull, 1);
-            expectIdenticalResults(copy, pool,
-                                   workload + "/" + controller);
-            expectIdenticalResults(copy, pool_full,
-                                   workload + "/" + controller +
-                                       "/pool-full");
+        SCOPED_TRACE(workload);
+        const bench::BenchOptions opts = smallOpts();
+        const auto app = bench::makeApp(workload, opts);
+        ASSERT_TRUE(app);
+        gpu::GpuConfig gcfg = opts.runConfig().gpu;
+        gpu::GpuChip chip(gcfg, app);
+        oracle::SnapshotPool pool;
+
+        gpu::EpochRecord scratch, pool_rec, copy_rec;
+        Tick t = 0;
+        for (int e = 0; e < 4; ++e) {
+            SCOPED_TRACE("epoch " + std::to_string(e));
+            chip.runUntil(t + opts.epochLen);
+            chip.harvestEpoch(t, scratch);
+            t += opts.epochLen;
+
+            const std::uint64_t base_fp = chip.stateFingerprint();
+            pool.ensureSlots(num_states, chip);
+            for (std::size_t k = 0; k < num_states; ++k) {
+                SCOPED_TRACE("state " + std::to_string(k));
+                gpu::GpuChip &p = pool.restore(k, chip);
+                gpu::GpuChip c = chip;
+                ASSERT_EQ(p.stateFingerprint(), base_fp);
+                ASSERT_EQ(c.stateFingerprint(), base_fp);
+
+                // Perturb per-CU frequencies (shuffled per CU, like
+                // the sweep's per-domain shuffle) and pre-execute the
+                // upcoming epoch on each chip independently.
+                for (std::uint32_t cu = 0; cu < gcfg.numCus; ++cu) {
+                    const Freq freq =
+                        table.state((k + cu) % num_states).freq;
+                    p.setCuFrequency(cu, freq, 0);
+                    c.setCuFrequency(cu, freq, 0);
+                }
+                p.runUntil(t + opts.epochLen);
+                p.harvestEpoch(t, pool_rec);
+                c.runUntil(t + opts.epochLen);
+                c.harvestEpoch(t, copy_rec);
+
+                // ... and still agree after diverging from the base.
+                ASSERT_EQ(p.stateFingerprint(), c.stateFingerprint());
+                ASSERT_EQ(pool_rec.cus.size(), copy_rec.cus.size());
+                for (std::size_t cu = 0; cu < copy_rec.cus.size();
+                     ++cu) {
+                    EXPECT_EQ(pool_rec.cus[cu].committed,
+                              copy_rec.cus[cu].committed);
+                }
+            }
+            // The restores never touch the base chip.
+            ASSERT_EQ(chip.stateFingerprint(), base_fp);
         }
     }
 }
 
+// --- end-to-end identity: serial vs in-cell parallel oracle ---------
+
+/**
+ * The oracle thread count must be invisible in every observable run
+ * output across the workload x controller grid, and in an ACCPC run
+ * with parity-scrubbed (ECC) predictor tables under storage fault
+ * injection: ACCPC trains its tables from the pooled sweeps and takes
+ * the upsets, so that run crosses the two subsystems.
+ */
 TEST(PerfPath, OracleThreadCountDoesNotChangeResults)
 {
-    const auto serial =
-        runCell("comd", "ACCPC", sim::OracleMode::Pool, 1);
-    const auto threaded =
-        runCell("comd", "ACCPC", sim::OracleMode::Pool, 4);
-    expectIdenticalResults(serial, threaded, "threads 1 vs 4");
+    for (const std::string &workload : kWorkloads) {
+        for (const std::string &controller : kControllers) {
+            expectIdenticalResults(runCell(workload, controller, 1),
+                                   runCell(workload, controller, 4),
+                                   workload + "/" + controller);
+        }
+    }
+
+    faults::FaultConfig faults;
+    faults.storage.enabled = true;
+    faults.storage.upsetsPerEpoch = 64.0;
+    const auto serial = runCell("comd", "ACCPC", 1, &faults, true);
+    const auto threaded = runCell("comd", "ACCPC", 4, &faults, true);
+    // The fault campaign really ran: bits flipped, and parity caught
+    // at least one corrupted entry before it could mispredict.
+    EXPECT_GT(serial.faults.tableBitFlips, 0u);
+    EXPECT_GT(serial.faults.tableScrubs, 0u);
+    expectIdenticalResults(serial, threaded, "ecc/comd/ACCPC");
 }
 
 TEST(PerfPath, ParallelSweepMatchesSerialSweep)
@@ -257,6 +353,7 @@ TEST(PerfPath, PoolIsReusedAcrossEpochsAndStaysIdenticalToCopies)
 
         const auto from_pool = oracle::forkPreExecuteSweep(
             chip, domains, table, opts.epochLen, pooled);
+        // Without a pool the sweep deep-copies the chip per sample.
         const auto from_copies = oracle::forkPreExecuteSweep(
             chip, domains, table, opts.epochLen, oracle::SweepOptions{});
         SCOPED_TRACE("epoch " + std::to_string(epoch));
@@ -265,41 +362,6 @@ TEST(PerfPath, PoolIsReusedAcrossEpochsAndStaysIdenticalToCopies)
         // never grows past that across epochs.
         EXPECT_EQ(pool.slotCount(), table.numStates());
     }
-
-    // From the second sweep on, every restore is served by the delta
-    // path (the first sweep full-restores to anchor the chains).
-    EXPECT_GE(pool.deltaRestores(), 2 * table.numStates());
-}
-
-TEST(PerfPath, ClearKeepsCapacityAndNextSweepStaysIdentical)
-{
-    const bench::BenchOptions opts = smallOpts();
-    const auto chip = warmChip("comd", opts);
-    const dvfs::DomainMap domains(opts.cus, opts.cusPerDomain);
-    const power::VfTable table = power::VfTable::paperTable();
-
-    oracle::SnapshotPool pool;
-    oracle::SweepOptions pooled;
-    pooled.pool = &pool;
-    (void)oracle::forkPreExecuteSweep(*chip, domains, table,
-                                      opts.epochLen, pooled);
-    ASSERT_EQ(pool.slotCount(), table.numStates());
-    const std::uint64_t full_before = pool.fullRestores();
-
-    // clear() forgets snapshot state (delta chains included) but keeps
-    // every allocated slot chip, so a driver switching applications
-    // does not re-pay the pool's construction cost.
-    pool.clear();
-    EXPECT_EQ(pool.slotCount(), table.numStates());
-
-    const auto after_clear = oracle::forkPreExecuteSweep(
-        *chip, domains, table, opts.epochLen, pooled);
-    const auto reference = oracle::forkPreExecuteSweep(
-        *chip, domains, table, opts.epochLen, oracle::SweepOptions{});
-    expectIdenticalEstimates(after_clear, reference);
-    // The post-clear sweep may not delta-restore against chains that
-    // were dropped: every slot full-restores once.
-    EXPECT_GE(pool.fullRestores(), full_before + table.numStates());
 }
 
 // --- const-ness of the input chip (restore verification) ------------
@@ -324,7 +386,7 @@ TEST(PerfPath, SweepLeavesInputChipUntouchedUnderVerification)
     EXPECT_FALSE(est.empty());
     EXPECT_EQ(chip->stateFingerprint(), before);
 
-    // Same property on the legacy copy path.
+    // Same property with a sweep-local pool.
     oracle::SweepOptions copy_verified;
     copy_verified.verifyRestore = true;
     (void)oracle::forkPreExecuteSweep(*chip, domains, table,
@@ -369,11 +431,11 @@ TEST(PerfPath, SteadyStatePooledSweepBarelyAllocates)
     expectIdenticalEstimates(est, est_copy);
 
     // Running the sampled epochs allocates either way (cache / MSHR
-    // bookkeeping inside the simulation), but the pooled sweep must
-    // at least save the per-sample chip copies the legacy path makes.
+    // bookkeeping inside the simulation), but the warm pool must at
+    // least save the per-sample chip copies a sweep-local pool makes.
     EXPECT_LT(pool_allocs, copy_allocs)
-        << "pooled sweep should allocate strictly less than the "
-        << "copy path (copy: " << copy_allocs
+        << "warm pooled sweep should allocate strictly less than a "
+        << "sweep-local pool (copy: " << copy_allocs
         << ", pool: " << pool_allocs << ")";
 }
 

@@ -166,8 +166,6 @@ TEST(LibraryKey, ObservabilityOnlyChangesHit)
             << what;
     };
     using Opts = bench::BenchOptions;
-    hits("oracleMode",
-         [](Opts &o) { o.oracleMode = sim::OracleMode::Copy; });
     hits("oracleThreads", [](Opts &o) { o.oracleThreads = 4; });
     hits("auditRegret", [](Opts &o) { o.auditRegret = true; });
     hits("provenanceOut",
