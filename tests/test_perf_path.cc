@@ -3,9 +3,10 @@
  * Regression tests for the hot-path performance work
  * (docs/performance.md): a pooled restore must reproduce a fresh deep
  * copy of the base chip at every epoch, the pooled oracle must match
- * a sweep-local pool's deep copies, the in-cell parallel sweep must
- * match the serial one (sweep by sweep and end to end, including a
- * fault-injected run), the sweep must leave its input chip untouched
+ * a sweep-local pool's deep copies (sweep by sweep and at every
+ * boundary of whole runs, including a fault-injected run), the
+ * in-cell parallel sweep must match the serial one (sweep by sweep
+ * and end to end), the sweep must leave its input chip untouched
  * and reuse pool storage across epochs, and a steady-state sweep must
  * not allocate per sample.
  *
@@ -23,11 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "dvfs/domain_map.hh"
 #include "dvfs/hierarchical.hh"
 #include "gpu/gpu_chip.hh"
 #include "harness.hh"
 #include "oracle/fork_pre_execute.hh"
 #include "oracle/snapshot_pool.hh"
+#include "power/vf_table.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel_executor.hh"
 
@@ -139,33 +142,46 @@ expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
     }
 }
 
+/** The run config of one identity-matrix cell. */
+sim::RunConfig
+cellConfig(unsigned oracle_threads, const faults::FaultConfig *fault_cfg,
+           bool ecc_tables)
+{
+    sim::RunConfig cfg = smallOpts().runConfig();
+    cfg.oracleThreads = oracle_threads;
+    if (fault_cfg != nullptr)
+        cfg.faults = *fault_cfg;
+    cfg.eccProtectTables = ecc_tables;
+    return cfg;
+}
+
+std::unique_ptr<dvfs::DvfsController>
+cellController(const std::string &controller, const sim::RunConfig &cfg)
+{
+    // "PCSTALL+CAP" is not a registry name: it is the hierarchical
+    // power manager wrapped around PCSTALL (bench/extensions.cc).
+    if (controller == "PCSTALL+CAP") {
+        dvfs::HierarchicalConfig hcfg;
+        hcfg.powerCap = 40.0;
+        hcfg.reviewEpochs = 10;
+        return std::make_unique<dvfs::HierarchicalPowerManager>(
+            bench::makeController("PCSTALL", cfg), hcfg);
+    }
+    return bench::makeController(controller, cfg);
+}
+
 sim::RunResult
 runCell(const std::string &workload, const std::string &controller,
         unsigned oracle_threads,
         const faults::FaultConfig *fault_cfg = nullptr,
         bool ecc_tables = false)
 {
-    const bench::BenchOptions opts = smallOpts();
-    const auto app = bench::makeApp(workload, opts);
+    const auto app = bench::makeApp(workload, smallOpts());
     EXPECT_TRUE(app);
-    sim::RunConfig cfg = opts.runConfig();
-    cfg.oracleThreads = oracle_threads;
-    if (fault_cfg != nullptr)
-        cfg.faults = *fault_cfg;
-    cfg.eccProtectTables = ecc_tables;
+    const sim::RunConfig cfg =
+        cellConfig(oracle_threads, fault_cfg, ecc_tables);
     sim::ExperimentDriver driver(cfg);
-    // "PCSTALL+CAP" is not a registry name: it is the hierarchical
-    // power manager wrapped around PCSTALL (bench/extensions.cc).
-    std::unique_ptr<dvfs::DvfsController> ctrl;
-    if (controller == "PCSTALL+CAP") {
-        dvfs::HierarchicalConfig hcfg;
-        hcfg.powerCap = 40.0;
-        hcfg.reviewEpochs = 10;
-        ctrl = std::make_unique<dvfs::HierarchicalPowerManager>(
-            bench::makeController("PCSTALL", cfg), hcfg);
-    } else {
-        ctrl = bench::makeController(controller, cfg);
-    }
+    const auto ctrl = cellController(controller, cfg);
     return driver.run(app, *ctrl);
 }
 
@@ -200,6 +216,106 @@ warmChip(const std::string &workload, const bench::BenchOptions &opts)
         chip->harvestEpoch(e * opts.epochLen, scratch);
     }
     return chip;
+}
+
+/**
+ * The deep-copy reference for the pooled oracle of an
+ * ExperimentDriver run. It steps a chip of its own in lockstep with
+ * the run (same config, same applied V/f states) and, at every
+ * boundary where the run swept, sweeps its chip again without a
+ * caller pool, so that every sample starts from a first-use deep
+ * copy, and demands the estimates the run's reused pool produced.
+ */
+class DeepCopyOracle : public sim::EpochObserver
+{
+  public:
+    DeepCopyOracle(const sim::RunConfig &cfg,
+                   std::shared_ptr<const isa::Application> app,
+                   bool wave_level)
+        : epochLen(cfg.epochLen), chip(chipConfig(cfg), std::move(app)),
+          domains(cfg.gpu.numCus, cfg.cusPerDomain),
+          table(power::VfTable::paperTable()),
+          trans(cfg.transitionLatency >= 0
+                    ? cfg.transitionLatency
+                    : gpu::transitionLatencyFor(cfg.epochLen))
+    {
+        // The run adds its injector's extra switch latency, which the
+        // lockstep chip cannot see.
+        EXPECT_FALSE(cfg.faults.dvfs.enabled);
+        options.shuffle = true;
+        options.waveLevel = wave_level;
+    }
+
+    void
+    onEpoch(const sim::EpochCapture &epoch) override
+    {
+        chip.runUntil(epoch.end);
+        chip.harvestEpoch(epoch.start, record);
+        ASSERT_EQ(record.cus.size(), epoch.record.cus.size());
+        for (std::size_t cu = 0; cu < record.cus.size(); ++cu)
+            ASSERT_EQ(record.cus[cu].committed,
+                      epoch.record.cus[cu].committed);
+
+        if (epoch.sweep != nullptr) {
+            SCOPED_TRACE("sweep " + std::to_string(sweeps));
+            expectIdenticalEstimates(
+                *epoch.sweep,
+                oracle::forkPreExecuteSweep(chip, domains, table,
+                                            epochLen, options));
+            ++sweeps;
+        }
+        if (epoch.done)
+            return;
+        for (std::uint32_t d = 0; d < domains.numDomains(); ++d) {
+            const Freq freq = table.state(epoch.appliedStates[d]).freq;
+            const std::uint32_t first = domains.firstCu(d);
+            for (std::uint32_t cu = first;
+                 cu < first + domains.cusPerDomain(); ++cu) {
+                chip.setCuFrequency(cu, freq, trans);
+            }
+        }
+    }
+
+    /** Sweeps checked so far. */
+    std::size_t sweeps = 0;
+
+  private:
+    static gpu::GpuConfig
+    chipConfig(const sim::RunConfig &cfg)
+    {
+        gpu::GpuConfig gcfg = cfg.gpu;
+        gcfg.defaultFreq = cfg.nominalFreq;
+        return gcfg;
+    }
+
+    Tick epochLen;
+    gpu::GpuChip chip;
+    dvfs::DomainMap domains;
+    power::VfTable table;
+    Tick trans;
+    oracle::SweepOptions options;
+    gpu::EpochRecord record;
+};
+
+/**
+ * Run one serial-oracle cell with the deep-copy reference attached;
+ * @p sweeps receives the number of sweeps it checked.
+ */
+sim::RunResult
+runAgainstDeepCopies(const std::string &workload,
+                     const std::string &controller, std::size_t &sweeps,
+                     const faults::FaultConfig *fault_cfg = nullptr,
+                     bool ecc_tables = false)
+{
+    const auto app = bench::makeApp(workload, smallOpts());
+    EXPECT_TRUE(app);
+    const sim::RunConfig cfg = cellConfig(1, fault_cfg, ecc_tables);
+    const auto ctrl = cellController(controller, cfg);
+    DeepCopyOracle reference(cfg, app, ctrl->needsWaveLevel());
+    sim::ExperimentDriver driver(cfg);
+    sim::RunResult result = driver.run(app, *ctrl, &reference);
+    sweeps = reference.sweeps;
+    return result;
 }
 
 } // namespace
@@ -273,14 +389,33 @@ TEST(PerfPath, PooledRestoreMatchesFreshCopyEveryEpoch)
     }
 }
 
+// --- end-to-end identity: pooled oracle vs per-sample deep copies ---
+
+/**
+ * Every sweep of a pooled run must equal the sweep taken through
+ * per-sample deep copies of the same chip. ACCPC and ORACLE sweep at
+ * every boundary but the last.
+ */
+TEST(PerfPath, PooledRunsAreByteIdenticalAcrossWorkloadsAndControllers)
+{
+    for (const std::string &workload : kWorkloads) {
+        for (const std::string &controller :
+             {std::string("ACCPC"), std::string("ORACLE")}) {
+            SCOPED_TRACE(workload + "/" + controller);
+            std::size_t sweeps = 0;
+            const auto result =
+                runAgainstDeepCopies(workload, controller, sweeps);
+            EXPECT_TRUE(result.completed);
+            EXPECT_EQ(sweeps + 1, result.epochs);
+        }
+    }
+}
+
 // --- end-to-end identity: serial vs in-cell parallel oracle ---------
 
 /**
  * The oracle thread count must be invisible in every observable run
- * output across the workload x controller grid, and in an ACCPC run
- * with parity-scrubbed (ECC) predictor tables under storage fault
- * injection: ACCPC trains its tables from the pooled sweeps and takes
- * the upsets, so that run crosses the two subsystems.
+ * output across the workload x controller grid.
  */
 TEST(PerfPath, OracleThreadCountDoesNotChangeResults)
 {
@@ -291,16 +426,71 @@ TEST(PerfPath, OracleThreadCountDoesNotChangeResults)
                                    workload + "/" + controller);
         }
     }
+}
 
+// --- SnapshotDelta: how the oracle forks is invisible ---------------
+//
+// The suite is named after the dirty-region delta restore these cases
+// once compared with full restores and deep copies; they now hold the
+// one pooled path to the per-sample deep-copy reference.
+
+/**
+ * How the oracle forks its samples must be invisible in every
+ * observable run output across the workload x controller grid: each
+ * sweep of the run must match the deep-copy reference, and the run
+ * with the reference attached must match a plain run field for field.
+ * Controllers that never invoke the oracle take no sweep; ORACLE
+ * exercises the pool every epoch.
+ */
+TEST(SnapshotDelta, OracleModeIsInvisibleAcrossWorkloadsAndControllers)
+{
+    for (const std::string &workload : kWorkloads) {
+        for (const char *name :
+             {"STALL", "PCSTALL", "PCSTALL+CAP", "ORACLE"}) {
+            const std::string controller = name;
+            const std::string cell = workload + "/" + controller;
+            SCOPED_TRACE(cell);
+            std::size_t sweeps = 0;
+            const auto checked =
+                runAgainstDeepCopies(workload, controller, sweeps);
+            const std::size_t expected_sweeps =
+                controller == "ORACLE" ? checked.epochs - 1 : 0;
+            EXPECT_EQ(sweeps, expected_sweeps);
+            expectIdenticalResults(checked,
+                                   runCell(workload, controller, 1),
+                                   cell);
+        }
+    }
+}
+
+/**
+ * Parity-scrubbed (ECC) predictor tables under storage fault
+ * injection: bit upsets land in the PC table, lookups scrub the
+ * corrupted entries, and how the oracle forks still must not leak
+ * into any observable - the injector's random streams are driven by
+ * the epoch sequence, not by how the oracle restores its scratch
+ * chips. ACCPC both trains its tables from pooled oracle sweeps and
+ * takes the storage upsets, so this run crosses the two subsystems:
+ * every sweep must match the deep-copy reference, and the run must
+ * not change at 4 oracle threads.
+ */
+TEST(SnapshotDelta, EccScrubbedFaultRunsAreModeInvariant)
+{
     faults::FaultConfig faults;
     faults.storage.enabled = true;
     faults.storage.upsetsPerEpoch = 64.0;
-    const auto serial = runCell("comd", "ACCPC", 1, &faults, true);
+
+    std::size_t sweeps = 0;
+    const auto serial =
+        runAgainstDeepCopies("comd", "ACCPC", sweeps, &faults, true);
     const auto threaded = runCell("comd", "ACCPC", 4, &faults, true);
+
     // The fault campaign really ran: bits flipped, and parity caught
     // at least one corrupted entry before it could mispredict.
     EXPECT_GT(serial.faults.tableBitFlips, 0u);
     EXPECT_GT(serial.faults.tableScrubs, 0u);
+    EXPECT_EQ(sweeps + 1, serial.epochs);
+
     expectIdenticalResults(serial, threaded, "ecc/comd/ACCPC");
 }
 
