@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/rng.hh"
+#include "gpu/gpu_config.hh"
 #include "obs/context.hh"
 #include "store/cell_codec.hh"
 #include "store/result_store.hh"
@@ -27,11 +28,13 @@ simConfigFingerprint(const BenchOptions &opts)
 {
     // src/trace decides which RunConfig fields identify a run: the
     // image a capture's META section records. Scale and seed shape
-    // the workload build, not the RunConfig, so they follow it.
+    // the workload build, not the RunConfig, so they follow it, and
+    // the model version names the simulator that ran it.
     std::string image = trace::encodeRunConfigImage(trace::makeTraceMeta(
         opts.runConfig(), power::VfTable::paperTable()));
     trace::putDouble(image, opts.scale);
     trace::putFixed64(image, opts.seed);
+    trace::putVarint(image, gpu::modelVersion);
     return trace::digest128(image);
 }
 

@@ -89,12 +89,14 @@ namespace pcstall::bench
  * 32-hex digest of everything in @p opts that changes the simulated
  * run: the RunConfig image a PCTR capture's META section records
  * (trace::encodeRunConfigImage over opts.runConfig()), plus the
- * workload scale and seed, which META does not carry. src/trace thus
- * decides which RunConfig fields identify a run; output paths, thread
- * counts, the oracle snapshot mode and observability toggles are not
- * in the image. This is the config slot of a cell's identity, from
- * which both the trace-library key (docs/replay_studies.md) and the
- * results-store key (docs/sweep_farm.md) derive.
+ * workload scale and seed, which META does not carry, and
+ * gpu::modelVersion, so a result the timing model computed before a
+ * behaviour change never hits. src/trace thus decides which RunConfig
+ * fields identify a run; output paths, thread counts and
+ * observability toggles are not in the image. This is the config
+ * slot of a cell's identity, from which both the trace-library key
+ * (docs/replay_studies.md) and the results-store key
+ * (docs/sweep_farm.md) derive.
  */
 std::string simConfigFingerprint(const BenchOptions &opts);
 

@@ -20,7 +20,6 @@ ComputeUnit::init(std::uint32_t id, std::uint32_t slot_count,
     wstate_.assign(slot_count, WaveState::Idle);
     readyAt_.assign(slot_count, 0);
     seq_.assign(slot_count, 0);
-    nextOp_.assign(slot_count, isa::OpType::EndPgm);
     pendMask_.resize(slot_count);
     occMask_.resize(slot_count);
     ageSlot_.assign(slot_count, 0);
@@ -360,7 +359,6 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
             seq_[slot] = seqCounter++;
             setWaveState(slot, WaveState::Ready);
             readyAt_[slot] = 0;
-            nextOp_[slot] = kernel.code[0].op;
             w.pc = 0;
             w.globalId = ctx.dispatch.nextGlobalWaveId++;
             w.wgIndex = wg_index;
@@ -394,8 +392,7 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
 }
 
 void
-ComputeUnit::releaseBarrier(const isa::Application &app,
-                            std::uint32_t wg_index, Tick now)
+ComputeUnit::releaseBarrier(std::uint32_t wg_index, Tick now)
 {
     // WaitBarrier slots are among the occupied ones with no pending
     // wake (the rest of those are Ready).
@@ -413,7 +410,6 @@ ComputeUnit::releaseBarrier(const isa::Application &app,
             wave.epBarrierStall += now - wave.barrierEnter;
             setWaveState(i, WaveState::Ready);
             ++wave.pc;
-            nextOp_[i] = app.launches[wave.launchIndex].code[wave.pc].op;
             ++wave.epCommitted;
             ++epCommitted;
             ++lifeCommitted_;
@@ -436,9 +432,7 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         ++lifeCommitted_;
         lastCommit_ = now;
     };
-    // Every path that moves pc on ends here, so nextOp_ follows it.
     auto busy_for = [&](Cycles cycles) {
-        nextOp_[slot] = kernel.code[wave.pc].op;
         park(slot, WaveState::Busy, now + cycles * period_);
     };
 
@@ -530,7 +524,7 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
         wave.barrierEnter = now;
         ++wg.arrived;
         if (wg.arrived + wg.done >= wg.waveCount) {
-            releaseBarrier(ctx.app, wave.wgIndex, now);
+            releaseBarrier(wave.wgIndex, now);
             return true;
         }
         break;
@@ -583,30 +577,26 @@ ComputeUnit::probe(const CuContext &ctx, Tick now)
     pickedAt_ = now;
 
     // Walk the picks in issue order, tracking the MSHR count the
-    // earlier SIMDs' private memory ops will have raised. nextOp_
-    // classifies each pick; only a memory op that may reach the memory
-    // system loads the wave's cold record and instruction (for its
-    // address).
+    // earlier SIMDs' private memory ops will have raised. Each pick is
+    // classified by the instruction at its pc; a memory op that may
+    // reach the memory system also needs its address.
     std::uint32_t outstanding = outstandingTotal;
     for (const std::int32_t slot : picks_) {
         if (slot < 0)
             continue;
-        const isa::OpType op = nextOp_[static_cast<std::size_t>(slot)];
-        if (isa::isVMem(op)) {
+        const Wavefront &wave = slots[static_cast<std::size_t>(slot)];
+        const isa::Kernel &kernel = ctx.app.launches[wave.launchIndex];
+        const isa::Instruction &ins = kernel.code[wave.pc];
+        if (isa::isVMem(ins.op)) {
             if (outstanding >= ctx.cfg.mem.maxOutstandingPerCu)
                 continue; // MSHR-full retry
-            const Wavefront &wave =
-                slots[static_cast<std::size_t>(slot)];
-            const isa::Kernel &kernel =
-                ctx.app.launches[wave.launchIndex];
-            const isa::Instruction &ins = kernel.code[wave.pc];
             if (!ctx.mem.staysInCu(cuId, genAddress(kernel, wave, ins),
-                                   op == isa::OpType::VMemStore)) {
+                                   ins.op == isa::OpType::VMemStore)) {
                 return false;
             }
             ++outstanding;
-        } else if (op == isa::OpType::Barrier ||
-                   op == isa::OpType::EndPgm) {
+        } else if (ins.op == isa::OpType::Barrier ||
+                   ins.op == isa::OpType::EndPgm) {
             return false;
         }
         // VALU, SALU, LDS, branch and waitcnt issues stay private.
@@ -905,7 +895,7 @@ ComputeUnit::fingerprint(std::uint64_t &h) const
 }
 
 void
-ComputeUnit::verifyDerivedState(const isa::Application &app) const
+ComputeUnit::verifyDerivedState() const
 {
     auto fail = [this](const char *what) {
         panic("CU " + std::to_string(cuId) + ": " + what);
@@ -993,13 +983,6 @@ ComputeUnit::verifyDerivedState(const isa::Application &app) const
         fail("wheel holds a wave that is not pending there");
     if (farWakeAt_ != far_wake)
         fail("far wake bound is not the earliest far wake");
-
-    // Next-op array: the opcode at each resident wave's pc.
-    for (const std::uint32_t i : order) {
-        const Wavefront &w = slots[i];
-        if (nextOp_[i] != app.launches[w.launchIndex].code[w.pc].op)
-            fail("next-op array out of sync");
-    }
 
     if (pickedAt_ != tickInf)
         fail("cached picks outlived their step");

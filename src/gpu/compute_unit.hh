@@ -10,18 +10,16 @@
  * pointers, so GpuChip snapshots are plain copies.
  *
  * Layout: the scheduling-hot per-wave fields are stored SoA
- * (wstate_/readyAt_/seq_/nextOp_) next to pending/occupied bitmasks,
- * so per-tick work touches mask words and a few contiguous arrays
- * instead of the cold Wavefront records. Three derived structures
- * keep that work from growing with the number of resident waves:
+ * (wstate_/readyAt_/seq_) next to pending/occupied bitmasks, so
+ * per-tick work touches mask words and a few contiguous arrays
+ * instead of the cold Wavefront records. Two derived structures keep
+ * that work from growing with the number of resident waves:
  *  - the age order: resident slots in dispatch order, with ready and
  *    per-SIMD masks indexed by age rank, so each SIMD's oldest-ready
  *    pick is a countr_zero and a wave's age rank is a lookup;
  *  - the wake wheel: Busy/WaitMem wakes bucketed by tick into a ring
  *    of slot masks plus a far set, so a wake touches only the waves
- *    due by then and the current bucket's members;
- *  - the next-op array: each resident wave's next opcode, so the
- *    run-ahead probe classifies most picks without the cold records.
+ *    due by then and the current bucket's members.
  * Derived structures are rebuilt-and-compared by verifyDerivedState(),
  * which verify builds run after every step and every snapshot restore.
  */
@@ -108,30 +106,30 @@ class ComputeUnit
     /**
      * Decide whether the step at @p now touches only this CU's own
      * state, so it commutes with every other CU's step before it and
-     * may run ahead of the global event queue. Private: VALU, SALU,
-     * LDS, branch and waitcnt issues, an MSHR-full retry, an L1 load
-     * hit, a write-combined store, a step inside a V/f transition
-     * stall, and a step that only goes to sleep. Shared: an L1 miss,
-     * a store that reaches L2, a barrier, EndPgm, and any step that
-     * would call the dispatcher.
+     * may run ahead of the chip's (tick, id) order. Private: VALU,
+     * SALU, LDS, branch and waitcnt issues, an MSHR-full retry, an L1
+     * load hit, a write-combined store, a step inside a V/f
+     * transition stall, and a step that only goes to sleep. Shared:
+     * an L1 miss, a store that reaches L2, a barrier, EndPgm, and any
+     * step that would call the dispatcher.
      *
      * To decide, the probe brings the CU to @p now (load drains, sleep
-     * close and wakes are idempotent at a fixed tick) and picks each
-     * SIMD's oldest ready wave; step(@p now) reuses those picks. An
-     * idle CU is never probed forward: a launch-finished broadcast may
-     * wake it before @p now.
+     * close and wakes are idempotent at a fixed tick), picks each
+     * SIMD's oldest ready wave and reads the instruction at each
+     * pick's pc; step(@p now) reuses those picks. An idle CU is never
+     * probed forward: a launch-finished broadcast may wake it before
+     * @p now.
      */
     bool probe(const CuContext &ctx, Tick now);
 
     /**
      * Rebuild every derived scheduling structure (free count, pending
      * and occupied masks, the age order and its ready/SIMD masks, wake
-     * wheel and far-set membership, the far bound and the next-op
-     * array) from wstate_/seq_/readyAt_ and @p app's code, and panic
-     * on any mismatch. Verify builds call it after every step and
-     * every snapshot restore.
+     * wheel and far-set membership, and the far bound) from
+     * wstate_/seq_/readyAt_, and panic on any mismatch. Verify builds
+     * call it after every step and every snapshot restore.
      */
-    void verifyDerivedState(const isa::Application &app) const;
+    void verifyDerivedState() const;
 
     /**
      * Close all accrual intervals at @p boundary, emit this CU's and
@@ -190,8 +188,7 @@ class ComputeUnit
     /** Try to pull new workgroups from the dispatcher. */
     bool tryDispatch(CuContext &ctx, Tick now);
     /** Release every wave of workgroup @p wg_index blocked at barrier. */
-    void releaseBarrier(const isa::Application &app,
-                        std::uint32_t wg_index, Tick now);
+    void releaseBarrier(std::uint32_t wg_index, Tick now);
     /** Compute the address of a vector memory access. */
     std::uint64_t genAddress(const isa::Kernel &kernel,
                              const Wavefront &wave,
@@ -281,9 +278,6 @@ class ComputeUnit
     std::vector<Tick> readyAt_;
     /** Dispatch order within the CU; oldest-first scheduling key. */
     std::vector<std::uint64_t> seq_;
-    /** Resident slots: the opcode at the wave's pc, refreshed wherever
-     *  pc changes (dispatch, issue, barrier release). Derived. */
-    std::vector<isa::OpType> nextOp_;
     /** Slots in Busy or WaitMem (have a pending wake in readyAt_). */
     BitMask pendMask_;
     /** Slots not Idle. */

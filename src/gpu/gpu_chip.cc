@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "gpu/event_queue.hh"
 
 namespace pcstall::gpu
 {
@@ -69,34 +68,39 @@ GpuChip::runUntil(Tick until)
     panicIf(until < curTick, "runUntil into the past");
     CuContext ctx = makeContext();
 
-    // Flat time-bucketed queue of (nextEventAt, cuId), kept in a
-    // thread_local scratch so the hottest loop of the simulator
-    // performs no heap allocation per epoch: the oracle calls
-    // runUntil once per V/f sample per epoch boundary. The queue pops
-    // in strictly ascending (tick, id) order - the exact order the
-    // previous binary heap produced - and supports in-place
-    // reschedule, so the launch-finished broadcast leaves no stale
-    // entries behind.
-    static thread_local TickBucketQueue queue;
-    queue.reset(static_cast<std::uint32_t>(cus.size()), curTick);
-    for (std::uint32_t i = 0; i < cus.size(); ++i) {
-        if (cus[i].nextEventAt < until)
-            queue.schedule(i, cus[i].nextEventAt);
-    }
+    // Each CU's next activation, copied into a dense thread_local
+    // scratch: the oracle calls runUntil once per V/f sample per epoch
+    // boundary, and a ComputeUnit spans many cache lines, so scanning
+    // nextEventAt in place would touch one line per CU per pick. The
+    // strict-< scan keeps the first minimum, so steps run in global
+    // (tick, id) order.
+    static thread_local std::vector<Tick> next;
+    next.resize(cus.size());
+    for (std::size_t i = 0; i < cus.size(); ++i)
+        next[i] = cus[i].nextEventAt;
+    const auto n = static_cast<std::uint32_t>(next.size());
 
-    Tick t = 0;
-    std::uint32_t id = 0;
-    while (queue.popMin(t, id)) {
+    for (;;) {
+        std::uint32_t id = 0;
+        Tick t = next[0];
+        for (std::uint32_t i = 1; i < n; ++i) {
+            if (next[i] < t) {
+                t = next[i];
+                id = i;
+            }
+        }
+        if (t >= until)
+            break;
         ComputeUnit &cu = cus[id];
         StepResult res = cu.step(ctx, t);
         if constexpr (verifyBuild)
-            cu.verifyDerivedState(ctx.app);
+            cu.verifyDerivedState();
 
         // Run ahead: while the CU's next step touches only its own
         // state it commutes with every other CU's step before it, so
-        // take it now instead of round-tripping through the queue.
-        // Shared-state steps and the epoch boundary go back into the
-        // queue and still run in global (tick, id) order.
+        // take it now instead of returning to the scan. Shared-state
+        // steps and the epoch boundary go back to the scan and still
+        // run in global (tick, id) order.
         while (res.next < until && !res.launchFinished &&
                cu.probe(ctx, res.next)) {
             const std::uint64_t shared_before =
@@ -106,12 +110,11 @@ GpuChip::runUntil(Tick until)
                 if (sharedDigest() != shared_before)
                     panic("CU " + std::to_string(id) +
                           ": a run-ahead step changed shared state");
-                cu.verifyDerivedState(ctx.app);
+                cu.verifyDerivedState();
             }
         }
         cu.nextEventAt = res.next;
-        if (res.next < until)
-            queue.schedule(id, res.next);
+        next[id] = res.next;
 
         if (res.launchFinished) {
             // A new kernel launch became available: wake every CU so
@@ -126,7 +129,7 @@ GpuChip::runUntil(Tick until)
                           std::to_string(i) + " with resident waves");
                 if (cus[i].nextEventAt > t) {
                     cus[i].nextEventAt = t;
-                    queue.schedule(i, t);
+                    next[i] = t;
                 }
             }
         }
@@ -201,7 +204,7 @@ void
 GpuChip::verifyDerivedState() const
 {
     for (const ComputeUnit &cu : cus)
-        cu.verifyDerivedState(*app);
+        cu.verifyDerivedState();
 }
 
 std::uint64_t

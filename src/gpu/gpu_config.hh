@@ -15,6 +15,15 @@
 namespace pcstall::gpu
 {
 
+/**
+ * Version of the timing model's behaviour, part of every cached
+ * cell's identity (bench::simConfigFingerprint) so a result computed
+ * by an older model never hits. Bump it on any change that moves a
+ * digest in tests/data/chip_state_golden.txt; the golden file
+ * records the value its digests were taken under.
+ */
+inline constexpr std::uint32_t modelVersion = 1;
+
 /** Static hardware parameters of the simulated GPU. */
 struct GpuConfig
 {

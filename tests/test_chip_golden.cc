@@ -21,9 +21,13 @@
  * chip; the row reuses one snapshot pool across all 20 sweeps, once
  * serially and once on a 4-thread executor, and both must match.
  *
- * Regenerate after a deliberate model change by running the binary
- * directly (each case rewrites its own lines, so do not use ctest -j):
+ * The file's header records gpu::modelVersion, and every case fails
+ * while the two differ. A deliberate model change bumps the constant
+ * and regenerates the file in one run of the binary (each case
+ * rewrites its own lines, so do not use ctest):
  *   PCSTALL_REGEN_GOLDEN=1 ./tests/test_chip_golden
+ * Without the bump, regeneration refuses to rewrite a changed digest;
+ * it only adds lines for new rows or workloads.
  */
 
 #include <gtest/gtest.h>
@@ -253,31 +257,46 @@ hex(std::uint64_t v)
 const std::string kGoldenPath =
     std::string(PCSTALL_TEST_DATA_DIR) + "/chip_state_golden.txt";
 
-/** Golden lines keyed by "row workload". */
-std::map<std::string, std::string>
+const std::string kVersionTag = "# modelVersion ";
+
+/** The golden file: digests keyed by "row workload", and the
+ *  gpu::modelVersion they were recorded under (0 = not recorded). */
+struct Golden
+{
+    std::uint32_t modelVersion = 0;
+    std::map<std::string, std::string> lines;
+};
+
+Golden
 readGolden()
 {
-    std::map<std::string, std::string> out;
+    Golden out;
     std::ifstream in(kGoldenPath);
     std::string line;
     while (std::getline(in, line)) {
+        if (line.rfind(kVersionTag, 0) == 0) {
+            out.modelVersion = static_cast<std::uint32_t>(
+                std::stoul(line.substr(kVersionTag.size())));
+            continue;
+        }
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream fields(line);
         std::string row, workload, digest;
         fields >> row >> workload >> digest;
-        out[row + " " + workload] = digest;
+        out.lines[row + " " + workload] = digest;
     }
     return out;
 }
 
 void
-writeGolden(const std::map<std::string, std::string> &lines)
+writeGolden(const Golden &golden)
 {
     std::ofstream out(kGoldenPath);
     ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-    out << "# row workload digest (tests/test_chip_golden.cc)\n";
-    for (const auto &[key, digest] : lines)
+    out << "# row workload digest (tests/test_chip_golden.cc)\n"
+        << kVersionTag << golden.modelVersion << '\n';
+    for (const auto &[key, digest] : golden.lines)
         out << key << ' ' << digest << '\n';
 }
 
@@ -299,17 +318,35 @@ class ChipStateGolden : public ::testing::TestWithParam<std::string>
 TEST_P(ChipStateGolden, MatchesRecordedDigests)
 {
     const std::string &workload = GetParam();
-    std::map<std::string, std::string> golden = readGolden();
+    Golden golden = readGolden();
     const bool regen = std::getenv("PCSTALL_REGEN_GOLDEN") != nullptr;
+    // Regeneration rewrites the header as soon as its first case
+    // finishes, so whether the constant was bumped is judged against
+    // the version the file held when this run started.
+    static const std::uint32_t recorded_version = golden.modelVersion;
+    const bool bumped = recorded_version != gpu::modelVersion;
+    if (!regen) {
+        ASSERT_EQ(golden.modelVersion, gpu::modelVersion)
+            << kGoldenPath << " was recorded under another "
+            << "gpu::modelVersion; regenerate it with "
+            << "PCSTALL_REGEN_GOLDEN=1";
+    }
     // Check @p got against the recorded line (regen: record it).
     auto expect = [&](const std::string &key, const std::string &got,
                       const char *what) {
+        const auto it = golden.lines.find(key);
         if (regen) {
-            golden[key] = got;
+            if (it != golden.lines.end() && it->second != got &&
+                !bumped) {
+                ADD_FAILURE()
+                    << key << ": " << what << "; refusing to rewrite "
+                    << "its digest until gpu::modelVersion is bumped";
+                return;
+            }
+            golden.lines[key] = got;
             return;
         }
-        const auto it = golden.find(key);
-        ASSERT_NE(it, golden.end())
+        ASSERT_NE(it, golden.lines.end())
             << key << " missing from " << kGoldenPath
             << "; regenerate with PCSTALL_REGEN_GOLDEN=1";
         EXPECT_EQ(got, it->second) << key << ": " << what;
@@ -328,6 +365,9 @@ TEST_P(ChipStateGolden, MatchesRecordedDigests)
                "the 4-thread sweep diverged");
     }
     if (regen) {
+        if (HasFailure())
+            return;
+        golden.modelVersion = gpu::modelVersion;
         writeGolden(golden);
         GTEST_SKIP() << "regenerated " << workload << " in "
                      << kGoldenPath;
