@@ -387,9 +387,12 @@ main(int argc, char **argv)
         }));
 
         // Pooled restore: the copy-assign every oracle sample starts
-        // from, into a slot chip pre-warmed with a deep copy.
+        // from, into a lane chip pre-warmed with a deep copy. The pool
+        // holds a chip for each lane of the widest sweep below.
         oracle::SnapshotPool pool;
-        pool.ensureSlots(table.numStates(), chip);
+        pool.ensureSlots(std::min<std::size_t>(mt_threads,
+                                               table.numStates()),
+                         chip);
         timings.push_back(timeBench("pool_restore", repeats, [&] {
             gpu::GpuChip &c = pool.restore(0, chip);
             fatalIf(c.now() != chip.now(), "restore diverged");

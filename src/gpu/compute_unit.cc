@@ -193,6 +193,49 @@ ComputeUnit::wakeWaves(Tick now)
         wheelLive_ &= ~(1ULL << cur);
 }
 
+template <typename WordAt>
+std::uint64_t
+ComputeUnit::minWakeKey(WordAt word_at) const
+{
+    // Packed (readyAt << 16 | slot) min: lowest wake, ties to the
+    // lowest slot, without a data-dependent branch per wave.
+    std::uint64_t key = ~std::uint64_t{0};
+    for (std::size_t wi = 0; wi < pendMask_.wordCount(); ++wi) {
+        std::uint64_t w = word_at(wi);
+        while (w != 0) {
+            const std::size_t i =
+                (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
+            w &= w - 1;
+            key = std::min(
+                key, (static_cast<std::uint64_t>(readyAt_[i]) << 16) | i);
+        }
+    }
+    return key;
+}
+
+std::uint64_t
+ComputeUnit::earliestWakeKey() const
+{
+    // Wheel buckets hold ascending wake blocks from the current one on
+    // (its members wake no later than that block's end), and every far
+    // wake lies past the wheel's horizon. So the first live bucket at
+    // or after the current one holds the earliest wake and all its
+    // ties, and with the wheel empty they are in the far set.
+    if (wheelLive_ == 0) {
+        return minWakeKey(
+            [this](std::size_t wi) { return farMask_.word(wi); });
+    }
+    const std::size_t cur =
+        static_cast<std::size_t>(wheelBlock_) & (wheelBuckets - 1);
+    const std::size_t b =
+        (cur + static_cast<std::size_t>(std::countr_zero(
+                   std::rotr(wheelLive_, static_cast<int>(cur))))) &
+        (wheelBuckets - 1);
+    const std::size_t words = pendMask_.wordCount();
+    return minWakeKey(
+        [&](std::size_t wi) { return wheel_[b * words + wi]; });
+}
+
 void
 ComputeUnit::closeSleep(Tick now)
 {
@@ -669,23 +712,16 @@ ComputeUnit::step(CuContext &ctx, Tick now)
     }
 
     // No ready wave: sleep until the earliest wake, classifying the
-    // gate for STALL/CRISP accounting. Only Busy/WaitMem slots (the
-    // pending mask) have a wake time; scan ascending like the old
-    // full-array loop so ties resolve identically.
-    // Packed (readyAt << 16 | slot) min: lowest wake, ties to the
-    // lowest slot — the same winner the old ascending strict-< scan
-    // produced — without a data-dependent branch per wave.
-    std::uint64_t wake_key = ~std::uint64_t{0};
-    for (std::size_t wi = 0; wi < pendMask_.wordCount(); ++wi) {
-        std::uint64_t w = pendMask_.word(wi);
-        while (w != 0) {
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(w));
-            w &= w - 1;
-            wake_key = std::min(
-                wake_key,
-                (static_cast<std::uint64_t>(readyAt_[i]) << 16) | i);
+    // gate for STALL/CRISP accounting. Verify builds hold the wheel's
+    // answer to a scan of every pending slot.
+    const std::uint64_t wake_key = earliestWakeKey();
+    if constexpr (verifyBuild) {
+        if (wake_key != minWakeKey([this](std::size_t wi) {
+                return pendMask_.word(wi);
+            })) {
+            panic("CU " + std::to_string(cuId) +
+                  ": the wake wheel's earliest wake is not the pending "
+                  "scan's");
         }
     }
     Tick wake = tickInf;

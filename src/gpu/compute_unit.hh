@@ -206,6 +206,16 @@ class ComputeUnit
     void drainBucket(std::size_t b);
     /** Move far-set waves whose wake entered the wheel's horizon. */
     void pullFar();
+    /**
+     * Packed (readyAt << 16 | slot) minimum over the slots set in the
+     * mask whose word wi is @p word_at(wi): the earliest wake, ties to
+     * the lowest slot (all ones when the mask is empty).
+     */
+    template <typename WordAt>
+    std::uint64_t minWakeKey(WordAt word_at) const;
+    /** minWakeKey() over every pending slot, read from the wake wheel:
+     *  only its first live bucket, or the far set when it is empty. */
+    std::uint64_t earliestWakeKey() const;
 
     /**
      * Move slot @p i to state @p ns, maintaining the pending/occupied

@@ -1,6 +1,7 @@
 #include "memory/cache_model.hh"
 
 #include <bit>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -21,20 +22,29 @@ CacheModel::CacheModel(std::uint64_t size_bytes, std::uint32_t line_bytes,
     sets = static_cast<std::uint32_t>(
         size_bytes / (static_cast<std::uint64_t>(line_bytes) * ways));
     fatalIf(sets == 0, "cache must have at least one set");
+    // Set index and tag are a mask and a shift of the line address.
+    if (!std::has_single_bit(sets)) {
+        fatal("cache geometry " + std::to_string(size_bytes) + " B / (" +
+              std::to_string(line_bytes) + " B lines x " +
+              std::to_string(ways) + " ways) gives " +
+              std::to_string(sets) +
+              " sets; the set count must be a power of two");
+    }
     lineShift = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    setShift = static_cast<std::uint32_t>(std::countr_zero(sets));
     lines.assign(static_cast<std::size_t>(sets) * ways, Line{});
 }
 
 std::uint64_t
 CacheModel::setIndex(std::uint64_t addr) const
 {
-    return (addr >> lineShift) % sets;
+    return (addr >> lineShift) & (sets - 1);
 }
 
 std::uint64_t
 CacheModel::tagOf(std::uint64_t addr) const
 {
-    return (addr >> lineShift) / sets;
+    return (addr >> lineShift) >> setShift;
 }
 
 bool
@@ -45,23 +55,25 @@ CacheModel::access(std::uint64_t addr, bool allocate_on_miss)
     const std::uint64_t tag = tagOf(addr);
     Line *base = &lines[set * ways];
 
+    // The victim is the last invalid way, else the least recently
+    // used one.
     Line *victim = base;
     for (std::uint32_t w = 0; w < ways; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
+        if (line.lastUse != 0 && line.tag == tag) {
             line.lastUse = ++useCounter;
             ++hits;
             return true;
         }
-        if (!line.valid) {
+        if (line.lastUse == 0) {
             victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
+        } else if (victim->lastUse != 0 &&
+                   line.lastUse < victim->lastUse) {
             victim = &line;
         }
     }
 
     if (allocate_on_miss) {
-        victim->valid = true;
         victim->tag = tag;
         victim->lastUse = ++useCounter;
     }
@@ -75,7 +87,7 @@ CacheModel::probe(std::uint64_t addr) const
     const std::uint64_t tag = tagOf(addr);
     const Line *base = &lines[set * ways];
     for (std::uint32_t w = 0; w < ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].lastUse != 0 && base[w].tag == tag)
             return true;
     }
     return false;
@@ -85,7 +97,7 @@ void
 CacheModel::flush()
 {
     for (Line &line : lines)
-        line.valid = false;
+        line.lastUse = 0;
 }
 
 void
@@ -96,8 +108,9 @@ CacheModel::fingerprint(std::uint64_t &h) const
     mix(hits);
     mix(accesses);
     for (const Line &line : lines) {
-        mix(line.valid ? 1 : 0);
-        if (line.valid) {
+        const bool valid = line.lastUse != 0;
+        mix(valid ? 1 : 0);
+        if (valid) {
             mix(line.tag);
             mix(line.lastUse);
         }

@@ -22,7 +22,8 @@ class CacheModel
   public:
     /**
      * @param size_bytes Total capacity; must be a multiple of
-     *                   line_bytes * ways.
+     *                   line_bytes * ways, and the quotient (the set
+     *                   count) a power of two.
      * @param line_bytes Line size (power of two).
      * @param ways       Associativity.
      */
@@ -54,11 +55,13 @@ class CacheModel
     void fingerprint(std::uint64_t &h) const;
 
   private:
+    /** One way of a set. Every fill stamps lastUse with ++useCounter,
+     *  so a valid line's stamp is at least 1 and 0 marks an invalid
+     *  one. */
     struct Line
     {
         std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     std::uint64_t setIndex(std::uint64_t addr) const;
@@ -68,6 +71,8 @@ class CacheModel
     std::uint32_t ways;
     std::uint32_t sets;
     std::uint32_t lineShift;
+    /** log2(sets): the tag is the line address above the set bits. */
+    std::uint32_t setShift;
     std::vector<Line> lines;
     std::uint64_t useCounter = 0;
     std::uint64_t hits = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "common/stats_util.hh"
@@ -15,26 +14,6 @@ namespace pcstall::oracle
 
 namespace
 {
-
-/** Ordering of flattened wave observations: wave identity first, then
- *  sample index. Grouping by the first three fields reproduces the
- *  legacy std::map<(cu, slot, startPcAddr)> iteration order, and the
- *  sampleIndex tiebreak reproduces the legacy per-group push order
- *  (points were appended as k ascended), so the regression inputs -
- *  and therefore the fitted doubles - are bit-for-bit identical. */
-bool
-waveSampleLess(const WaveSample &a, const WaveSample &b)
-{
-    return std::tie(a.cu, a.slot, a.startPcAddr, a.sampleIndex) <
-           std::tie(b.cu, b.slot, b.startPcAddr, b.sampleIndex);
-}
-
-bool
-sameWave(const WaveSample &a, const WaveSample &b)
-{
-    return a.cu == b.cu && a.slot == b.slot &&
-           a.startPcAddr == b.startPcAddr;
-}
 
 /** Per-sample work shared by the serial and parallel paths: pin
  *  each domain to its sample frequency, pre-execute the epoch,
@@ -95,7 +74,6 @@ runOneSample(std::size_t k, gpu::GpuChip &sample,
             point.slot = w.slot;
             point.startPcAddr = w.startPcAddr;
             point.ageRank = w.ageRank;
-            point.sampleIndex = static_cast<std::uint32_t>(k);
             point.freqGHz = scratch.stateGHz[state];
             point.instr = static_cast<double>(w.committed);
             waves.push_back(point);
@@ -103,74 +81,100 @@ runOneSample(std::size_t k, gpu::GpuChip &sample,
     }
 }
 
-/** Merge the per-sample wave observations into per-wave linear fits.
- *  Runs on the calling thread after all samples complete; the sort
- *  gives the same visit order as the legacy map-based reduction. */
-void
-reduceWaveFits(SnapshotPool &pool, std::size_t num_states,
-               SnapshotPool::Scratch &scratch,
-               dvfs::AccurateEstimates &est)
+/** Merge key of a wave observation: its (cu, slot) pair, cu major. */
+std::uint64_t
+pairKey(const WaveSample &w)
 {
-    std::vector<WaveSample> &merged = scratch.merged;
-    merged.clear();
-    std::size_t total = 0;
-    for (std::size_t k = 0; k < num_states; ++k)
-        total += pool.waves(k).size();
-    if (merged.capacity() < total)
-        merged.reserve(total);
-    for (std::size_t k = 0; k < num_states; ++k) {
-        const std::vector<WaveSample> &waves = pool.waves(k);
-        merged.insert(merged.end(), waves.begin(), waves.end());
-    }
-    std::sort(merged.begin(), merged.end(), waveSampleLess);
-
-    // Exact reservation: count groups with enough points to fit.
-    std::size_t groups = 0;
-    for (std::size_t i = 0; i < merged.size();) {
-        std::size_t j = i + 1;
-        while (j < merged.size() && sameWave(merged[i], merged[j]))
-            ++j;
-        if (j - i >= 3)
-            ++groups;
-        i = j;
-    }
-    if (est.waves.capacity() < groups)
-        est.waves.reserve(groups);
-
-    std::vector<double> &freqs = scratch.fitFreqs;
-    std::vector<double> &instr = scratch.fitInstr;
-    for (std::size_t i = 0; i < merged.size();) {
-        std::size_t j = i + 1;
-        while (j < merged.size() && sameWave(merged[i], merged[j]))
-            ++j;
-        if (j - i >= 3) {
-            freqs.clear();
-            instr.clear();
-            if (freqs.capacity() < j - i) {
-                freqs.reserve(j - i);
-                instr.reserve(j - i);
-            }
-            for (std::size_t p = i; p < j; ++p) {
-                freqs.push_back(merged[p].freqGHz);
-                instr.push_back(merged[p].instr);
-            }
-            const LinearFit fit = linearFit(freqs, instr);
-            dvfs::AccurateEstimates::WaveSens ws;
-            ws.cu = merged[i].cu;
-            ws.slot = merged[i].slot;
-            ws.startPcAddr = merged[i].startPcAddr;
-            ws.sensitivity = fit.slope;
-            ws.level = std::max(fit.intercept, 0.0);
-            // Legacy last-write-wins: the highest sample index that
-            // observed the wave supplies the age rank.
-            ws.ageRank = merged[j - 1].ageRank;
-            est.waves.push_back(ws);
-        }
-        i = j;
-    }
+    return (static_cast<std::uint64_t>(w.cu) << 32) | w.slot;
 }
 
 } // namespace
+
+void
+reduceWaveFits(const std::vector<std::vector<WaveSample>> &samples,
+               SnapshotPool::Scratch &scratch,
+               std::vector<dvfs::AccurateEstimates::WaveSens> &out)
+{
+    const std::size_t num_samples = samples.size();
+    std::vector<std::size_t> &pos = scratch.mergePos;
+    pos.assign(num_samples, 0);
+
+    // Usually every sample observes the same waves, so the longest
+    // list sizes the output.
+    std::size_t longest = 0;
+    for (const std::vector<WaveSample> &list : samples)
+        longest = std::max(longest, list.size());
+    out.reserve(out.size() + longest);
+
+    std::vector<WaveSample> &group = scratch.group;
+    std::vector<double> &freqs = scratch.fitFreqs;
+    std::vector<double> &instr = scratch.fitInstr;
+    // No real pair has this key: it needs CU and slot ids of 2^32 - 1.
+    constexpr std::uint64_t done = ~std::uint64_t{0};
+    while (true) {
+        // The smallest (cu, slot) pair under any sample's cursor ...
+        std::uint64_t key = done;
+        for (std::size_t k = 0; k < num_samples; ++k) {
+            if (pos[k] < samples[k].size())
+                key = std::min(key, pairKey(samples[k][pos[k]]));
+        }
+        if (key == done)
+            break;
+        // ... and its observations, in sample order.
+        group.clear();
+        for (std::size_t k = 0; k < num_samples; ++k) {
+            if (pos[k] < samples[k].size() &&
+                pairKey(samples[k][pos[k]]) == key) {
+                group.push_back(samples[k][pos[k]++]);
+            }
+        }
+
+        // Samples disagree on a pair's start PC only where its slot was
+        // refilled from another launch during the epoch. Order such a
+        // group by startPcAddr with an insertion sort, which is stable
+        // (each PC's points stay in sample order) and allocation-free;
+        // an agreeing group is already in order and moves nothing.
+        for (std::size_t a = 1; a < group.size(); ++a) {
+            if (group[a - 1].startPcAddr <= group[a].startPcAddr)
+                continue;
+            const WaveSample moving = group[a];
+            std::size_t b = a;
+            for (; b > 0 && group[b - 1].startPcAddr > moving.startPcAddr;
+                 --b) {
+                group[b] = group[b - 1];
+            }
+            group[b] = moving;
+        }
+
+        for (std::size_t i = 0; i < group.size();) {
+            std::size_t j = i + 1;
+            while (j < group.size() &&
+                   group[j].startPcAddr == group[i].startPcAddr) {
+                ++j;
+            }
+            if (j - i >= 3) {
+                freqs.clear();
+                instr.clear();
+                for (std::size_t p = i; p < j; ++p) {
+                    freqs.push_back(group[p].freqGHz);
+                    instr.push_back(group[p].instr);
+                }
+                const LinearFit fit = linearFit(freqs, instr);
+                dvfs::AccurateEstimates::WaveSens ws;
+                ws.cu = group[i].cu;
+                ws.slot = group[i].slot;
+                ws.startPcAddr = group[i].startPcAddr;
+                ws.sensitivity = fit.slope;
+                ws.level = std::max(fit.intercept, 0.0);
+                // Last write wins: the highest sample index that
+                // observed the wave supplies the age rank.
+                ws.ageRank = group[j - 1].ageRank;
+                out.push_back(ws);
+            }
+            i = j;
+        }
+    }
+}
 
 dvfs::AccurateEstimates
 forkPreExecuteSweep(const gpu::GpuChip &chip,
@@ -203,16 +207,23 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
     est.domainInstr.assign(domains.numDomains(),
                            std::vector<double>(num_states, 0.0));
 
-    // A caller's pool is pre-warmed so its (possibly parallel, timed)
+    // A caller's pool runs the samples on L = min(threads, S) lanes:
+    // lane l takes samples l, l + L, ... in turn on the one scratch
+    // chip and harvest record it owns, restoring the chip before each
+    // sample, and is pre-warmed so its (possibly parallel, timed)
     // restores never copy-construct. Without one the sweep uses a
-    // pool of its own, whose first-use restores are the per-sample
-    // deep copies.
+    // pool of its own with a lane per sample, whose first-use restores
+    // are the per-sample deep copies.
+    sim::ParallelExecutor *exec = options.executor;
+    const std::size_t threads = exec ? exec->threadCount() : 1;
+    const std::size_t lanes = options.pool
+        ? std::min(threads, num_states) : num_states;
     SnapshotPool local_pool;
     SnapshotPool &pool = options.pool ? *options.pool : local_pool;
     if (options.pool)
-        pool.ensureSlots(num_states, chip);
+        pool.ensureSlots(lanes, chip);
     else
-        pool.ensureSlots(num_states);
+        pool.ensureSlots(lanes);
 
     SnapshotPool::Scratch &scratch = pool.scratch();
     scratch.stateFreq.resize(num_states);
@@ -222,27 +233,33 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
         scratch.stateGHz[s] = freqGHzD(scratch.stateFreq[s]);
     }
     scratch.sampleWallNs.resize(num_states);
+    scratch.sampleWaves.resize(num_states);
 
-    auto run_sample = [&](std::size_t k) {
-        const std::int64_t fork_t0 = obs::nowNsIfEnabled();
-        gpu::GpuChip &sample = pool.restore(k, chip);
-        if (verify) {
-            panicIf(sample.stateFingerprint() != base_fp,
-                    "snapshot pool restore diverged from the source "
-                    "chip");
+    auto run_lane = [&](std::size_t lane) {
+        gpu::EpochRecord &record = pool.record(lane);
+        for (std::size_t k = lane; k < num_states; k += lanes) {
+            const std::int64_t fork_t0 = obs::nowNsIfEnabled();
+            gpu::GpuChip &sample = pool.restore(lane, chip);
+            if (verify) {
+                panicIf(sample.stateFingerprint() != base_fp,
+                        "snapshot pool restore diverged from the source "
+                        "chip");
+            }
+            runOneSample(k, sample, record, scratch.sampleWaves[k],
+                         domains, start, epoch_len, options, num_states,
+                         scratch, est);
+            scratch.sampleWallNs[k] =
+                fork_t0 >= 0 ? obs::nowNsIfEnabled() - fork_t0 : -1;
         }
-        runOneSample(k, sample, pool.record(k), pool.waves(k), domains,
-                     start, epoch_len, options, num_states, scratch, est);
-        scratch.sampleWallNs[k] =
-            fork_t0 >= 0 ? obs::nowNsIfEnabled() - fork_t0 : -1;
     };
 
-    sim::ParallelExecutor *exec = options.executor;
-    if (exec && exec->threadCount() > 1 && num_states > 1) {
-        exec->forEach(num_states, run_sample);
+    // With two or more threads the executor's workers run the lanes
+    // and this thread only waits.
+    if (threads > 1 && lanes > 1) {
+        exec->forEach(lanes, run_lane);
     } else {
-        for (std::size_t k = 0; k < num_states; ++k)
-            run_sample(k);
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            run_lane(lane);
     }
 
     // Metrics are recorded after the batch, in sample order, so the
@@ -265,7 +282,7 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
     }
 
     if (options.waveLevel)
-        reduceWaveFits(pool, num_states, scratch, est);
+        reduceWaveFits(scratch.sampleWaves, scratch, est.waves);
 
     if (verify) {
         panicIf(chip.stateFingerprint() != base_fp,

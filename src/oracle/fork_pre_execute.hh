@@ -21,6 +21,7 @@
 #include "dvfs/controller.hh"
 #include "dvfs/domain_map.hh"
 #include "gpu/gpu_chip.hh"
+#include "oracle/snapshot_pool.hh"
 #include "power/vf_table.hh"
 
 namespace pcstall::sim
@@ -30,8 +31,6 @@ class ParallelExecutor;
 
 namespace pcstall::oracle
 {
-
-class SnapshotPool;
 
 /** Options for the sweep. */
 struct SweepOptions
@@ -43,14 +42,16 @@ struct SweepOptions
      *  the characterization studies; costs some bookkeeping). */
     bool waveLevel = true;
     /** Restore each sample from this pool's scratch chips, reused
-     *  across sweeps. Null gives the sweep a pool of its own, whose
-     *  restores are all first-use deep copies; the estimates are
-     *  byte-identical either way. */
+     *  across sweeps: one per sampling lane, min(executor threads, S)
+     *  of them. Null gives the sweep a pool of its own with one chip
+     *  per sample, whose restores are all first-use deep copies; the
+     *  estimates are byte-identical either way. */
     SnapshotPool *pool = nullptr;
-    /** Run the S independent samples on this executor. The reduction
-     *  runs on the calling thread in submission order, so results
-     *  stay byte-identical to the serial path regardless of the
-     *  thread count. Null = serial. */
+    /** Run the S independent samples on this executor's threads, one
+     *  lane of samples per thread; the calling thread only waits. The
+     *  reduction runs on the calling thread in sample order, so
+     *  results stay byte-identical to the serial path regardless of
+     *  the thread count. Null = serial. */
     sim::ParallelExecutor *executor = nullptr;
     /** Fingerprint-verify that the sweep leaves @p chip untouched
      *  even in NDEBUG builds (always verified in debug builds). */
@@ -79,6 +80,24 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
                     const dvfs::DomainMap &domains,
                     const power::VfTable &table, Tick epoch_len,
                     const SweepOptions &options = SweepOptions{});
+
+/**
+ * Reduce one sweep's per-sample wave observations to per-wave linear
+ * fits of committed instructions against frequency. The lists are
+ * merged by (cu, slot) in sample order; a pair whose samples started
+ * at different PCs splits into one group per startPcAddr, each kept
+ * in sample order. Every group observed by at least three samples
+ * yields one fit, appended in (cu, slot, startPcAddr) order.
+ *
+ * @param samples  Each sample's observations, in sample order; every
+ *                 list ascends by (cu, slot) with at most one entry
+ *                 per pair, as the harvest emits them.
+ * @param scratch  Reusable merge and regression buffers.
+ * @param out      Receives the fits.
+ */
+void reduceWaveFits(const std::vector<std::vector<WaveSample>> &samples,
+                    SnapshotPool::Scratch &scratch,
+                    std::vector<dvfs::AccurateEstimates::WaveSens> &out);
 
 /**
  * Per-domain linear sensitivity (d instructions / d f_GHz) fitted

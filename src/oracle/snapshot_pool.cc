@@ -8,7 +8,7 @@ namespace pcstall::oracle
 gpu::GpuChip &
 SnapshotPool::restore(std::size_t i, const gpu::GpuChip &base)
 {
-    panicIf(i >= slots_.size(), "snapshot pool slot out of range");
+    panicIf(i >= slots_.size(), "snapshot pool lane out of range");
     Slot &slot = slots_[i];
     if (!slot.chip) {
         slot.chip = std::make_unique<gpu::GpuChip>(base);
@@ -29,15 +29,8 @@ SnapshotPool::restore(std::size_t i, const gpu::GpuChip &base)
 gpu::EpochRecord &
 SnapshotPool::record(std::size_t i)
 {
-    panicIf(i >= slots_.size(), "snapshot pool slot out of range");
+    panicIf(i >= slots_.size(), "snapshot pool lane out of range");
     return slots_[i].record;
-}
-
-std::vector<WaveSample> &
-SnapshotPool::waves(std::size_t i)
-{
-    panicIf(i >= slots_.size(), "snapshot pool slot out of range");
-    return slots_[i].waves;
 }
 
 void

@@ -6,22 +6,24 @@
  * epoch once per V/f state. Naively that is one deep copy of the
  * whole GpuChip per sample per epoch boundary - the dominant
  * allocation cost of every ACCPC/ORACLE run. A SnapshotPool instead
- * keeps one reusable scratch chip per sample slot and *restores* it
- * by copy assignment: vectors assign element-wise into their existing
- * allocations, so after the first epoch the pool reaches a capacity
- * high-water mark and restores stop touching the heap entirely
- * (Scarab-style cheap per-interval checkpointing). restore() is the
- * only way the oracle forks a chip; a slot's first restore (or the
- * ensureSlots() pre-warm) is a plain deep copy.
+ * keeps one reusable scratch chip per sampling lane and *restores* it
+ * by copy assignment before each sample: vectors assign element-wise
+ * into their existing allocations, so after the first epoch the pool
+ * reaches a capacity high-water mark and restores stop touching the
+ * heap entirely (Scarab-style cheap per-interval checkpointing).
+ * restore() is the only way the oracle forks a chip; a lane's first
+ * restore (or the ensureSlots() pre-warm) is a plain deep copy.
  *
- * The pool also owns the per-sample harvest records, the per-sample
- * wave-observation buffers and the reduction scratch, so a steady-
- * state `forkPreExecuteSweep` allocates only its returned estimates.
+ * A sweep runs its S samples on L lanes, one per sampling thread (a
+ * serial sweep has one), so a pool holds L scratch chips, not S. The
+ * pool also owns one harvest record per lane, one wave-observation
+ * buffer per sample and the reduction scratch, so a steady-state
+ * `forkPreExecuteSweep` allocates only its returned estimates.
  *
  * A pool is single-owner state: share one per experiment run (it is
- * not thread-safe across concurrent *sweeps*), but the per-slot
- * accessors are safe to use from concurrent per-sample tasks as long
- * as each task touches only its own slot index (that is exactly what
+ * not thread-safe across concurrent *sweeps*), but the per-lane
+ * accessors are safe to use from concurrent per-lane tasks as long
+ * as each task touches only its own lane index (that is exactly what
  * the in-cell parallel sweep does). ensureSlots() must be called from
  * the sweep's serial prologue.
  */
@@ -49,8 +51,6 @@ struct WaveSample
     std::uint64_t startPcAddr = 0;
     /** Age rank at the start of the sampled epoch. */
     std::uint32_t ageRank = 0;
-    /** Sample index k the point was measured in (reduction order). */
-    std::uint32_t sampleIndex = 0;
     /** Frequency the wave's domain ran at during the sample, in GHz. */
     double freqGHz = 0.0;
     /** Instructions the wave committed during the sample. */
@@ -66,55 +66,49 @@ class SnapshotPool
     void setDeltaRestore(bool) {}
 
     /**
-     * Restore a slot's scratch chip to an exact copy of a base chip.
-     * The first use of a slot copy-constructs its chip (unless
+     * Restore a lane's scratch chip to an exact copy of a base chip.
+     * The first use of a lane copy-constructs its chip (unless
      * pre-warmed by ensureSlots); later uses copy-assign into the
      * existing storage. Verify builds then shadow-check the chip's
      * derived scheduling state. Safe to call concurrently for
-     * distinct slot indices.
+     * distinct lane indices.
      *
-     * @param i     Sample slot index; must be < slotCount().
+     * @param i     Lane index; must be < slotCount().
      * @param base  Chip state to restore the scratch chip to.
-     * @return The slot's scratch chip, equal to @p base.
+     * @return The lane's scratch chip, equal to @p base.
      */
     gpu::GpuChip &restore(std::size_t i, const gpu::GpuChip &base);
 
     /**
-     * Reusable harvest record for one sample slot.
+     * Reusable harvest record for one lane.
      *
-     * @param i  Sample slot index; must be < slotCount().
-     * @return The slot's epoch record (contents are stale until the
+     * @param i  Lane index; must be < slotCount().
+     * @return The lane's epoch record (contents are stale until the
      *         sweep harvests into it).
      */
     gpu::EpochRecord &record(std::size_t i);
 
     /**
-     * Reusable wave-observation buffer for one sample slot.
+     * Grow the pool to at least @p n lanes. Serial prologue only:
+     * growing may reallocate the lane array, which the concurrent
+     * per-lane accessors never do.
      *
-     * @param i  Sample slot index; must be < slotCount().
-     * @return The slot's wave-sample buffer (cleared by the sweep
-     *         before refilling; capacity persists across epochs).
-     */
-    std::vector<WaveSample> &waves(std::size_t i);
-
-    /**
-     * Grow the pool to at least @p n sample slots. Serial prologue
-     * only: growing may reallocate the slot array, which the
-     * concurrent per-slot accessors never do.
-     *
-     * @param n  Minimum number of sample slots to provide.
+     * @param n  Minimum number of lanes to provide.
      */
     void ensureSlots(std::size_t n);
 
     /**
-     * Grow the pool to at least @p n sample slots and pre-warm every
-     * chipless slot with a copy of @p base, so the first sweep's
+     * Grow the pool to at least @p n lanes and pre-warm every
+     * chipless lane with a copy of @p base, so the first sweep's
      * (possibly parallel, possibly timed) restore phase never
      * copy-constructs. Serial prologue only.
+     *
+     * @param n     Minimum number of lanes to provide.
+     * @param base  Chip state each new scratch chip starts as.
      */
     void ensureSlots(std::size_t n, const gpu::GpuChip &base);
 
-    /** @return Number of sample slots currently allocated. */
+    /** @return Number of lanes (scratch chips) currently allocated. */
     std::size_t slotCount() const { return slots_.size(); }
 
     /** Reduction scratch shared across one sweep (and reused by the
@@ -122,8 +116,13 @@ class SnapshotPool
      *  state; only forkPreExecuteSweep should touch it. */
     struct Scratch
     {
-        /** All samples' wave observations, flattened for sorting. */
-        std::vector<WaveSample> merged;
+        /** Each sample's wave observations, in (cu, slot) order with
+         *  at most one entry per pair (harvest order). */
+        std::vector<std::vector<WaveSample>> sampleWaves;
+        /** Merge cursor into each sample's list. */
+        std::vector<std::size_t> mergePos;
+        /** One (cu, slot) pair's observations, in sample order. */
+        std::vector<WaveSample> group;
         /** Regression inputs for one wave group. */
         std::vector<double> fitFreqs;
         std::vector<double> fitInstr;
@@ -134,6 +133,7 @@ class SnapshotPool
         std::vector<std::int64_t> sampleWallNs;
     };
 
+    /** @return The reduction scratch shared by this pool's sweeps. */
     Scratch &scratch() { return scratch_; }
 
   private:
@@ -144,7 +144,6 @@ class SnapshotPool
          *  afterwards. */
         std::unique_ptr<gpu::GpuChip> chip;
         gpu::EpochRecord record;
-        std::vector<WaveSample> waves;
     };
 
     std::vector<Slot> slots_;

@@ -93,9 +93,9 @@ ExperimentDriver::run(std::shared_ptr<const isa::Application> app,
     // One snapshot pool per run: after the first epoch its scratch
     // chips hit their capacity high-water mark and every later sweep
     // is allocation-free. The in-cell executor (if requested) spreads
-    // the S independent samples across threads; the reduction stays on
-    // this thread in sample order, so results are byte-identical to
-    // the serial path either way.
+    // the S independent samples across its threads, one scratch chip
+    // per thread; the reduction stays on this thread in sample order,
+    // so results are byte-identical to the serial path either way.
     oracle::SnapshotPool sweep_pool;
     std::unique_ptr<ParallelExecutor> sweep_exec;
     if (cfg.oracleThreads > 1 && need != dvfs::SweepNeed::None)

@@ -19,7 +19,8 @@
  * its first 20 epochs, digesting every estimate the sweep returns.
  * Its digests were recorded through per-sample deep copies of the
  * chip; the row reuses one snapshot pool across all 20 sweeps, once
- * serially and once on a 4-thread executor, and both must match.
+ * serially and once each on 3- and 4-thread executors, and all must
+ * match.
  *
  * The file's header records gpu::modelVersion, and every case fails
  * while the two differ. A deliberate model change bumps the constant
@@ -360,9 +361,12 @@ TEST_P(ChipStateGolden, MatchesRecordedDigests)
     expect(sweep_key, hex(sweepDigest(workload, nullptr)),
            "the oracle sweep's estimates changed");
     if (!regen) {
-        sim::ParallelExecutor exec(4);
-        expect(sweep_key, hex(sweepDigest(workload, &exec)),
-               "the 4-thread sweep diverged");
+        // 3 threads split the 10 samples into lanes of 4, 3 and 3.
+        for (const unsigned threads : {3u, 4u}) {
+            sim::ParallelExecutor exec(threads);
+            expect(sweep_key, hex(sweepDigest(workload, &exec)),
+                   "the parallel sweep diverged");
+        }
     }
     if (regen) {
         if (HasFailure())

@@ -272,6 +272,14 @@ TEST(MemoryDeath, RejectsBadGeometry)
     EXPECT_FATAL(MemorySystem{cfg}, "divide evenly");
 }
 
+TEST(MemoryDeath, RejectsNonPowerOfTwoSetCount)
+{
+    // 3 sets of 4 ways of 64 B: a valid multiple, but not indexable by
+    // a mask.
+    EXPECT_FATAL(CacheModel(3 * 4 * 64, 64, 4),
+                 "768 B / (64 B lines x 4 ways) gives 3 sets");
+}
+
 TEST(MemoryDeath, RejectsZeroResources)
 {
     MemConfig cfg = smallConfig();

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
+#include <vector>
 
+#include "common/rng.hh"
+#include "common/stats_util.hh"
 #include "gpu/gpu_chip.hh"
 #include "isa/kernel_builder.hh"
 #include "oracle/fork_pre_execute.hh"
@@ -56,6 +61,56 @@ smallGpu()
     cfg.numCus = 2;
     cfg.waveSlotsPerCu = 8;
     return cfg;
+}
+
+/**
+ * The reduction the k-way merge replaced: flatten every observation,
+ * sort by (cu, slot, startPcAddr, sample index) and fit each
+ * (cu, slot, startPcAddr) group of at least three points.
+ */
+std::vector<dvfs::AccurateEstimates::WaveSens>
+sortedReduction(const std::vector<std::vector<WaveSample>> &samples)
+{
+    struct Point
+    {
+        WaveSample w;
+        std::size_t k;
+    };
+    std::vector<Point> all;
+    for (std::size_t k = 0; k < samples.size(); ++k)
+        for (const WaveSample &w : samples[k])
+            all.push_back({w, k});
+    std::sort(all.begin(), all.end(), [](const Point &a, const Point &b) {
+        return std::tie(a.w.cu, a.w.slot, a.w.startPcAddr, a.k) <
+               std::tie(b.w.cu, b.w.slot, b.w.startPcAddr, b.k);
+    });
+    std::vector<dvfs::AccurateEstimates::WaveSens> out;
+    for (std::size_t i = 0; i < all.size();) {
+        std::size_t j = i + 1;
+        while (j < all.size() && all[j].w.cu == all[i].w.cu &&
+               all[j].w.slot == all[i].w.slot &&
+               all[j].w.startPcAddr == all[i].w.startPcAddr) {
+            ++j;
+        }
+        if (j - i >= 3) {
+            std::vector<double> freqs, instr;
+            for (std::size_t p = i; p < j; ++p) {
+                freqs.push_back(all[p].w.freqGHz);
+                instr.push_back(all[p].w.instr);
+            }
+            const LinearFit fit = linearFit(freqs, instr);
+            dvfs::AccurateEstimates::WaveSens ws;
+            ws.cu = all[i].w.cu;
+            ws.slot = all[i].w.slot;
+            ws.startPcAddr = all[i].w.startPcAddr;
+            ws.sensitivity = fit.slope;
+            ws.level = std::max(fit.intercept, 0.0);
+            ws.ageRank = all[j - 1].w.ageRank;
+            out.push_back(ws);
+        }
+        i = j;
+    }
+    return out;
 }
 
 } // namespace
@@ -267,4 +322,57 @@ TEST(ForkPreExecute, DomainSensitivityFitExposesIntercept)
     const double at_nominal = fit.intercept + fit.sensitivity * 1.7;
     EXPECT_NEAR(at_nominal, est.domainInstr[0][4],
                 0.1 * est.domainInstr[0][4]);
+}
+
+/**
+ * The (cu, slot) k-way merge must reproduce the sorted reduction bit
+ * for bit, including pairs whose samples started at different PCs (a
+ * slot refilled from another launch) and pairs some samples never
+ * observed. Random lists over 4 CUs x 8 slots: a third of the pairs
+ * mix three start PCs across samples.
+ */
+TEST(ForkPreExecute, WaveFitMergeMatchesSortedReduction)
+{
+    const std::size_t num_samples = 10;
+    std::size_t mixed_pairs = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        std::vector<std::vector<WaveSample>> samples(num_samples);
+        for (std::uint32_t cu = 0; cu < 4; ++cu) {
+            for (std::uint32_t slot = 0; slot < 8; ++slot) {
+                const bool mixed = rng.below(3) == 0;
+                mixed_pairs += mixed ? 1 : 0;
+                const std::uint64_t pc = 0x100 + 0x40 * rng.below(3);
+                for (std::size_t k = 0; k < num_samples; ++k) {
+                    if (rng.below(5) == 0)
+                        continue; // this sample never saw the pair
+                    WaveSample w;
+                    w.cu = cu;
+                    w.slot = slot;
+                    w.startPcAddr =
+                        mixed ? 0x100 + 0x40 * rng.below(3) : pc;
+                    w.ageRank = static_cast<std::uint32_t>(rng.below(40));
+                    w.freqGHz = 0.8 + 0.1 * static_cast<double>(k);
+                    w.instr = static_cast<double>(100 + rng.below(900));
+                    samples[k].push_back(w);
+                }
+            }
+        }
+
+        SnapshotPool pool;
+        std::vector<dvfs::AccurateEstimates::WaveSens> merged;
+        reduceWaveFits(samples, pool.scratch(), merged);
+        const auto expected = sortedReduction(samples);
+        ASSERT_EQ(merged.size(), expected.size());
+        for (std::size_t i = 0; i < merged.size(); ++i) {
+            EXPECT_EQ(merged[i].cu, expected[i].cu);
+            EXPECT_EQ(merged[i].slot, expected[i].slot);
+            EXPECT_EQ(merged[i].startPcAddr, expected[i].startPcAddr);
+            EXPECT_EQ(merged[i].sensitivity, expected[i].sensitivity);
+            EXPECT_EQ(merged[i].level, expected[i].level);
+            EXPECT_EQ(merged[i].ageRank, expected[i].ageRank);
+        }
+    }
+    EXPECT_GT(mixed_pairs, 100u);
 }

@@ -6,9 +6,10 @@
  * a sweep-local pool's deep copies (sweep by sweep and at every
  * boundary of whole runs, including a fault-injected run), the
  * in-cell parallel sweep must match the serial one (sweep by sweep
- * and end to end), the sweep must leave its input chip untouched
- * and reuse pool storage across epochs, and a steady-state sweep must
- * not allocate per sample.
+ * and end to end) and keep one scratch chip per sampling lane, the
+ * sweep must leave its input chip untouched and reuse pool storage
+ * across epochs, and a steady-state sweep must not allocate per
+ * sample.
  *
  * The binary overrides global operator new/delete with a counting
  * shim so the allocation guard can measure the sweep hot path
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -421,9 +423,14 @@ TEST(PerfPath, OracleThreadCountDoesNotChangeResults)
 {
     for (const std::string &workload : kWorkloads) {
         for (const std::string &controller : kControllers) {
-            expectIdenticalResults(runCell(workload, controller, 1),
-                                   runCell(workload, controller, 4),
-                                   workload + "/" + controller);
+            const sim::RunResult serial = runCell(workload, controller, 1);
+            // 3 threads split the 10 samples into uneven lanes.
+            for (const unsigned threads : {3u, 4u}) {
+                expectIdenticalResults(
+                    serial, runCell(workload, controller, threads),
+                    workload + "/" + controller + " at " +
+                        std::to_string(threads) + " oracle threads");
+            }
         }
     }
 }
@@ -494,6 +501,12 @@ TEST(SnapshotDelta, EccScrubbedFaultRunsAreModeInvariant)
     expectIdenticalResults(serial, threaded, "ecc/comd/ACCPC");
 }
 
+/**
+ * A caller's pool gets one scratch chip per sampling lane: sweeps on
+ * T threads leave exactly min(T, S) chips, and their estimates equal
+ * the serial sweep's. 3 threads split the 10 samples into lanes of 4,
+ * 3 and 3.
+ */
 TEST(PerfPath, ParallelSweepMatchesSerialSweep)
 {
     const bench::BenchOptions opts = smallOpts();
@@ -506,16 +519,24 @@ TEST(PerfPath, ParallelSweepMatchesSerialSweep)
     serial_opts.pool = &serial_pool;
     const auto serial = oracle::forkPreExecuteSweep(
         *chip, domains, table, opts.epochLen, serial_opts);
+    EXPECT_EQ(serial_pool.slotCount(), 1u);
 
-    oracle::SnapshotPool mt_pool;
-    sim::ParallelExecutor exec(4);
-    oracle::SweepOptions mt_opts;
-    mt_opts.pool = &mt_pool;
-    mt_opts.executor = &exec;
-    const auto parallel = oracle::forkPreExecuteSweep(
-        *chip, domains, table, opts.epochLen, mt_opts);
-
-    expectIdenticalEstimates(serial, parallel);
+    for (const unsigned threads : {2u, 3u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        oracle::SnapshotPool mt_pool;
+        sim::ParallelExecutor exec(threads);
+        oracle::SweepOptions mt_opts;
+        mt_opts.pool = &mt_pool;
+        mt_opts.executor = &exec;
+        for (int sweep = 0; sweep < 2; ++sweep) {
+            expectIdenticalEstimates(
+                serial, oracle::forkPreExecuteSweep(
+                            *chip, domains, table, opts.epochLen,
+                            mt_opts));
+            EXPECT_EQ(mt_pool.slotCount(),
+                      std::min<std::size_t>(threads, table.numStates()));
+        }
+    }
 }
 
 // --- pool reuse across epochs ---------------------------------------
@@ -548,9 +569,9 @@ TEST(PerfPath, PoolIsReusedAcrossEpochsAndStaysIdenticalToCopies)
             chip, domains, table, opts.epochLen, oracle::SweepOptions{});
         SCOPED_TRACE("epoch " + std::to_string(epoch));
         expectIdenticalEstimates(from_pool, from_copies);
-        // The pool holds exactly one scratch chip per V/f state and
-        // never grows past that across epochs.
-        EXPECT_EQ(pool.slotCount(), table.numStates());
+        // A serial sweep's pool holds exactly one scratch chip and
+        // never grows past it across epochs.
+        EXPECT_EQ(pool.slotCount(), 1u);
     }
 }
 
