@@ -338,12 +338,6 @@ BenchOptions::parse(int argc, char **argv)
     // a malformed value is reported through cli.errors() and the flag
     // reverts to its default, never aborting the run.
     opts.storeDir = cli.get("store", "");
-    opts.resume = cli.has("resume");
-    if (opts.resume && opts.storeDir.empty()) {
-        cli.noteError("--resume: requires --store DIR "
-                      "(nothing to resume from)");
-        opts.resume = false;
-    }
     const std::string shard = cli.get("shard", "");
     if (!shard.empty()) {
         unsigned index = 0;
@@ -536,6 +530,30 @@ makeController(const std::string &name, const sim::RunConfig &cfg,
         dvfs::ControllerRegistry::instance().make(name, cfg, app);
     fatalIf(!made.ok(), made.error);
     return std::move(made.controller);
+}
+
+ReplayController
+makeReplayController(const trace::TraceMeta &meta, std::string name)
+{
+    ReplayController out;
+    bool capped = meta.hierarchical.enabled;
+    if (name.size() > 4 && name.substr(name.size() - 4) == "+CAP")
+        name = name.substr(0, name.size() - 4);
+    else if (name != meta.controller)
+        capped = false;
+
+    out.inner = makeController(name, trace::runConfigFromMeta(meta));
+    out.use = out.inner.get();
+    if (capped) {
+        dvfs::HierarchicalConfig hier;
+        hier.powerCap = meta.hierarchical.powerCap;
+        hier.reviewEpochs = meta.hierarchical.reviewEpochs;
+        hier.widenBelow = meta.hierarchical.widenBelow;
+        out.wrapper = std::make_unique<dvfs::HierarchicalPowerManager>(
+            *out.inner, hier);
+        out.use = out.wrapper.get();
+    }
+    return out;
 }
 
 const std::vector<std::string> &

@@ -33,6 +33,7 @@
 #include "isa/kernel.hh"
 #include "sim/experiment.hh"
 #include "sim/profiler.hh"
+#include "trace/format.hh"
 #include "trace/library.hh"
 #include "workloads/workloads.hh"
 
@@ -171,9 +172,6 @@ struct BenchOptions
      * cells. Empty = no checkpointing.
      */
     std::string storeDir;
-    /** --resume: assert store-backed resume semantics (requires
-     *  --store; informs how many cells were reused). */
-    bool resume = false;
     /** Shard this worker owns (--shard i/N): only cells with
      *  index % shardCount == shardIndex run; the rest are marked
      *  skipped. shardCount <= 1 = unsharded. */
@@ -207,7 +205,7 @@ struct BenchOptions
      *  the trace flags --trace-out --replay --pc-snapshot-out
      *  --pc-snapshot-in --trace-cache --trace-what-if
      *  (docs/replay_studies.md), the provenance flag --provenance-out, the
-     *  progress flag --progress, the farm flags --store --resume --shard i/N
+     *  progress flag --progress, the farm flags --store --shard i/N
      *  --cell-timeout --cell-retries (docs/sweep_farm.md), and the
      *  observability flags --metrics-out --timeline-out --csv-out
      *  --verbose --log-level (also env PCSTALL_LOG). Malformed
@@ -294,6 +292,24 @@ struct CleanExit
 std::unique_ptr<dvfs::DvfsController>
 makeController(const std::string &name, const sim::RunConfig &cfg,
                const isa::Application *app = nullptr);
+
+/** A controller rebuilt to replay a trace; `use` is the one to drive
+ *  (the power-cap wrapper around `inner` when there is one). */
+struct ReplayController
+{
+    std::unique_ptr<dvfs::DvfsController> inner;
+    std::unique_ptr<dvfs::DvfsController> wrapper;
+    dvfs::DvfsController *use = nullptr;
+};
+
+/**
+ * Rebuild design @p name to replay a trace recorded with @p meta. A
+ * recorded "NAME+CAP" controller comes back as NAME inside the
+ * recorded power-cap manager; any other name than the recorded one
+ * replays uncapped. Unknown names are fatal, as in makeController().
+ */
+ReplayController makeReplayController(const trace::TraceMeta &meta,
+                                      std::string name);
 
 /** All Table III design names in presentation order. */
 const std::vector<std::string> &designNames();

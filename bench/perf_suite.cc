@@ -39,7 +39,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -58,6 +57,7 @@
 #include "store/atomic_file.hh"
 #include "sweep_runner.hh"
 #include "trace/format.hh"
+#include "trace/sealed.hh"
 
 using namespace pcstall;
 
@@ -252,12 +252,9 @@ BaselineDoc
 readBaseline(const std::string &path)
 {
     BaselineDoc doc;
-    std::ifstream is(path);
-    if (!is)
+    std::string text;
+    if (!trace::readFile(path, text))
         return doc;
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
 
     auto string_after = [&](std::size_t pos) -> std::string {
         const std::size_t q0 = text.find('"', pos);

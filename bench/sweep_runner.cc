@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -17,7 +16,7 @@
 #include "store/cell_codec.hh"
 #include "store/result_store.hh"
 #include "trace/format.hh"
-#include "trace/wire.hh"
+#include "trace/sealed.hh"
 #include "zoo/registry.hh"
 
 namespace pcstall::bench
@@ -234,17 +233,11 @@ SweepRunner::workloadDigestFor(const std::string &workload)
     const auto it = workloadDigests.find(workload);
     if (it != workloadDigests.end())
         return it->second;
-    std::string digest;
-    std::ifstream is(workload, std::ios::binary);
-    if (is) {
-        digest = trace::digest128(
-            std::string((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>()));
-    } else {
-        // Unreadable now => never a hit (and the cell itself will
-        // fail to build, with its own diagnostic).
-        digest = "unreadable";
-    }
+    // Unreadable now => never a hit (and the cell itself will fail to
+    // build, with its own diagnostic).
+    std::string text;
+    const std::string digest = trace::readFile(workload, text)
+        ? trace::digest128(text) : "unreadable";
     workloadDigests.emplace(workload, digest);
     return digest;
 }

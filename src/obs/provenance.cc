@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
-#include "trace/wire.hh"
+#include "trace/sealed.hh"
 
 namespace pcstall::obs
 {
 
 using trace::Cursor;
-using trace::fnv1a;
-using trace::fnvSeed;
 using trace::putBool;
 using trace::putDouble;
-using trace::putFixed64;
 using trace::putString;
 using trace::putVarint;
 using trace::putZigzag;
@@ -27,6 +22,9 @@ namespace
 constexpr std::uint8_t tagMeta = 1;
 constexpr std::uint8_t tagRecord = 2;
 constexpr std::uint8_t tagEnd = 0xFF;
+
+constexpr trace::SealedFormat provenanceFormat{
+    "PCPV", provenanceFormatVersion, tagEnd};
 
 /** Reference-sum clamp for the relative regret forms. */
 constexpr double relFloor = 1e-12;
@@ -190,7 +188,7 @@ encodeMeta(const ProvenanceMeta &meta)
 }
 
 bool
-decodeMeta(Cursor &cur, ProvenanceMeta &meta)
+decodeMeta(Cursor cur, ProvenanceMeta &meta)
 {
     meta.workload = cur.getString();
     meta.controller = cur.getString();
@@ -253,7 +251,7 @@ encodeRecord(const DecisionRecord &rec, std::int64_t prev_start)
 }
 
 bool
-decodeRecord(Cursor &cur, const ProvenanceMeta &meta,
+decodeRecord(Cursor cur, const ProvenanceMeta &meta,
              std::int64_t prev_start, DecisionRecord &rec)
 {
     rec.epoch = cur.varint();
@@ -316,8 +314,7 @@ encodeTrailer(const ProvenanceLog &log)
 }
 
 bool
-decodeTrailer(Cursor &cur, std::uint64_t &record_count,
-              RegretSummary &r)
+decodeTrailer(Cursor cur, std::uint64_t &record_count, RegretSummary &r)
 {
     record_count = cur.varint();
     r.count = cur.varint();
@@ -332,16 +329,7 @@ decodeTrailer(Cursor &cur, std::uint64_t &record_count,
     r.buckets.resize(buckets);
     for (std::uint64_t &b : r.buckets)
         b = cur.varint();
-    return !cur.failed();
-}
-
-void
-putSection(std::string &out, std::uint8_t tag,
-           const std::string &payload)
-{
-    out.push_back(static_cast<char>(tag));
-    putVarint(out, payload.size());
-    out.append(payload);
+    return !cur.failed() && cur.atEnd();
 }
 
 ProvenanceReadResult
@@ -357,113 +345,46 @@ failWith(const std::string &what)
 std::string
 encodeProvenance(const ProvenanceLog &log)
 {
-    std::string out = "PCPV";
-    out.push_back(static_cast<char>(provenanceFormatVersion & 0xFF));
-    out.push_back(static_cast<char>(provenanceFormatVersion >> 8));
-    out.push_back('\0');
-    out.push_back('\0');
-
-    putSection(out, tagMeta, encodeMeta(log.meta));
+    trace::SealedWriter sealer(provenanceFormat);
+    std::string out = sealer.header();
+    sealer.append(out, tagMeta, encodeMeta(log.meta));
     std::int64_t prev_start = 0;
     for (const DecisionRecord &rec : log.records) {
-        putSection(out, tagRecord, encodeRecord(rec, prev_start));
+        sealer.append(out, tagRecord, encodeRecord(rec, prev_start));
         prev_start = rec.start;
     }
-
-    // END section: trailer plus the whole-file checksum over every
-    // byte that precedes the checksum itself.
-    const std::string trailer = encodeTrailer(log);
-    out.push_back(static_cast<char>(tagEnd));
-    putVarint(out, trailer.size() + 8);
-    out.append(trailer);
-    putFixed64(out, fnv1a(fnvSeed, out.data(), out.size()));
+    out += sealer.end(encodeTrailer(log));
     return out;
 }
 
 ProvenanceReadResult
 decodeProvenance(const std::string &bytes)
 {
-    if (bytes.size() < 8 || bytes.compare(0, 4, "PCPV") != 0)
-        return failWith("not a PCPV file (bad magic)");
-    const std::uint16_t version = static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(bytes[4]) |
-        (static_cast<std::uint8_t>(bytes[5]) << 8));
-    if (version != provenanceFormatVersion) {
-        return failWith("unsupported version " +
-                        std::to_string(version));
-    }
+    const trace::Unsealed file = trace::unseal(bytes, provenanceFormat);
+    if (!file.ok())
+        return failWith(file.error);
+    if (file.sections.empty() || file.sections.front().tag != tagMeta)
+        return failWith("missing META section");
 
     ProvenanceLog log;
-    bool have_meta = false;
-    bool have_end = false;
-    std::uint64_t trailer_records = 0;
+    if (!decodeMeta(file.sections.front().cursor(), log.meta))
+        return failWith("malformed META section");
     std::int64_t prev_start = 0;
-
-    Cursor cur(bytes.data() + 8, bytes.size() - 8);
-    while (!cur.atEnd()) {
-        if (have_end)
-            return failWith("bytes after END section");
-        const std::uint8_t tag = cur.u8();
-        const std::uint64_t len = cur.varint();
-        if (cur.failed() || len > cur.remaining())
-            return failWith("truncated section");
-        const std::size_t payload_off = bytes.size() - cur.remaining();
-        Cursor payload(bytes.data() + payload_off, len);
-        // Consume the payload from the outer cursor.
-        for (std::uint64_t i = 0; i < len; ++i)
-            cur.u8();
-
-        switch (tag) {
-        case tagMeta:
-            if (have_meta)
-                return failWith("duplicate META section");
-            if (!decodeMeta(payload, log.meta))
-                return failWith("malformed META section");
-            have_meta = true;
-            break;
-        case tagRecord: {
-            if (!have_meta)
-                return failWith("RECORD before META");
-            DecisionRecord rec;
-            if (!decodeRecord(payload, log.meta, prev_start, rec))
-                return failWith("malformed record " +
-                                std::to_string(log.records.size()));
-            prev_start = rec.start;
-            log.records.push_back(std::move(rec));
-            break;
+    for (std::size_t i = 1; i < file.sections.size(); ++i) {
+        const trace::SealedSection &section = file.sections[i];
+        DecisionRecord rec;
+        if (section.tag != tagRecord ||
+            !decodeRecord(section.cursor(), log.meta, prev_start, rec)) {
+            return failWith("malformed record " +
+                            std::to_string(log.records.size()));
         }
-        case tagEnd: {
-            if (!have_meta)
-                return failWith("END before META");
-            if (len < 8)
-                return failWith("END section too short");
-            // The last 8 payload bytes are the checksum over every
-            // file byte before them.
-            const std::size_t sum_off = payload_off + len - 8;
-            Cursor trailer(bytes.data() + payload_off, len - 8);
-            if (!decodeTrailer(trailer, trailer_records, log.regret) ||
-                !trailer.atEnd()) {
-                return failWith("malformed trailer");
-            }
-            Cursor sum(bytes.data() + sum_off, 8);
-            const std::uint64_t stored = sum.fixed64();
-            const std::uint64_t computed =
-                fnv1a(fnvSeed, bytes.data(), sum_off);
-            if (stored != computed)
-                return failWith("checksum mismatch (corrupt file)");
-            have_end = true;
-            break;
-        }
-        default:
-            return failWith("unknown section tag " +
-                            std::to_string(tag));
-        }
+        prev_start = rec.start;
+        log.records.push_back(std::move(rec));
     }
 
-    if (!have_meta)
-        return failWith("missing META section");
-    if (!have_end)
-        return failWith("missing END section (truncated file)");
+    std::uint64_t trailer_records = 0;
+    if (!decodeTrailer(file.trailer.cursor(), trailer_records, log.regret))
+        return failWith("malformed trailer");
     if (trailer_records != log.records.size())
         return failWith("record count mismatch (truncated file)");
 
@@ -475,14 +396,10 @@ decodeProvenance(const std::string &bytes)
 ProvenanceReadResult
 readProvenanceFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return failWith("cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is.good() && !is.eof())
-        return failWith("read error on '" + path + "'");
-    return decodeProvenance(buf.str());
+    std::string bytes;
+    if (!trace::readFile(path, bytes))
+        return failWith("cannot read '" + path + "'");
+    return decodeProvenance(bytes);
 }
 
 } // namespace pcstall::obs

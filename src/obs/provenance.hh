@@ -15,9 +15,9 @@
  * identical order, so a replayed trace re-derives the live run's
  * provenance byte-for-byte.
  *
- * Serialized form is the "PCPV" sidecar format (versioned, sectioned,
- * varint/delta-coded, FNV-1a checksummed - the same wire discipline as
- * the PCTR trace format). Encoding is pure bytes-in/bytes-out here;
+ * Serialized form is the "PCPV" sidecar format: varint/delta-coded
+ * sections in the sealed container PCTR traces and PCRS store entries
+ * share (trace/sealed.hh). Encoding is pure bytes-in/bytes-out here;
  * callers publish through store::writeFileAtomic so readers only ever
  * see whole files.
  *

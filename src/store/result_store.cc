@@ -1,18 +1,16 @@
 #include "result_store.hh"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <mutex>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "atomic_file.hh"
 #include "common/logging.hh"
-#include "trace/wire.hh"
+#include "trace/sealed.hh"
 
 namespace pcstall::store
 {
@@ -23,7 +21,14 @@ namespace
 {
 
 constexpr char keySep = '\x1f';
-constexpr const char *corruptDirName = ".corrupt";
+
+/** PCRS section tags: the key text, then the cell payload. */
+constexpr std::uint8_t tagKey = 1;
+constexpr std::uint8_t tagCell = 2;
+constexpr std::uint8_t tagEnd = 0xFF;
+
+constexpr trace::SealedFormat entryFormat{"PCRS", storeFormatVersion,
+                                          tagEnd};
 
 /**
  * Test hook: PCSTALL_TEST_CRASH_AFTER_PUTS=K SIGKILLs the process
@@ -92,51 +97,28 @@ keyDigest(const CellKey &key)
     return trace::digest128(key.text());
 }
 
-ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
+ResultStore::ResultStore(std::string dir)
+    : dir_(std::move(dir), "results store"), error_(dir_.error())
 {
-    if (dir_.empty()) {
-        error_ = "results store: empty directory path";
+    if (!ok())
+        return;
+    // Probe writability up front so a read-only directory surfaces as
+    // one diagnostic at configuration time, not a warning per cell.
+    const std::string probe = dir_.path(".probe");
+    const std::string err = writeFileAtomic(probe, "pcstall");
+    if (!err.empty()) {
+        error_ = "results store: '" + dir_.root() +
+            "' is not writable (" + err + ")";
         return;
     }
     std::error_code ec;
-    fs::create_directories(fs::path(dir_) / corruptDirName, ec);
-    if (ec) {
-        error_ = "results store: cannot create '" + dir_ +
-                 "': " + ec.message();
-        return;
-    }
-    // Probe writability up front so a read-only directory surfaces as
-    // one diagnostic at configuration time, not a warning per cell.
-    const std::string probe =
-        (fs::path(dir_) / ".probe").string();
-    const std::string err = writeFileAtomic(probe, "pcstall");
-    if (!err.empty()) {
-        error_ = "results store: '" + dir_ + "' is not writable (" +
-                 err + ")";
-        return;
-    }
     fs::remove(probe, ec);
 }
 
 std::string
 ResultStore::entryPath(const CellKey &key) const
 {
-    return (fs::path(dir_) / (keyDigest(key) + ".pcres")).string();
-}
-
-void
-ResultStore::quarantine(const std::string &path) const
-{
-    const fs::path src(path);
-    const fs::path dst = fs::path(dir_) / corruptDirName /
-        (src.filename().string() + "." + std::to_string(::getpid()));
-    std::error_code ec;
-    fs::rename(src, dst, ec);
-    if (ec) {
-        // Renaming failed (e.g. a concurrent quarantine won): remove
-        // so the recompute's fresh put is not blocked by bad bytes.
-        fs::remove(src, ec);
-    }
+    return dir_.path(keyDigest(key) + ".pcres");
 }
 
 ResultStore::GetResult
@@ -146,50 +128,31 @@ ResultStore::get(const CellKey &key) const
     if (!ok())
         return out;
     const std::string path = entryPath(key);
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::string buf;
+    if (!trace::readFile(path, buf))
         return out; // Miss
-    std::string buf((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    is.close();
 
-    const auto corrupt = [&](const std::string &why) {
-        quarantine(path);
+    const trace::Unsealed entry = trace::unseal(buf, entryFormat);
+    std::string why = entry.error;
+    if (why.empty() &&
+        (entry.sections.size() != 2 || entry.sections[0].tag != tagKey ||
+         entry.sections[1].tag != tagCell || entry.trailer.size != 0)) {
+        why = "not a KEY, CELL, END entry";
+    }
+    if (!why.empty()) {
+        dir_.quarantine(path);
         out.status = GetStatus::Corrupt;
         out.error = "store entry '" + path + "': " + why;
         return out;
-    };
-
-    if (buf.size() < 8 + 8 || buf.compare(0, 4, "PCRS") != 0)
-        return corrupt("bad magic or truncated header");
-    trace::Cursor cur(buf.data() + 4, buf.size() - 4 - 8);
-    const std::uint16_t version =
-        static_cast<std::uint16_t>(cur.u8()) |
-        static_cast<std::uint16_t>(cur.u8()) << 8;
-    cur.u8();
-    cur.u8(); // reserved
-    if (version != storeFormatVersion) {
-        return corrupt("unsupported version " +
-                       std::to_string(version));
     }
-    const std::string key_text = cur.getString(1 << 12);
-    const std::string payload =
-        cur.getString(std::size_t{1} << 30);
-    if (cur.failed() || !cur.atEnd())
-        return corrupt("truncated or oversized entry body");
-    const std::uint64_t want = trace::fnv1a(
-        trace::fnvSeed, buf.data(), buf.size() - 8);
-    trace::Cursor tail(buf.data() + buf.size() - 8, 8);
-    if (tail.fixed64() != want)
-        return corrupt("checksum mismatch");
-    if (key_text != key.text()) {
+    if (entry.sections[0].bytes() != key.text()) {
         // A genuine digest collision: someone else's (valid) entry
         // lives at our path. Treat as a miss; never quarantine it.
         debug("results store: digest collision at '" + path + "'");
         return out;
     }
     out.status = GetStatus::Hit;
-    out.payload = std::move(payload);
+    out.payload = entry.sections[1].bytes();
     return out;
 }
 
@@ -198,17 +161,13 @@ ResultStore::put(const CellKey &key, const std::string &payload) const
 {
     if (!ok())
         return error_;
-    std::string bytes;
-    bytes.reserve(payload.size() + key.text().size() + 32);
-    bytes += "PCRS";
-    bytes.push_back(static_cast<char>(storeFormatVersion & 0xFF));
-    bytes.push_back(static_cast<char>(storeFormatVersion >> 8));
-    bytes.push_back('\0');
-    bytes.push_back('\0');
-    trace::putString(bytes, key.text());
-    trace::putString(bytes, payload);
-    trace::putFixed64(
-        bytes, trace::fnv1a(trace::fnvSeed, bytes.data(), bytes.size()));
+    const std::string key_text = key.text();
+    trace::SealedWriter sealer(entryFormat);
+    std::string bytes = sealer.header();
+    bytes.reserve(key_text.size() + payload.size() + 32);
+    sealer.append(bytes, tagKey, key_text);
+    sealer.append(bytes, tagCell, payload);
+    bytes += sealer.end("");
     if (crashAfterPuts() > 0) {
         const std::lock_guard<std::mutex> lock(crashHookMutex());
         const std::string err = writeFileAtomic(entryPath(key), bytes);
@@ -222,32 +181,13 @@ ResultStore::put(const CellKey &key, const std::string &payload) const
 std::size_t
 ResultStore::entryCount() const
 {
-    if (!ok())
-        return 0;
-    std::size_t count = 0;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".pcres") {
-            ++count;
-        }
-    }
-    return count;
+    return ok() ? dir_.count(".pcres") : 0;
 }
 
 std::size_t
 ResultStore::quarantinedCount() const
 {
-    if (!ok())
-        return 0;
-    std::size_t count = 0;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(
-             fs::path(dir_) / corruptDirName, ec)) {
-        if (entry.is_regular_file())
-            ++count;
-    }
-    return count;
+    return ok() ? dir_.quarantinedCount() : 0;
 }
 
 } // namespace pcstall::store

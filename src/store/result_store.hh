@@ -11,18 +11,19 @@
  * contract), so any two writers of one key produce identical
  * payloads and last-writer-wins renames are safe.
  *
- * Entry format ("PCRS", all integers little-endian):
+ * Entry format: a sealed container (trace/sealed.hh) with magic
+ * "PCRS" and exactly three sections:
  *
- *   "PCRS"  u16 version  u16 reserved
- *   length-prefixed key text (audit trail + digest-collision guard)
- *   length-prefixed payload (opaque to the store; see cell_codec.hh)
- *   fixed64 FNV-1a checksum over all prior bytes
+ *   KEY  (tag 1)    the key text (audit trail + digest-collision guard)
+ *   CELL (tag 2)    the payload (opaque to the store; see cell_codec.hh)
+ *   END  (tag 0xFF) the FNV-1a checksum over all prior bytes
  *
  * Writes stage through write-temp + fsync + atomic-rename
  * (atomic_file.hh), so readers only ever see whole entries. Corrupt
- * or truncated entries are detected on read, moved into a `.corrupt/`
- * sidecar directory for post-mortems, and reported as such so the
- * caller recomputes the cell rather than trusting the bytes.
+ * or truncated entries, and entries of any other format version, are
+ * detected on read, moved into the directory's `.corrupt/` quarantine
+ * (entry_dir.hh) for post-mortems, and reported as such so the caller
+ * recomputes the cell rather than trusting the bytes.
  */
 
 #ifndef PCSTALL_STORE_RESULT_STORE_HH
@@ -31,11 +32,14 @@
 #include <cstdint>
 #include <string>
 
+#include "store/entry_dir.hh"
+
 namespace pcstall::store
 {
 
-/** Store entry-format version (bumped on any wire change). */
-inline constexpr std::uint16_t storeFormatVersion = 2;
+/** Store entry-format version (bumped on any wire change). Version 3:
+ *  the sealed KEY, CELL, END layout. */
+inline constexpr std::uint16_t storeFormatVersion = 3;
 
 /** The identity a stored result is addressed by. */
 struct CellKey
@@ -92,7 +96,7 @@ class ResultStore
 
     bool ok() const { return error_.empty(); }
     const std::string &error() const { return error_; }
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return dir_.root(); }
 
     /** Outcome class of one get(). */
     enum class GetStatus
@@ -148,9 +152,7 @@ class ResultStore
     std::string entryPath(const CellKey &key) const;
 
   private:
-    void quarantine(const std::string &path) const;
-
-    std::string dir_;
+    EntryDir dir_;
     std::string error_;
 };
 

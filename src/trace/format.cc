@@ -7,16 +7,13 @@
 #include "common/logging.hh"
 #include "dvfs/objective.hh"
 #include "store/atomic_file.hh"
-#include "trace/wire.hh"
+#include "trace/sealed.hh"
 
 namespace pcstall::trace
 {
 
 namespace
 {
-
-/** File magic: "PCTR" as raw bytes. */
-constexpr char fileMagic[4] = {'P', 'C', 'T', 'R'};
 
 /** Section tags. */
 enum SectionTag : std::uint8_t
@@ -31,7 +28,8 @@ enum SectionTag : std::uint8_t
 constexpr std::uint64_t maxCus = 1 << 16;
 constexpr std::uint64_t maxWaveSlots = 1 << 12;
 constexpr std::uint64_t maxVfStates = 1 << 10;
-constexpr std::uint64_t maxSectionLen = 1ULL << 32;
+
+constexpr SealedFormat traceFormat{"PCTR", traceFormatVersion, tagEnd};
 
 std::int64_t
 nowNs()
@@ -382,17 +380,15 @@ encodeTrailer(const TraceTrailer &trailer)
     return out;
 }
 
-std::string
-decodeTrailer(Cursor &cur, TraceTrailer &trailer)
+bool
+decodeTrailer(Cursor cur, TraceTrailer &trailer)
 {
     trailer.frameCount = cur.varint();
     trailer.lastCommitTick = cur.zigzag();
     trailer.totalCommitted = cur.varint();
     trailer.completed = cur.getBool();
     trailer.captureWallMs = cur.getDouble();
-    if (cur.failed())
-        return "corrupt trace trailer";
-    return "";
+    return !cur.failed() && cur.atEnd();
 }
 
 } // namespace
@@ -512,20 +508,20 @@ vfTableFromMeta(const TraceMeta &meta)
 
 TraceWriter::TraceWriter(const std::string &path, const TraceMeta &meta)
     : path_(path), temp_(store::tempPathFor(path)),
-      os(temp_, std::ios::binary), hash(fnvSeed)
+      os(temp_, std::ios::binary), sealer(traceFormat)
 {
     if (!os)
         return;
     store::registerTempFile(temp_);
-    std::string head(fileMagic, sizeof(fileMagic));
-    head.push_back(static_cast<char>(traceFormatVersion & 0xFF));
-    head.push_back(static_cast<char>(traceFormatVersion >> 8));
-    head.push_back('\0');
-    head.push_back('\0');
-    hash = fnv1a(hash, head.data(), head.size());
-    os.write(head.data(), static_cast<std::streamsize>(head.size()));
-    ok_ = static_cast<bool>(os);
+    write(sealer.header());
     writeSection(tagMeta, encodeMeta(meta));
+}
+
+void
+TraceWriter::write(const std::string &bytes)
+{
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ok_ = static_cast<bool>(os);
 }
 
 void
@@ -533,15 +529,8 @@ TraceWriter::writeSection(std::uint8_t tag, const std::string &payload)
 {
     if (!ok_ || finished)
         return;
-    std::string head;
-    head.push_back(static_cast<char>(tag));
-    putVarint(head, payload.size());
-    hash = fnv1a(hash, head.data(), head.size());
-    hash = fnv1a(hash, payload.data(), payload.size());
-    os.write(head.data(), static_cast<std::streamsize>(head.size()));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-    ok_ = static_cast<bool>(os);
+    write(sealer.section(tag, payload));
+    write(payload);
 }
 
 void
@@ -563,18 +552,7 @@ TraceWriter::finish(const TraceTrailer &trailer)
 {
     if (!ok_ || finished)
         return;
-    std::string payload = encodeTrailer(trailer);
-    std::string head;
-    head.push_back(static_cast<char>(tagEnd));
-    // The checksum covers every byte before itself, including this
-    // section's tag/length/payload.
-    putVarint(head, payload.size() + 8);
-    hash = fnv1a(hash, head.data(), head.size());
-    hash = fnv1a(hash, payload.data(), payload.size());
-    putFixed64(payload, hash);
-    os.write(head.data(), static_cast<std::streamsize>(head.size()));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
+    write(sealer.end(encodeTrailer(trailer)));
     os.close();
     ok_ = static_cast<bool>(os);
     finished = true;
@@ -601,163 +579,78 @@ TraceWriter::~TraceWriter()
 
 // --- readTraceFile --------------------------------------------------
 
-TraceReadResult
-readTraceFile(const std::string &path)
+namespace
 {
-    TraceReadResult result;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        result.error = "cannot open '" + path + "'";
-        return result;
-    }
-    std::string buf((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    if (buf.size() < 8 ||
-        std::memcmp(buf.data(), fileMagic, sizeof(fileMagic)) != 0) {
-        result.error = "'" + path + "' is not an epoch trace file";
-        return result;
-    }
-    const std::uint16_t version =
-        static_cast<std::uint8_t>(buf[4]) |
-        (static_cast<std::uint16_t>(static_cast<std::uint8_t>(buf[5]))
-         << 8);
-    if (version != traceFormatVersion) {
-        result.error = "unsupported trace format version " +
-            std::to_string(version) + " (this build reads version " +
-            std::to_string(traceFormatVersion) + ")";
-        return result;
-    }
 
-    TraceData data;
-    Cursor cur(buf.data() + 8, buf.size() - 8);
-    bool have_meta = false;
+/** Decode the sections of an unsealed trace: "" or the diagnostic. */
+std::string
+decodeSections(const Unsealed &file, TraceData &data)
+{
+    if (file.sections.empty() || file.sections.front().tag != tagMeta)
+        return "trace does not start with a meta section";
+    Cursor meta = file.sections.front().cursor();
+    const std::string meta_err = decodeMeta(meta, data.meta);
+    if (!meta_err.empty())
+        return meta_err;
     bool have_snapshot = false;
-    bool have_end = false;
     Tick prev_end = 0;
-    while (!cur.atEnd()) {
-        const std::uint8_t tag = cur.u8();
-        const std::uint64_t len = cur.varint();
-        if (cur.failed() || len > maxSectionLen ||
-            len > cur.remaining()) {
-            result.error = "truncated trace section (tag " +
-                std::to_string(tag) + ")";
-            return result;
-        }
-        const std::size_t payload_at = buf.size() - cur.remaining();
-        Cursor body(buf.data() + payload_at, len);
-        cur = Cursor(buf.data() + payload_at + len,
-                     buf.size() - payload_at - len);
-
-        if (!have_meta && tag != tagMeta) {
-            result.error = "trace does not start with a meta section";
-            return result;
-        }
-        switch (tag) {
-          case tagMeta: {
-            if (have_meta) {
-                result.error = "duplicate trace meta section";
-                return result;
-            }
-            const std::string err = decodeMeta(body, data.meta);
-            if (!err.empty()) {
-                result.error = err;
-                return result;
-            }
-            have_meta = true;
-            break;
-          }
-          case tagFrame: {
+    for (std::size_t i = 1; i < file.sections.size(); ++i) {
+        const SealedSection &section = file.sections[i];
+        if (section.tag == tagFrame) {
+            Cursor body = section.cursor();
             EpochFrame frame;
             const std::string err =
                 decodeFrame(body, data.meta, prev_end, frame);
             if (!err.empty()) {
-                result.error = err + " (frame " +
+                return err + " (frame " +
                     std::to_string(data.frames.size()) + ")";
-                return result;
             }
             prev_end = frame.end;
             data.frames.push_back(std::move(frame));
-            break;
-          }
-          case tagPcSnapshot: {
-            if (have_snapshot) {
-                result.error = "duplicate PC snapshot section";
-                return result;
-            }
-            const std::string payload(buf, payload_at, len);
+        } else if (section.tag == tagPcSnapshot && !have_snapshot) {
             const std::string err =
-                decodePcSnapshot(payload, data.pcSnapshot);
-            if (!err.empty()) {
-                result.error = err;
-                return result;
-            }
+                decodePcSnapshot(section.bytes(), data.pcSnapshot);
+            if (!err.empty())
+                return err;
             have_snapshot = true;
-            break;
-          }
-          case tagEnd: {
-            if (len < 8) {
-                result.error = "truncated trace trailer";
-                return result;
-            }
-            Cursor trailer_cur(buf.data() + payload_at, len - 8);
-            const std::string err =
-                decodeTrailer(trailer_cur, data.trailer);
-            if (!err.empty()) {
-                result.error = err;
-                return result;
-            }
-            if (!trailer_cur.atEnd()) {
-                result.error = "corrupt trace trailer";
-                return result;
-            }
-            Cursor sum_cur(buf.data() + payload_at + len - 8, 8);
-            const std::uint64_t stored = sum_cur.fixed64();
-            const std::uint64_t computed =
-                fnv1a(fnvSeed, buf.data(), payload_at + len - 8);
-            if (stored != computed) {
-                result.error =
-                    "trace checksum mismatch (corrupt file)";
-                return result;
-            }
-            if (!cur.atEnd()) {
-                result.error = "trailing bytes after trace trailer";
-                return result;
-            }
-            have_end = true;
-            break;
-          }
-          default:
-            result.error = "unknown trace section tag " +
-                std::to_string(tag);
-            return result;
+        } else {
+            return "unexpected trace section (tag " +
+                std::to_string(section.tag) + ")";
         }
-        if (have_end)
-            break;
     }
-    if (!have_meta) {
-        result.error = "trace has no meta section";
-        return result;
-    }
-    if (!have_end) {
-        result.error =
-            "trace has no trailer (truncated or still being written)";
-        return result;
-    }
+    if (!decodeTrailer(file.trailer.cursor(), data.trailer))
+        return "corrupt trace trailer";
     if (data.trailer.frameCount != data.frames.size()) {
-        result.error = "trailer frame count (" +
+        return "trailer frame count (" +
             std::to_string(data.trailer.frameCount) +
             ") does not match the frames present (" +
             std::to_string(data.frames.size()) + ")";
-        return result;
     }
     // Frames must be in time order with at most one final done frame.
-    for (std::size_t i = 0; i < data.frames.size(); ++i) {
-        if (data.frames[i].done && i + 1 != data.frames.size()) {
-            result.error = "done frame is not the last frame";
-            return result;
-        }
+    for (std::size_t i = 0; i + 1 < data.frames.size(); ++i) {
+        if (data.frames[i].done)
+            return "done frame is not the last frame";
     }
-    result.trace = std::move(data);
+    return "";
+}
+
+} // namespace
+
+TraceReadResult
+readTraceFile(const std::string &path)
+{
+    TraceReadResult result;
+    std::string buf;
+    if (!readFile(path, buf)) {
+        result.error = "cannot open '" + path + "'";
+        return result;
+    }
+    const Unsealed file = unseal(buf, traceFormat);
+    TraceData data;
+    result.error = file.ok() ? decodeSections(file, data)
+                             : "'" + path + "': " + file.error;
+    if (result.error.empty())
+        result.trace = std::move(data);
     return result;
 }
 

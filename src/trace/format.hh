@@ -13,15 +13,13 @@
  * re-drive any controller through trace::ReplayDriver without
  * instantiating the GPU timing model.
  *
- * File layout (all multi-byte integers little-endian):
+ * File layout: a sealed container (trace/sealed.hh) with magic
+ * "PCTR" and sections
  *
- *   "PCTR"  u16 version  u16 reserved
- *   repeated sections: u8 tag, varint payload length, payload
- *     META   (exactly once, first)
- *     FRAME  (once per epoch, in time order)
- *     PCSNAP (at most once)
- *     END    (exactly once, last; trailer + checksum of all prior
- *             file bytes)
+ *     META   (tag 1, exactly once, first)
+ *     FRAME  (tag 2, once per epoch, in time order)
+ *     PCSNAP (tag 3, at most once)
+ *     END    (tag 4, last; trailer + checksum of all prior file bytes)
  *
  * Hot counters inside FRAME payloads are LEB128 varints, signed values
  * zigzag-coded, and epoch timestamps delta-coded against the previous
@@ -44,6 +42,7 @@
 #include "power/power_model.hh"
 #include "power/vf_table.hh"
 #include "sim/experiment.hh"
+#include "trace/sealed.hh"
 #include "trace/snapshot.hh"
 
 namespace pcstall::trace
@@ -219,13 +218,14 @@ class TraceWriter
     void finish(const TraceTrailer &trailer);
 
   private:
+    void write(const std::string &bytes);
     void writeSection(std::uint8_t tag, const std::string &payload);
 
     std::string path_;
     /** Temporary the stream actually writes; renamed by finish(). */
     std::string temp_;
     std::ofstream os;
-    std::uint64_t hash;
+    SealedWriter sealer;
     std::uint64_t frames_ = 0;
     /** Previous frame's end tick (timestamp delta base). */
     Tick prevEnd_ = 0;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "store/atomic_file.hh"
-#include "trace/wire.hh"
+#include "trace/sealed.hh"
 
 namespace pcstall::trace
 {
@@ -21,16 +19,6 @@ namespace fs = std::filesystem;
 /** Field separator of the canonical key text (same unit separator the
  *  results store uses; never appears in workload/design names). */
 constexpr char keySep = '\x1f';
-
-std::string
-readFileText(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return "";
-    return std::string((std::istreambuf_iterator<char>(is)),
-                       std::istreambuf_iterator<char>());
-}
 
 } // namespace
 
@@ -66,34 +54,20 @@ LibraryKey::digest() const
     return digest128(text());
 }
 
-TraceLibrary::TraceLibrary(std::string dir) : dir_(std::move(dir))
-{
-    if (dir_.empty()) {
-        error_ = "trace library: empty directory path";
-        return;
-    }
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec) {
-        error_ = "trace library: cannot create '" + dir_ +
-            "': " + ec.message();
-        return;
-    }
-    if (!fs::is_directory(dir_, ec) || ec) {
-        error_ = "trace library: '" + dir_ + "' is not a directory";
-    }
-}
+TraceLibrary::TraceLibrary(std::string dir)
+    : dir_(std::move(dir), "trace library")
+{}
 
 std::string
 TraceLibrary::entryPath(const LibraryKey &key) const
 {
-    return (fs::path(dir_) / (key.digest() + ".pctrace")).string();
+    return dir_.path(key.digest() + ".pctrace");
 }
 
 std::string
 TraceLibrary::keyPath(const LibraryKey &key) const
 {
-    return (fs::path(dir_) / (key.digest() + ".pckey")).string();
+    return dir_.path(key.digest() + ".pckey");
 }
 
 TraceLibrary::GetResult
@@ -106,8 +80,8 @@ TraceLibrary::get(const LibraryKey &key) const
     std::error_code ec;
     if (!fs::exists(trace_path, ec) || ec)
         return out;
-    const std::string sidecar = readFileText(keyPath(key));
-    if (sidecar.empty())
+    std::string sidecar;
+    if (!readFile(keyPath(key), sidecar) || sidecar.empty())
         return out; // orphan trace: publication never completed
     if (sidecar != key.text()) {
         // A real digest collision. Astronomically unlikely; treated
@@ -126,7 +100,7 @@ std::string
 TraceLibrary::publishKey(const LibraryKey &key) const
 {
     if (!ok())
-        return error_;
+        return error();
     return store::writeFileAtomic(keyPath(key), key.text());
 }
 
@@ -136,52 +110,28 @@ TraceLibrary::quarantine(const LibraryKey &key,
 {
     if (!ok())
         return;
-    std::error_code ec;
-    const fs::path corrupt = fs::path(dir_) / ".corrupt";
-    fs::create_directories(corrupt, ec);
-    const std::string suffix = "." + std::to_string(::getpid());
-    for (const std::string &path : {entryPath(key), keyPath(key)}) {
-        const fs::path src(path);
-        if (!fs::exists(src, ec) || ec)
-            continue;
-        fs::rename(src, corrupt / (src.filename().string() + suffix),
-                   ec);
-        if (ec)
-            fs::remove(src, ec); // cross-device fallback: just drop it
-    }
+    quarantineEntry(key.digest());
     warn("trace library: quarantined entry " + key.digest() + " (" +
          why + "); recapturing live");
+}
+
+void
+TraceLibrary::quarantineEntry(const std::string &digest) const
+{
+    dir_.quarantine(dir_.path(digest + ".pctrace"));
+    dir_.quarantine(dir_.path(digest + ".pckey"));
 }
 
 std::size_t
 TraceLibrary::entryCount() const
 {
-    if (!ok())
-        return 0;
-    std::size_t n = 0;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(dir_, ec)) {
-        if (de.path().extension() == ".pctrace")
-            ++n;
-    }
-    return n;
+    return ok() ? dir_.count(".pctrace") : 0;
 }
 
 std::size_t
 TraceLibrary::quarantinedCount() const
 {
-    if (!ok())
-        return 0;
-    std::size_t n = 0;
-    std::error_code ec;
-    const fs::path corrupt = fs::path(dir_) / ".corrupt";
-    if (!fs::is_directory(corrupt, ec) || ec)
-        return 0;
-    for (const auto &de : fs::directory_iterator(corrupt, ec)) {
-        (void)de;
-        ++n;
-    }
-    return n;
+    return ok() ? dir_.quarantinedCount() : 0;
 }
 
 std::vector<TraceLibrary::Entry>
@@ -191,13 +141,12 @@ TraceLibrary::entries() const
     if (!ok())
         return out;
     std::error_code ec;
-    for (const auto &de : fs::directory_iterator(dir_, ec)) {
+    for (const auto &de : fs::directory_iterator(dir(), ec)) {
         if (de.path().extension() != ".pctrace")
             continue;
         Entry e;
         e.digest = de.path().stem().string();
-        e.keyText = readFileText(
-            (fs::path(dir_) / (e.digest + ".pckey")).string());
+        readFile(dir_.path(e.digest + ".pckey"), e.keyText);
         e.bytes = fs::file_size(de.path(), ec);
         if (ec)
             e.bytes = 0;
@@ -218,7 +167,7 @@ TraceLibrary::gcOrphans() const
     std::size_t removed = 0;
     std::error_code ec;
     std::vector<fs::path> doomed;
-    for (const auto &de : fs::directory_iterator(dir_, ec)) {
+    for (const auto &de : fs::directory_iterator(dir(), ec)) {
         const fs::path &p = de.path();
         const std::string ext = p.extension().string();
         const fs::path stemmed = p.parent_path() / p.stem();

@@ -12,7 +12,9 @@
  * and digest-collision guard, and anything that fails to decode - or
  * replays with decision mismatches against its own recording - is
  * moved into a `.corrupt/` quarantine and recaptured from a live
- * simulation, never ingested.
+ * simulation, never ingested. The directory, its quarantine and its
+ * counts are a store::EntryDir, the same type the results store
+ * holds, so both caches set a bad entry aside the same way.
  *
  * Two key tiers share one directory:
  *
@@ -33,6 +35,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "store/entry_dir.hh"
 
 namespace pcstall::trace
 {
@@ -108,9 +112,9 @@ class TraceLibrary
      */
     explicit TraceLibrary(std::string dir);
 
-    bool ok() const { return error_.empty(); }
-    const std::string &error() const { return error_; }
-    const std::string &dir() const { return dir_; }
+    bool ok() const { return dir_.ok(); }
+    const std::string &error() const { return dir_.error(); }
+    const std::string &dir() const { return dir_.root(); }
 
     /** Outcome class of one get(). */
     enum class GetStatus
@@ -163,6 +167,10 @@ class TraceLibrary
      */
     void quarantine(const LibraryKey &key, const std::string &why) const;
 
+    /** quarantine() by digest, without the warning (tools that
+     *  report bad entries themselves). */
+    void quarantineEntry(const std::string &digest) const;
+
     /** Number of published entries (`*.pctrace` files). */
     std::size_t entryCount() const;
 
@@ -193,8 +201,7 @@ class TraceLibrary
     std::size_t gcOrphans() const;
 
   private:
-    std::string dir_;
-    std::string error_;
+    store::EntryDir dir_;
 };
 
 } // namespace pcstall::trace

@@ -1,10 +1,9 @@
 #include "trace/snapshot.hh"
 
 #include <cmath>
-#include <fstream>
 
 #include "store/atomic_file.hh"
-#include "trace/wire.hh"
+#include "trace/sealed.hh"
 
 namespace pcstall::trace
 {
@@ -164,13 +163,11 @@ PcSnapshotReadResult
 readPcSnapshotFile(const std::string &path)
 {
     PcSnapshotReadResult result;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    std::string buf;
+    if (!readFile(path, buf)) {
         result.error = "cannot open '" + path + "'";
         return result;
     }
-    std::string buf((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
     Cursor cur(buf);
     const std::uint64_t head = cur.fixed64();
     if (cur.failed() ||

@@ -1,10 +1,11 @@
 /**
  * @file
- * Low-level wire encoding shared by the epoch-trace and PC-snapshot
- * file formats: LEB128 varints (zigzag for signed), little-endian
- * IEEE-754 doubles, length-prefixed strings, and a bounds-checked
- * read cursor that turns every malformed input into a sticky failure
- * instead of undefined behaviour.
+ * Low-level wire encoding shared by the binary file formats (the
+ * sealed containers of sealed.hh and PC snapshots): LEB128 varints
+ * (zigzag for signed), little-endian IEEE-754 doubles,
+ * length-prefixed strings, and a bounds-checked read cursor that
+ * turns every malformed input into a sticky failure instead of
+ * undefined behaviour.
  */
 
 #ifndef PCSTALL_TRACE_WIRE_HH
@@ -198,12 +199,12 @@ class Cursor
         return bits;
     }
 
-    /** Length-prefixed string, rejecting absurd lengths. */
+    /** Length-prefixed string, rejecting lengths over 64 KiB. */
     std::string
-    getString(std::size_t max_len = 1 << 16)
+    getString()
     {
         const std::uint64_t len = varint();
-        if (fail || len > max_len || len > remaining()) {
+        if (fail || len > (1 << 16) || len > remaining()) {
             fail = true;
             return "";
         }

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -73,6 +74,8 @@ std::string
 tempDir(const std::string &stem)
 {
     const std::string dir = tempPath(stem, "");
+    // A directory left by an earlier run whose pid was the same.
+    std::filesystem::remove_all(dir);
     EXPECT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
     return dir;
 }

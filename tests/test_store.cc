@@ -27,6 +27,7 @@
 #include "store/cell_codec.hh"
 #include "store/result_store.hh"
 #include "sweep_runner.hh"
+#include "trace/sealed.hh"
 
 using namespace pcstall;
 
@@ -546,6 +547,63 @@ TEST(SweepStore, CorruptStoreEntryIsQuarantinedAndRecomputed)
     EXPECT_EQ(peek.entryCount(), 1u);
 }
 
+TEST(SweepStore, V2EntryIsQuarantinedAndRecomputedNeverIngested)
+{
+    bench::SweepRunner fresh(smallOptions(1));
+    std::vector<bench::SweepCell> ref;
+    ref.push_back(fresh.cell("comd", "STALL"));
+    const auto want = fresh.run(std::move(ref));
+
+    const std::string dir = scratchDir("sweepv2");
+    bench::BenchOptions with_store = smallOptions(1);
+    with_store.storeDir = dir;
+    {
+        bench::SweepRunner writer(with_store);
+        std::vector<bench::SweepCell> cells;
+        cells.push_back(writer.cell("comd", "STALL"));
+        writer.run(std::move(cells));
+    }
+    store::ResultStore peek(dir);
+    ASSERT_EQ(peek.entryCount(), 1u);
+    std::string entry;
+    for (const auto &f : fs::directory_iterator(dir)) {
+        if (f.path().extension() == ".pcres")
+            entry = f.path().string();
+    }
+    ASSERT_FALSE(entry.empty());
+
+    // Rewrite the entry the way format version 2 laid it out (magic,
+    // version, length-prefixed key text and payload, checksum), with a
+    // well-formed payload one tick off: ingesting it would show.
+    const trace::SealedFormat pcrs{"PCRS", store::storeFormatVersion, 0xFF};
+    const std::string v3_bytes = readFile(entry);
+    const trace::Unsealed v3 = trace::unseal(v3_bytes, pcrs);
+    ASSERT_TRUE(v3.ok()) << v3.error;
+    ASSERT_EQ(v3.sections.size(), 2u);
+    store::StoredCell cell;
+    std::string err;
+    ASSERT_TRUE(store::decodeStoredCell(v3.sections[1].bytes(), cell, err))
+        << err;
+    cell.run.result.execTime += 1;
+    std::string v2("PCRS\x02\x00\x00\x00", 8);
+    trace::putString(v2, v3.sections[0].bytes());
+    trace::putString(v2, store::encodeStoredCell(cell));
+    trace::putFixed64(v2, trace::fnv1a(trace::fnvSeed, v2.data(),
+                                       v2.size()));
+    std::ofstream(entry, std::ios::binary | std::ios::trunc) << v2;
+
+    bench::SweepRunner reader(with_store);
+    std::vector<bench::SweepCell> cells;
+    cells.push_back(reader.cell("comd", "STALL"));
+    const auto out = reader.run(std::move(cells));
+    expectSameResult(want[0].run, out[0].run, "recomputed cell");
+    EXPECT_EQ(peek.quarantinedCount(), 1u);
+    // The recompute re-published the entry in the current format.
+    EXPECT_EQ(peek.entryCount(), 1u);
+    const std::string republished = readFile(entry);
+    EXPECT_TRUE(trace::unseal(republished, pcrs).ok());
+}
+
 TEST(SweepStore, InspectCellsBypassTheStore)
 {
     const std::string dir = scratchDir("bypass");
@@ -736,7 +794,6 @@ TEST(FarmCli, ValidShardAndFarmFlagsParse)
     EXPECT_EQ(opts.shardIndex, 1u);
     EXPECT_EQ(opts.shardCount, 4u);
     EXPECT_EQ(opts.storeDir, "/tmp/s");
-    EXPECT_TRUE(opts.resume);
     EXPECT_DOUBLE_EQ(opts.cellTimeoutSec, 2.5);
     EXPECT_EQ(opts.cellRetries, 5u);
 }
@@ -756,8 +813,9 @@ TEST(FarmCli, NegativeTimeoutAndResumeWithoutStoreAreRecoverable)
 {
     EXPECT_DOUBLE_EQ(
         parseArgs({"--cell-timeout", "-1"}).cellTimeoutSec, 0.0);
-    // --resume without --store is diagnosed; the flag stays off.
-    EXPECT_FALSE(parseArgs({"--resume"}).resume);
+    // The retired --resume flag is accepted and ignored: a --store
+    // run resumes on its own.
+    EXPECT_TRUE(parseArgs({"--resume"}).storeDir.empty());
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -22,11 +23,14 @@
 #include "core/pcstall_controller.hh"
 #include "dvfs/hierarchical.hh"
 #include "models/reactive_controller.hh"
+#include "obs/provenance.hh"
 #include "oracle/oracle_controllers.hh"
 #include "sim/experiment.hh"
 #include "sim/trace_export.hh"
+#include "store/result_store.hh"
 #include "trace/format.hh"
 #include "trace/replay.hh"
+#include "trace/sealed.hh"
 #include "trace/snapshot.hh"
 #include "workloads/workloads.hh"
 
@@ -318,6 +322,194 @@ TEST(TraceFormat, MissingFileRejected)
     EXPECT_FALSE(read.ok());
     EXPECT_FALSE(read.error.empty());
 }
+
+// ---------------------------------------------------------------------
+// Golden wire image: a small PCSTALL capture (META, FRAME, PC-snapshot
+// and END sections) must keep its bytes. TraceCapture stamps wall time
+// into captureWallMs, so the capture is rewritten with a fixed trailer
+// before its digest is taken.
+// ---------------------------------------------------------------------
+
+TEST(TraceFormat, GoldenPctrImageIsStable)
+{
+    auto cfg = testConfig();
+    cfg.maxSimTime = 3 * cfg.epochLen;
+    auto pc = makePcstall(cfg);
+    const Captured cap = capture(cfg, "comd", pc, {}, [&pc] {
+        return trace::snapshotPcTables(pc.pcTables());
+    });
+    trace::TraceReadResult read = trace::readTraceFile(cap.path);
+    std::remove(cap.path.c_str());
+    ASSERT_TRUE(read.ok()) << read.error;
+    trace::TraceData &data = *read.trace;
+    ASSERT_FALSE(data.pcSnapshot.empty());
+    data.trailer.captureWallMs = 0.0;
+
+    const std::string path = tempTracePath("golden");
+    {
+        trace::TraceWriter writer(path, data.meta);
+        for (const trace::EpochFrame &frame : data.frames)
+            writer.writeFrame(frame);
+        writer.writePcSnapshot(data.pcSnapshot);
+        writer.finish(data.trailer);
+        ASSERT_TRUE(writer.ok());
+    }
+    std::string image;
+    ASSERT_TRUE(trace::readFile(path, image));
+    std::remove(path.c_str());
+
+    EXPECT_EQ(data.frames.size(), 3u);
+    EXPECT_EQ(image.size(), 6951u);
+    EXPECT_EQ(trace::digest128(image), "b479367d1cb82ff3ae7af91c7f06e556")
+        << "PCTR encoding drifted; if intentional, bump "
+           "traceFormatVersion, record the new digest and update "
+           "docs/trace_format.md";
+}
+
+// ---------------------------------------------------------------------
+// Strict decoding of every sealed container (trace/sealed.hh): every
+// truncation and every single-byte flip of a small valid image is
+// rejected by the format's real reader with a diagnostic, and a store
+// read also moves the bad entry into quarantine.
+// ---------------------------------------------------------------------
+
+/** A sealed format under test: a valid image and its real reader. */
+class SealedReader
+{
+  public:
+    virtual ~SealedReader() = default;
+    virtual std::string image() = 0;
+    /** Read @p bytes: "" when accepted, else the diagnostic. */
+    virtual std::string read(const std::string &bytes) = 0;
+};
+
+class PctrReader : public SealedReader
+{
+  public:
+    std::string image() override
+    {
+        auto cfg = testConfig(1);
+        cfg.maxSimTime = 2 * cfg.epochLen;
+        auto pc = makePcstall(cfg);
+        const Captured cap = capture(cfg, "comd", pc, {}, [&pc] {
+            return trace::snapshotPcTables(pc.pcTables());
+        });
+        std::string bytes;
+        EXPECT_TRUE(trace::readFile(cap.path, bytes));
+        std::remove(cap.path.c_str());
+        return bytes;
+    }
+
+    std::string read(const std::string &bytes) override
+    {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        return trace::readTraceFile(path).error;
+    }
+
+    ~PctrReader() override { std::remove(path.c_str()); }
+
+  private:
+    std::string path = tempTracePath("strict");
+};
+
+class PcpvReader : public SealedReader
+{
+  public:
+    std::string image() override
+    {
+        auto cfg = testConfig(1);
+        cfg.maxSimTime = 2 * cfg.epochLen;
+        auto pc = makePcstall(cfg);
+        obs::ProvenanceLog log;
+        sim::ExperimentDriver driver(cfg);
+        driver.setProvenance(&log);
+        driver.run(app("hacc", 1), pc);
+        EXPECT_FALSE(log.records.empty());
+        return obs::encodeProvenance(log);
+    }
+
+    std::string read(const std::string &bytes) override
+    {
+        return obs::decodeProvenance(bytes).error;
+    }
+};
+
+class PcrsReader : public SealedReader
+{
+  public:
+    PcrsReader() : dir(tempTracePath("store")), rs(dir)
+    {
+        key.harness = "test_trace";
+        key.workload = "comd";
+        key.design = "PCSTALL";
+        key.fingerprint = "fp";
+    }
+
+    ~PcrsReader() override { std::filesystem::remove_all(dir); }
+
+    std::string image() override
+    {
+        EXPECT_TRUE(rs.ok()) << rs.error();
+        EXPECT_EQ(rs.put(key, "cell payload bytes"), "");
+        std::string bytes;
+        EXPECT_TRUE(trace::readFile(rs.entryPath(key), bytes));
+        return bytes;
+    }
+
+    std::string read(const std::string &bytes) override
+    {
+        const std::string path = rs.entryPath(key);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        const store::ResultStore::GetResult got = rs.get(key);
+        if (got.status == store::ResultStore::GetStatus::Hit)
+            return "";
+        // Rejected means quarantined: never a plain miss, and the bad
+        // bytes are out of the entry's path.
+        EXPECT_EQ(got.status, store::ResultStore::GetStatus::Corrupt);
+        EXPECT_FALSE(std::filesystem::exists(path));
+        EXPECT_EQ(rs.quarantinedCount(), 1u);
+        return got.error;
+    }
+
+  private:
+    std::string dir;
+    store::ResultStore rs;
+    store::CellKey key;
+};
+
+class StrictDecoding : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(StrictDecoding, EveryTruncationAndByteFlipIsRejected)
+{
+    std::unique_ptr<SealedReader> reader;
+    if (GetParam() == "PCTR")
+        reader = std::make_unique<PctrReader>();
+    else if (GetParam() == "PCPV")
+        reader = std::make_unique<PcpvReader>();
+    else
+        reader = std::make_unique<PcrsReader>();
+    const std::string bytes = reader->image();
+    ASSERT_GT(bytes.size(), 16u);
+    ASSERT_EQ(reader->read(bytes), "") << "the intact image must read";
+
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        EXPECT_NE(reader->read(bytes.substr(0, n)), "")
+            << "truncation to " << n << " bytes was accepted";
+    }
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+        EXPECT_NE(reader->read(flipped), "")
+            << "flip at byte " << i << " was accepted";
+    }
+    EXPECT_NE(reader->read(bytes + '\0'), "")
+        << "a byte after END was accepted";
+}
+
+INSTANTIATE_TEST_SUITE_P(SealedFormats, StrictDecoding,
+                         ::testing::Values("PCTR", "PCPV", "PCRS"),
+                         [](const auto &info) { return info.param; });
 
 // ---------------------------------------------------------------------
 // PC-table snapshot / restore.

@@ -37,12 +37,12 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "dvfs/hierarchical.hh"
 #include "harness.hh"
 #include "obs/provenance.hh"
 #include "store/atomic_file.hh"
 #include "trace/format.hh"
 #include "trace/replay.hh"
+#include "trace/sealed.hh"
 
 using namespace pcstall;
 
@@ -100,27 +100,8 @@ deriveFromTrace(const std::string &path, std::string design)
     if (design.empty())
         design = data.meta.controller;
 
-    bool capped = data.meta.hierarchical.enabled;
-    if (design.size() > 4 &&
-        design.substr(design.size() - 4) == "+CAP") {
-        design = design.substr(0, design.size() - 4);
-    } else if (design != data.meta.controller) {
-        capped = false;
-    }
-    const sim::RunConfig cfg = trace::runConfigFromMeta(data.meta);
-    std::unique_ptr<dvfs::DvfsController> inner =
-        bench::makeController(design, cfg);
-    dvfs::DvfsController *use = inner.get();
-    std::unique_ptr<dvfs::HierarchicalPowerManager> wrapper;
-    if (capped) {
-        dvfs::HierarchicalConfig hier;
-        hier.powerCap = data.meta.hierarchical.powerCap;
-        hier.reviewEpochs = data.meta.hierarchical.reviewEpochs;
-        hier.widenBelow = data.meta.hierarchical.widenBelow;
-        wrapper = std::make_unique<dvfs::HierarchicalPowerManager>(
-            *inner, hier);
-        use = wrapper.get();
-    }
+    const bench::ReplayController rc =
+        bench::makeReplayController(data.meta, design);
 
     obs::ProvenanceLog log;
     trace::ReplayDriver replayer(data);
@@ -128,7 +109,7 @@ deriveFromTrace(const std::string &path, std::string design)
     ropts.verifyDecisions = false;
     ropts.auditRegret = true;
     ropts.provenance = &log;
-    const trace::ReplayOutcome outcome = replayer.run(*use, ropts);
+    const trace::ReplayOutcome outcome = replayer.run(*rc.use, ropts);
     if (!outcome.ok())
         fatal(outcome.error);
     return log;
@@ -661,11 +642,9 @@ int
 cmdVerify(const std::string &pcpv_path, const std::string &trace_path,
           const CliOptions &cli)
 {
-    std::ifstream in(pcpv_path, std::ios::binary);
-    if (!in)
+    std::string sidecar;
+    if (!trace::readFile(pcpv_path, sidecar))
         fatal("cannot read '" + pcpv_path + "'");
-    std::string sidecar((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
     // Decode first: a corrupt sidecar should report *as* corrupt, not
     // as a mismatch against the re-derivation.
     obs::ProvenanceReadResult decoded = obs::decodeProvenance(sidecar);

@@ -39,14 +39,11 @@
 #include <memory>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "core/pcstall_controller.hh"
 #include "obs/context.hh"
 #include "obs/metrics.hh"
-#include "dvfs/hierarchical.hh"
 #include "dvfs/objective.hh"
 #include "harness.hh"
 #include "sim/parallel_executor.hh"
@@ -107,46 +104,6 @@ stateOf(const trace::TraceMeta &meta, Freq freq)
             return static_cast<int>(i);
     }
     return -1;
-}
-
-/**
- * A controller reconstructed from a trace meta (or overridden by
- * name), together with the inner controller a hierarchical wrapper
- * delegates to. `use` points at the controller to drive.
- */
-struct ReplayController
-{
-    std::unique_ptr<dvfs::DvfsController> inner;
-    std::unique_ptr<dvfs::HierarchicalPowerManager> wrapper;
-    dvfs::DvfsController *use = nullptr;
-};
-
-ReplayController
-makeReplayController(const trace::TraceMeta &meta, std::string name)
-{
-    ReplayController out;
-    bool capped = meta.hierarchical.enabled;
-    // A recorded "NAME+CAP" controller replays as NAME wrapped in the
-    // recorded power-cap manager.
-    if (name.size() > 4 && name.substr(name.size() - 4) == "+CAP")
-        name = name.substr(0, name.size() - 4);
-    else if (name != meta.controller)
-        capped = false; // explicit uncapped override
-
-    const sim::RunConfig cfg = trace::runConfigFromMeta(meta);
-    // makeController understands STATIC[n] too.
-    out.inner = bench::makeController(name, cfg);
-    out.use = out.inner.get();
-    if (capped) {
-        dvfs::HierarchicalConfig hier;
-        hier.powerCap = meta.hierarchical.powerCap;
-        hier.reviewEpochs = meta.hierarchical.reviewEpochs;
-        hier.widenBelow = meta.hierarchical.widenBelow;
-        out.wrapper = std::make_unique<dvfs::HierarchicalPowerManager>(
-            *out.inner, hier);
-        out.use = out.wrapper.get();
-    }
-    return out;
 }
 
 void
@@ -443,7 +400,8 @@ cmdReplay(const std::string &path, int argc, char **argv)
         !cli.has("no-verify") && design == data.meta.controller;
     const bool quiet = cli.has("quiet");
 
-    ReplayController rc = makeReplayController(data.meta, design);
+    bench::ReplayController rc =
+        bench::makeReplayController(data.meta, design);
     trace::ReplayDriver replayer(data);
     trace::ReplayOptions ropts;
     ropts.verifyDecisions = verify;
@@ -513,7 +471,8 @@ cmdReplay(const std::string &path, int argc, char **argv)
         sim::ParallelExecutor pool(threads);
         std::vector<trace::ReplayOutcome> outs(threads);
         pool.forEach(threads, [&](std::size_t i) {
-            ReplayController c = makeReplayController(data.meta, design);
+            bench::ReplayController c =
+                bench::makeReplayController(data.meta, design);
             trace::ReplayDriver rd(data);
             outs[i] = rd.run(*c.use, ropts);
         });
@@ -566,7 +525,8 @@ cmdMetrics(const std::string &path, int argc, char **argv)
     bench::configureObservability(obs_opts);
     obs::setMetricsEnabled(true);
 
-    ReplayController rc = makeReplayController(data.meta, design);
+    bench::ReplayController rc =
+        bench::makeReplayController(data.meta, design);
     trace::ReplayDriver replayer(data);
     trace::ReplayOptions ropts;
     ropts.verifyDecisions = design == data.meta.controller;
@@ -705,20 +665,9 @@ cmdLibrary(const std::string &dir, const std::string &sub)
             ++bad;
             std::printf("CORRUPT %s: %s\n", e.digest.c_str(),
                         read.error.c_str());
-            // Same quarantine discipline as the sweep path: move both
-            // files aside (pid-suffixed) so the next sweep recaptures.
-            const fs::path pen = fs::path(lib.dir()) / ".corrupt";
-            std::error_code ec;
-            fs::create_directories(pen, ec);
-            const std::string pid = std::to_string(::getpid());
-            for (const char *ext : {".pctrace", ".pckey"}) {
-                const fs::path from =
-                    fs::path(lib.dir()) / (e.digest + ext);
-                fs::rename(from,
-                           pen / (e.digest + ext + "." + pid), ec);
-                if (ec)
-                    fs::remove(from, ec);
-            }
+            // Same quarantine as the sweep path, so the next sweep
+            // recaptures.
+            lib.quarantineEntry(e.digest);
         }
         std::printf("%zu entr%s verified, %zu quarantined now\n",
                     entries.size(), entries.size() == 1 ? "y" : "ies",
