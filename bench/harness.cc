@@ -559,10 +559,15 @@ makeReplayController(const trace::TraceMeta &meta, std::string name)
 const std::vector<std::string> &
 designNames()
 {
-    static const std::vector<std::string> names = {
-        "STALL", "LEAD", "CRIT", "CRISP", "ACCREAC", "PCSTALL", "ACCPC",
-        "ORACLE",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const dvfs::ControllerInfo &info :
+             dvfs::ControllerRegistry::instance().entries()) {
+            if (info.paperDesign)
+                out.push_back(info.name);
+        }
+        return out;
+    }();
     return names;
 }
 

@@ -311,7 +311,9 @@ struct ReplayController
 ReplayController makeReplayController(const trace::TraceMeta &meta,
                                       std::string name);
 
-/** All Table III design names in presentation order. */
+/** All Table III design names in presentation order: the registry's
+ *  paperDesign rows (src/zoo/controllers.def), in registration
+ *  order. */
 const std::vector<std::string> &designNames();
 
 /**

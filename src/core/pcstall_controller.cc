@@ -31,7 +31,7 @@ PcstallConfig::forEpoch(Tick epoch_len, std::uint32_t wave_slots)
 
 PcstallController::PcstallController(const PcstallConfig &config,
                                      std::uint32_t num_cus)
-    : cfg(config)
+    : cfg(config), watchdog(cfg.watchdog)
 {
     fatalIf(cfg.cusPerTable == 0, "PCSTALL needs >= 1 CU per table");
     fatalIf(num_cus % cfg.cusPerTable != 0,
@@ -101,12 +101,8 @@ PcstallController::learnContention(const dvfs::EpochContext &ctx)
 void
 PcstallController::observeWatchdog(const dvfs::EpochContext &ctx)
 {
-    if (!cfg.watchdog.enabled)
+    if (!watchdog.enabled() || prevSens.empty())
         return;
-    if (!havePrev) {
-        havePrev = true;
-        return;
-    }
 
     // Telemetry plausibility: the GPU model clips every time-class
     // counter at the epoch boundary, so every clean record satisfies
@@ -116,51 +112,25 @@ PcstallController::observeWatchdog(const dvfs::EpochContext &ctx)
     // may straddle the boundary.
     const Tick span = ctx.record.end - ctx.record.start;
     const Tick tol = span / 64;
-    std::size_t implausible = 0;
-    for (const gpu::CuEpochRecord &cu : ctx.record.cus) {
-        if (cu.loadStall + cu.storeStall > span + tol ||
-            cu.overlap > cu.busy + tol ||
-            cu.leadLoad > cu.memInterval + tol ||
-            cu.memInterval > span + tol) {
-            ++implausible;
-        }
-    }
+    const bool implausible = std::any_of(
+        ctx.record.cus.begin(), ctx.record.cus.end(),
+        [&](const gpu::CuEpochRecord &cu) {
+            return cu.loadStall + cu.storeStall > span + tol ||
+                cu.overlap > cu.busy + tol ||
+                cu.leadLoad > cu.memInterval + tol ||
+                cu.memInterval > span + tol;
+        });
 
     // Score the previous epoch's phase model at the frequency each
     // domain actually ran, so realized-but-not-requested states (DVFS
     // transition faults) do not read as prediction error.
-    double error_sum = 0.0;
-    std::size_t scored = 0;
     for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
-        const double realized = dvfs::sumOverDomain(
-            ctx.domains, d, [&](std::uint32_t cu) {
-                return static_cast<double>(ctx.record.cus[cu].committed);
-            });
-        if (realized <= 0.0)
-            continue; // idle domain: nothing to score
-        const double f =
-            freqGHzD(ctx.record.cus[ctx.domains.firstCu(d)].freq);
-        const double pred =
-            std::max(prevLevel[d] + prevSens[d] * f, 0.0);
-        error_sum += std::abs(pred - realized) / realized;
-        ++scored;
+        const Freq f = ctx.record.cus[ctx.domains.firstCu(d)].freq;
+        watchdog.score(
+            models::phaseModelInstr(prevLevel[d], prevSens[d], f),
+            dvfs::domainCommitted(ctx.domains, d, ctx.record));
     }
-    if (scored == 0 && implausible == 0)
-        return; // fully idle epoch: leave the streaks alone
-
-    const bool bad = implausible > 0 ||
-        (scored > 0 && error_sum / static_cast<double>(scored) >
-                           cfg.watchdog.errorThreshold);
-    badStreak = bad ? badStreak + 1 : 0;
-    goodStreak = bad ? 0 : goodStreak + 1;
-    if (!fallback_ && badStreak >= cfg.watchdog.tripAfter) {
-        fallback_ = true;
-        ++trips_;
-        goodStreak = 0;
-    } else if (fallback_ && goodStreak >= cfg.watchdog.recoverAfter) {
-        fallback_ = false;
-        badStreak = 0;
-    }
+    watchdog.endEpoch(implausible);
 }
 
 std::vector<dvfs::DomainDecision>
@@ -277,51 +247,19 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
         }
     }
 
-    if (fallback_) {
-        ++fallbackEpochs_;
-        if (ctx.audit)
-            ctx.audit->fallbackActive = true;
-        return stallFallback.decide(ctx);
-    }
+    if (watchdog.inFallback())
+        return watchdog.decideFallback(ctx);
 
     // ------------------------------------------------------------------
     // SELECT: I(f) = I0 + S * f, objective-driven (the frequency
     // choice itself is orthogonal to the prediction, Section 5.2).
     // ------------------------------------------------------------------
-    const std::size_t num_states = ctx.table.numStates();
+    std::vector<double> instr_at(ctx.table.numStates());
     std::vector<dvfs::DomainDecision> out(ctx.domains.numDomains());
     for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
-        const double i_elapsed = dvfs::sumOverDomain(
-            ctx.domains, d, [&](std::uint32_t cu) {
-                return static_cast<double>(ctx.record.cus[cu].committed);
-            });
-
-        std::vector<double> instr_at(num_states, 0.0);
-        for (std::size_t s = 0; s < num_states; ++s) {
-            const double f = freqGHzD(ctx.table.state(s).freq);
-            instr_at[s] =
-                std::max(domain_level[d] + domain_sens[d] * f, 0.0);
-        }
-
-        dvfs::DomainScoreInputs in;
-        in.instrAtState = instr_at;
-        in.baselineInstr = i_elapsed;
-        in.baselineActivity = dvfs::domainActivity(ctx.domains, d,
-                                                   ctx.record);
-        in.numCus = ctx.domains.cusPerDomain();
-        in.staticShare = ctx.power.params().memStatic /
-            ctx.domains.numDomains();
-        in.epochLen = ctx.epochLen;
-        in.temperature = ctx.temperature;
-        in.perfDegradationLimit = ctx.perfDegradationLimit;
-        in.nominalState = ctx.nominalState;
-        in.avgChipPower = ctx.avgChipPower;
-        if (ctx.avgDomainInstr)
-            in.avgInstr = (*ctx.avgDomainInstr)[d];
-
-        out[d].state = dvfs::chooseState(ctx.table, ctx.power, in,
-                                         ctx.objective);
-        out[d].predictedInstr = instr_at[out[d].state];
+        models::phaseModelInstrAt(domain_level[d], domain_sens[d],
+                                  ctx.table, instr_at);
+        out[d] = dvfs::decideDomain(ctx, d, instr_at);
     }
     return out;
 }

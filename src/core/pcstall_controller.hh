@@ -13,9 +13,10 @@
  *     *next* PC; the retrieved per-wave sensitivities are de-
  *     normalized by current age and summed into the domain
  *     sensitivity (the metric is commutative, Section 4.2).
- *  3. SELECT - predicted instructions at each candidate state
- *     I(f) = I_elapsed + S * (f - f_elapsed) feed the objective
- *     function, which is orthogonal to the prediction (Section 5.2).
+ *  3. SELECT - the summed phase model I(f) = I0 + S * f at each
+ *     candidate state goes to dvfs::decideDomain, the objective-driven
+ *     selection step every design shares (it is orthogonal to the
+ *     prediction, Section 5.2).
  *
  * With cfg.accurateEstimates = true this becomes ACCPC: the table is
  * filled with fork-pre-execute measured wavefront sensitivities
@@ -30,51 +31,12 @@
 #include <vector>
 
 #include "dvfs/controller.hh"
-#include "models/reactive_controller.hh"
+#include "models/divergence_watchdog.hh"
 #include "models/wave_estimator.hh"
 #include "predict/pc_table.hh"
 
 namespace pcstall::core
 {
-
-/**
- * Divergence watchdog: graceful degradation for PCSTALL. An epoch is
- * flagged bad on either of two signals:
- *
- *  - model divergence: the controller scores its own previous
- *    phase-model prediction against the realized instruction count
- *    (evaluated at the frequency the domain actually ran at, so DVFS
- *    transition faults do not count against the predictor) and the
- *    mean relative error exceeds @p errorThreshold;
- *  - implausible telemetry: a CU's counters violate the timing
- *    invariants every clean record satisfies by construction
- *    (loadStall + storeStall <= epoch, overlap <= busy,
- *    leadLoad <= memInterval <= epoch). Independent
- *    per-counter corruption breaks these whenever two sides are
- *    close, so this is a sharp detector with no clean-run false
- *    positives.
- *
- * After @p tripAfter consecutive bad epochs, decisions switch to the
- * reactive STALL policy; the PC table keeps learning in the
- * background, and @p recoverAfter consecutive good epochs switch
- * back (hysteresis, so a borderline predictor does not flap).
- */
-struct WatchdogConfig
-{
-    bool enabled = false;
-    /**
-     * Mean relative prediction error that counts as a bad epoch.
-     * Deliberately loose - phase-spiky workloads predict no better
-     * than ~50% fault-free, and that is the predictor's job, not a
-     * fault; the threshold only catches a model that has become
-     * nonsense (e.g. corrupted table storage).
-     */
-    double errorThreshold = 0.75;
-    /** Consecutive bad epochs before falling back to STALL. */
-    std::uint32_t tripAfter = 3;
-    /** Consecutive good epochs before trusting the table again. */
-    std::uint32_t recoverAfter = 8;
-};
 
 /** Full PCSTALL configuration. */
 struct PcstallConfig
@@ -109,8 +71,14 @@ struct PcstallConfig
      * PCSTALL already keeps per wave (Table I). Ablation toggle.
      */
     bool lookupOnRegionChange = true;
-    /** Divergence watchdog with STALL fallback (off by default). */
-    WatchdogConfig watchdog;
+    /** Divergence watchdog with STALL fallback (off by default; see
+     *  models/divergence_watchdog.hh). Besides scoring its phase
+     *  model, PCSTALL flags implausible telemetry: counters violating
+     *  loadStall + storeStall <= epoch, overlap <= busy or
+     *  leadLoad <= memInterval <= epoch, which independent
+     *  per-counter corruption breaks whenever two sides are close
+     *  and no clean record can. */
+    models::WatchdogConfig watchdog;
 
     /**
      * Scale the quantization range for an epoch length (longer epochs
@@ -141,16 +109,19 @@ class PcstallController : public dvfs::DvfsController
 
     void applyStorageFaults(faults::FaultInjector &injector) override;
 
-    std::uint64_t watchdogTrips() const override { return trips_; }
+    std::uint64_t watchdogTrips() const override
+    {
+        return watchdog.trips();
+    }
     std::uint64_t fallbackEpochs() const override
     {
-        return fallbackEpochs_;
+        return watchdog.fallbackEpochs();
     }
     std::uint64_t storageBitFlips() const override { return bitFlips_; }
     std::uint64_t storageScrubs() const override;
 
     /** True while decisions come from the STALL fallback (test hook). */
-    bool inFallback() const { return fallback_; }
+    bool inFallback() const { return watchdog.inFallback(); }
 
     /** Aggregate PC-table hit ratio across all instances. */
     double tableHitRatio() const;
@@ -183,9 +154,9 @@ class PcstallController : public dvfs::DvfsController
     void learnContention(const dvfs::EpochContext &ctx);
 
     /**
-     * Score the previous epoch's phase-model prediction against what
-     * the elapsed epoch realized and advance the watchdog's
-     * trip/recover hysteresis.
+     * Score the previous epoch's phase-model prediction and the
+     * telemetry's plausibility against what the elapsed epoch
+     * realized, advancing the watchdog.
      */
     void observeWatchdog(const dvfs::EpochContext &ctx);
 
@@ -207,19 +178,11 @@ class PcstallController : public dvfs::DvfsController
     /** Measured throughput share per age rank (adaptive contention). */
     std::vector<double> ageShare;
 
-    // --- divergence watchdog state ---------------------------------
-    /** Reactive policy decisions come from while tripped. */
-    models::ReactiveController stallFallback{
-        models::EstimationKind::Stall};
-    /** Previous epoch's per-domain phase model (prediction shadow). */
+    models::DivergenceWatchdog watchdog;
+    /** Previous epoch's per-domain phase model (prediction shadow;
+     *  empty before the first decision). */
     std::vector<double> prevSens;
     std::vector<double> prevLevel;
-    bool havePrev = false;
-    bool fallback_ = false;
-    std::uint32_t badStreak = 0;
-    std::uint32_t goodStreak = 0;
-    std::uint64_t trips_ = 0;
-    std::uint64_t fallbackEpochs_ = 0;
     std::uint64_t bitFlips_ = 0;
 };
 

@@ -58,4 +58,58 @@ domainActivity(const DomainMap &domains, std::uint32_t domain,
     return total;
 }
 
+double
+domainCommitted(const DomainMap &domains, std::uint32_t domain,
+                const gpu::EpochRecord &record)
+{
+    return sumOverDomain(domains, domain, [&](std::uint32_t cu) {
+        return static_cast<double>(record.cus[cu].committed);
+    });
+}
+
+DomainScoreInputs
+scoreInputs(const EpochContext &ctx, std::uint32_t d,
+            std::span<const double> instr_at, double perf_limit)
+{
+    DomainScoreInputs in;
+    in.instrAtState = instr_at;
+    in.baselineInstr = domainCommitted(ctx.domains, d, ctx.record);
+    in.baselineActivity = domainActivity(ctx.domains, d, ctx.record);
+    in.numCus = ctx.domains.cusPerDomain();
+    in.staticShare =
+        ctx.power.params().memStatic / ctx.domains.numDomains();
+    in.epochLen = ctx.epochLen;
+    in.temperature = ctx.temperature;
+    in.perfDegradationLimit =
+        perf_limit >= 0.0 ? perf_limit : ctx.perfDegradationLimit;
+    in.nominalState = ctx.nominalState;
+    in.avgChipPower = ctx.avgChipPower;
+    if (ctx.avgDomainInstr != nullptr)
+        in.avgInstr = (*ctx.avgDomainInstr)[d];
+    return in;
+}
+
+DomainDecision
+decideDomain(const EpochContext &ctx, std::uint32_t d,
+             std::span<const double> instr_at, double perf_limit)
+{
+    DomainDecision out;
+    out.state = chooseState(ctx.table, ctx.power,
+                            scoreInputs(ctx, d, instr_at, perf_limit),
+                            ctx.objective);
+    out.predictedInstr = instr_at[out.state];
+    return out;
+}
+
+std::vector<DomainDecision>
+decideDomains(const EpochContext &ctx,
+              const std::vector<std::vector<double>> &instr_at,
+              double perf_limit)
+{
+    std::vector<DomainDecision> out(ctx.domains.numDomains());
+    for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d)
+        out[d] = decideDomain(ctx, d, instr_at[d], perf_limit);
+    return out;
+}
+
 } // namespace pcstall::dvfs

@@ -9,6 +9,7 @@
 #define PCSTALL_DVFS_CONTROLLER_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,40 @@ sumOverDomain(const DomainMap &domains, std::uint32_t domain, Fn &&fn)
 memory::MemActivity domainActivity(const DomainMap &domains,
                                    std::uint32_t domain,
                                    const gpu::EpochRecord &record);
+
+/** Instructions the CUs of one domain committed in @p record. */
+double domainCommitted(const DomainMap &domains, std::uint32_t domain,
+                       const gpu::EpochRecord &record);
+
+/**
+ * The scoring inputs of domain @p d at this epoch boundary: @p instr_at
+ * against the elapsed epoch's committed work and memory activity, the
+ * domain's share of static memory power, and the context's objective
+ * parameters and running averages. @p perf_limit, when >= 0, replaces
+ * the context's EnergyUnderPerfBound degradation limit. The only
+ * builder of DomainScoreInputs: decisions and the ledger's hindsight
+ * scoring (docs/provenance.md) both go through it.
+ */
+DomainScoreInputs scoreInputs(const EpochContext &ctx, std::uint32_t d,
+                              std::span<const double> instr_at,
+                              double perf_limit = -1.0);
+
+/**
+ * The selection step every design ends in (Section 5.2: the frequency
+ * choice is independent of the prediction): choose domain @p d's
+ * state from its predicted I(f), @p instr_at (one entry per V/f
+ * state), by chooseState() on scoreInputs(); predictedInstr is
+ * @p instr_at at the chosen state.
+ */
+DomainDecision decideDomain(const EpochContext &ctx, std::uint32_t d,
+                            std::span<const double> instr_at,
+                            double perf_limit = -1.0);
+
+/** decideDomain() for every domain; @p instr_at[d] is domain d's. */
+std::vector<DomainDecision>
+decideDomains(const EpochContext &ctx,
+              const std::vector<std::vector<double>> &instr_at,
+              double perf_limit = -1.0);
 
 } // namespace pcstall::dvfs
 

@@ -66,6 +66,75 @@ domainEpochEnergy(const power::VfTable &table,
         in.staticShare * tickSeconds(in.epochLen);
 }
 
+namespace
+{
+
+/**
+ * The one loop holding the objective formulas: calls
+ * @p visit(state, score, feasible) for every V/f state, lower scores
+ * being better. Only EnergyUnderPerfBound has infeasible states (those
+ * predicted below the degradation floor); they score their energy
+ * times a finite shortfall penalty, so hindsight scoring, where the
+ * applied state may turn out infeasible, stays finite and comparable.
+ * A feasible state's penalty is exactly 1, so its score is its energy.
+ */
+template <typename Visit>
+void
+visitScores(const power::VfTable &table, const power::PowerModel &model,
+            const DomainScoreInputs &in, Objective objective,
+            Visit &&visit)
+{
+    const std::size_t num_states = table.numStates();
+    if (objective == Objective::EnergyUnderPerfBound) {
+        const double floor_instr =
+            std::max(in.instrAtState[in.nominalState], 0.0) *
+            (1.0 - in.perfDegradationLimit);
+        for (std::size_t s = 0; s < num_states; ++s) {
+            const double penalty = std::max(
+                1.0, floor_instr / std::max(in.instrAtState[s], 1e-9));
+            visit(s, domainEpochEnergy(table, model, in, s) * penalty,
+                  in.instrAtState[s] >= floor_instr);
+        }
+        return;
+    }
+
+    const bool marginal =
+        (objective == Objective::MarginalEdp ||
+         objective == Objective::MarginalEd2p) &&
+        in.avgChipPower > 0.0 && in.avgInstr > 0.0;
+    if (marginal) {
+        // Price the time saved per instruction at n * average power:
+        // the exact first-order greedy for minimizing E * T^n.
+        const double n_exp =
+            objective == Objective::MarginalEd2p ? 2.0 : 1.0;
+        const double time_price = n_exp * in.avgChipPower *
+            tickSeconds(in.epochLen) / in.avgInstr;
+        for (std::size_t s = 0; s < num_states; ++s) {
+            const double instr = std::max(in.instrAtState[s], 0.0);
+            visit(s, domainEpochEnergy(table, model, in, s) -
+                      time_price * instr,
+                  true);
+        }
+        return;
+    }
+
+    int exponent = 2;
+    if (objective == Objective::Ed2p ||
+        objective == Objective::MarginalEd2p) {
+        exponent = 3;
+    } else if (objective == Objective::Ed3p) {
+        exponent = 4;
+    }
+    for (std::size_t s = 0; s < num_states; ++s) {
+        const double instr = std::max(in.instrAtState[s], 1e-9);
+        const double energy = domainEpochEnergy(table, model, in, s);
+        visit(s, energy / std::pow(instr, static_cast<double>(exponent)),
+              true);
+    }
+}
+
+} // namespace
+
 std::size_t
 chooseState(const power::VfTable &table, const power::PowerModel &model,
             const DomainScoreInputs &in, Objective objective)
@@ -81,69 +150,17 @@ chooseState(const power::VfTable &table, const power::PowerModel &model,
     if (max_instr <= 0.0)
         return 0;
 
-    if (objective == Objective::EnergyUnderPerfBound) {
-        const double nominal = in.instrAtState[in.nominalState];
-        const double floor_instr =
-            nominal * (1.0 - in.perfDegradationLimit);
-        std::size_t best = in.nominalState;
-        double best_energy = std::numeric_limits<double>::infinity();
-        for (std::size_t s = 0; s < table.numStates(); ++s) {
-            if (in.instrAtState[s] < floor_instr)
-                continue;
-            const double energy = domainEpochEnergy(table, model, in, s);
-            if (energy < best_energy) {
-                best_energy = energy;
-                best = s;
-            }
-        }
-        return best;
-    }
-
-    const bool marginal =
-        (objective == Objective::MarginalEdp ||
-         objective == Objective::MarginalEd2p) &&
-        in.avgChipPower > 0.0 && in.avgInstr > 0.0;
-    if (marginal) {
-        // Price the time saved per instruction at n * average power:
-        // the exact first-order greedy for minimizing E * T^n.
-        const double n_exp =
-            objective == Objective::MarginalEd2p ? 2.0 : 1.0;
-        const double time_price = n_exp * in.avgChipPower *
-            tickSeconds(in.epochLen) / in.avgInstr;
-        std::size_t best = 0;
-        double best_score = std::numeric_limits<double>::infinity();
-        for (std::size_t s = 0; s < table.numStates(); ++s) {
-            const double instr = std::max(in.instrAtState[s], 0.0);
-            const double energy = domainEpochEnergy(table, model, in, s);
-            const double score = energy - time_price * instr;
-            if (score < best_score) {
-                best_score = score;
-                best = s;
-            }
-        }
-        return best;
-    }
-
-    int exponent = 2;
-    if (objective == Objective::Ed2p ||
-        objective == Objective::MarginalEd2p) {
-        exponent = 3;
-    } else if (objective == Objective::Ed3p) {
-        exponent = 4;
-    }
-
-    std::size_t best = 0;
+    // With no feasible state, EnergyUnderPerfBound keeps nominal.
+    std::size_t best = objective == Objective::EnergyUnderPerfBound
+        ? in.nominalState : 0;
     double best_score = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < table.numStates(); ++s) {
-        const double instr = std::max(in.instrAtState[s], 1e-9);
-        const double energy = domainEpochEnergy(table, model, in, s);
-        const double score =
-            energy / std::pow(instr, static_cast<double>(exponent));
-        if (score < best_score) {
-            best_score = score;
-            best = s;
-        }
-    }
+    visitScores(table, model, in, objective,
+                [&](std::size_t s, double score, bool feasible) {
+                    if (feasible && score < best_score) {
+                        best_score = score;
+                        best = s;
+                    }
+                });
     return best;
 }
 
@@ -155,54 +172,8 @@ scoreStates(const power::VfTable &table, const power::PowerModel &model,
     panicIf(in.instrAtState.size() != table.numStates() ||
                 out.size() != table.numStates(),
             "scoreStates: state vector size mismatch");
-
-    if (objective == Objective::EnergyUnderPerfBound) {
-        const double nominal =
-            std::max(in.instrAtState[in.nominalState], 0.0);
-        const double floor_instr =
-            nominal * (1.0 - in.perfDegradationLimit);
-        for (std::size_t s = 0; s < table.numStates(); ++s) {
-            const double instr = std::max(in.instrAtState[s], 1e-9);
-            const double energy =
-                domainEpochEnergy(table, model, in, s);
-            // Feasible states score as plain energy (same order as
-            // chooseState); infeasible ones pay a finite shortfall
-            // penalty instead of being excluded.
-            const double penalty = std::max(1.0, floor_instr / instr);
-            out[s] = energy * penalty;
-        }
-        return;
-    }
-
-    const bool marginal =
-        (objective == Objective::MarginalEdp ||
-         objective == Objective::MarginalEd2p) &&
-        in.avgChipPower > 0.0 && in.avgInstr > 0.0;
-    if (marginal) {
-        const double n_exp =
-            objective == Objective::MarginalEd2p ? 2.0 : 1.0;
-        const double time_price = n_exp * in.avgChipPower *
-            tickSeconds(in.epochLen) / in.avgInstr;
-        for (std::size_t s = 0; s < table.numStates(); ++s) {
-            const double instr = std::max(in.instrAtState[s], 0.0);
-            out[s] = domainEpochEnergy(table, model, in, s) -
-                time_price * instr;
-        }
-        return;
-    }
-
-    int exponent = 2;
-    if (objective == Objective::Ed2p ||
-        objective == Objective::MarginalEd2p) {
-        exponent = 3;
-    } else if (objective == Objective::Ed3p) {
-        exponent = 4;
-    }
-    for (std::size_t s = 0; s < table.numStates(); ++s) {
-        const double instr = std::max(in.instrAtState[s], 1e-9);
-        const double energy = domainEpochEnergy(table, model, in, s);
-        out[s] = energy / std::pow(instr, static_cast<double>(exponent));
-    }
+    visitScores(table, model, in, objective,
+                [&](std::size_t s, double score, bool) { out[s] = score; });
 }
 
 } // namespace pcstall::dvfs

@@ -52,7 +52,12 @@ enum class Objective : std::uint8_t
 /** Name of an objective. */
 const char *objectiveName(Objective objective);
 
-/** Inputs needed to score candidate states for one V/f domain. */
+/**
+ * Inputs needed to score candidate states for one V/f domain. Filled
+ * from an epoch context by dvfs::scoreInputs() (controller.hh), the
+ * one builder every design's decision and the ledger's hindsight
+ * scoring share.
+ */
 struct DomainScoreInputs
 {
     /**
@@ -102,7 +107,13 @@ Joules domainEpochEnergy(const power::VfTable &table,
                          const DomainScoreInputs &in, std::size_t state);
 
 /**
- * Pick the V/f state optimizing @p objective for one domain.
+ * Pick the V/f state optimizing @p objective for one domain: the
+ * argmin of scoreStates() (first state on ties). Under
+ * EnergyUnderPerfBound only states predicted to stay within the
+ * degradation floor compete, and the nominal state is kept when none
+ * does. A domain with no work predicted at any state parks at state 0.
+ * Allocates nothing; callers normally reach it through
+ * dvfs::decideDomain() (controller.hh).
  * @return the chosen state index.
  */
 std::size_t chooseState(const power::VfTable &table,
@@ -111,13 +122,12 @@ std::size_t chooseState(const power::VfTable &table,
 
 /**
  * Score every candidate state under @p objective into @p out (size
- * table.numStates(); lower is better). This is the audit/regret
- * scorer behind the provenance subsystem (docs/provenance.md): on the
- * ratio and marginal objectives its argmin agrees with chooseState(),
- * and for EnergyUnderPerfBound infeasible states are charged a finite
- * energy * (floor / predicted) penalty instead of being excluded, so
- * hindsight scoring (where the chosen state may turn out infeasible)
- * always yields finite, comparable scores.
+ * table.numStates(); lower is better). chooseState() decides from the
+ * same loop; the provenance subsystem (docs/provenance.md) scores
+ * hindsight regret with it. Infeasible EnergyUnderPerfBound states are
+ * charged a finite energy * (floor / predicted) penalty instead of
+ * being excluded, so hindsight scoring (where the applied state may
+ * turn out infeasible) always yields finite, comparable scores.
  */
 void scoreStates(const power::VfTable &table,
                  const power::PowerModel &model,

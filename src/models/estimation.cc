@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "dvfs/controller.hh"
 
 namespace pcstall::models
 {
@@ -63,6 +64,20 @@ cuInstrAt(EstimationKind kind, const gpu::CuEpochRecord &record,
         return static_cast<double>(record.committed);
     return static_cast<double>(record.committed) *
         static_cast<double>(epoch_len) / denom;
+}
+
+void
+domainInstrAt(EstimationKind kind, const dvfs::EpochContext &ctx,
+              std::uint32_t d, std::span<double> out)
+{
+    for (std::size_t s = 0; s < out.size(); ++s) {
+        const Freq f2 = ctx.table.state(s).freq;
+        out[s] = dvfs::sumOverDomain(
+            ctx.domains, d, [&](std::uint32_t cu) {
+                return cuInstrAt(kind, ctx.record.cus[cu], ctx.epochLen,
+                                 f2);
+            });
+    }
 }
 
 } // namespace pcstall::models

@@ -23,9 +23,15 @@
 #define PCSTALL_MODELS_ESTIMATION_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 #include "gpu/epoch_stats.hh"
+
+namespace pcstall::dvfs
+{
+struct EpochContext;
+} // namespace pcstall::dvfs
 
 namespace pcstall::models
 {
@@ -49,6 +55,14 @@ Tick cuAsyncTime(EstimationKind kind, const gpu::CuEpochRecord &record,
  */
 double cuInstrAt(EstimationKind kind, const gpu::CuEpochRecord &record,
                  Tick epoch_len, Freq f2);
+
+/**
+ * Domain @p d's I(f) under the model: cuInstrAt() of the elapsed
+ * ctx.record summed over the domain's CUs, written to @p out for
+ * every state of ctx.table.
+ */
+void domainInstrAt(EstimationKind kind, const dvfs::EpochContext &ctx,
+                   std::uint32_t d, std::span<double> out);
 
 } // namespace pcstall::models
 

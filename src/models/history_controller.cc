@@ -48,7 +48,7 @@ HistoryController::decide(const dvfs::EpochContext &ctx)
         e.level += waveLevel(w, cfg.estimator, ctx.epochLen, f1);
     }
 
-    const std::size_t num_states = ctx.table.numStates();
+    std::vector<double> instr_at(ctx.table.numStates());
     std::vector<dvfs::DomainDecision> out(num_domains);
     for (std::uint32_t d = 0; d < num_domains; ++d) {
         // --- update the pattern table with what actually followed
@@ -93,35 +93,9 @@ HistoryController::decide(const dvfs::EpochContext &ctx)
             }
         }
 
-        std::vector<double> instr_at(num_states, 0.0);
-        for (std::size_t s = 0; s < num_states; ++s) {
-            const double f = freqGHzD(ctx.table.state(s).freq);
-            instr_at[s] =
-                std::max(predicted.level + predicted.sens * f, 0.0);
-        }
-
-        dvfs::DomainScoreInputs in;
-        in.instrAtState = instr_at;
-        in.baselineInstr = dvfs::sumOverDomain(
-            ctx.domains, d, [&](std::uint32_t cu) {
-                return static_cast<double>(ctx.record.cus[cu].committed);
-            });
-        in.baselineActivity = dvfs::domainActivity(ctx.domains, d,
-                                                   ctx.record);
-        in.numCus = ctx.domains.cusPerDomain();
-        in.staticShare = ctx.power.params().memStatic /
-            ctx.domains.numDomains();
-        in.epochLen = ctx.epochLen;
-        in.temperature = ctx.temperature;
-        in.perfDegradationLimit = ctx.perfDegradationLimit;
-        in.nominalState = ctx.nominalState;
-        in.avgChipPower = ctx.avgChipPower;
-        if (ctx.avgDomainInstr)
-            in.avgInstr = (*ctx.avgDomainInstr)[d];
-
-        out[d].state = dvfs::chooseState(ctx.table, ctx.power, in,
-                                         ctx.objective);
-        out[d].predictedInstr = instr_at[out[d].state];
+        phaseModelInstrAt(predicted.level, predicted.sens, ctx.table,
+                          instr_at);
+        out[d] = dvfs::decideDomain(ctx, d, instr_at);
         if (ctx.audit) {
             ctx.audit->domains[d].predictedSens = predicted.sens;
             ctx.audit->domains[d].predictedLevel = predicted.level;

@@ -9,39 +9,10 @@ ReactiveController::decide(const dvfs::EpochContext &ctx)
     const std::size_t num_states = ctx.table.numStates();
     std::vector<dvfs::DomainDecision> out(ctx.domains.numDomains());
 
+    std::vector<double> instr_at(num_states);
     for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
-        std::vector<double> instr_at(num_states, 0.0);
-        for (std::size_t s = 0; s < num_states; ++s) {
-            const Freq f2 = ctx.table.state(s).freq;
-            instr_at[s] = dvfs::sumOverDomain(
-                ctx.domains, d, [&](std::uint32_t cu) {
-                    return cuInstrAt(kind, ctx.record.cus[cu],
-                                     ctx.epochLen, f2);
-                });
-        }
-
-        dvfs::DomainScoreInputs in;
-        in.instrAtState = instr_at;
-        in.baselineInstr = dvfs::sumOverDomain(
-            ctx.domains, d, [&](std::uint32_t cu) {
-                return static_cast<double>(ctx.record.cus[cu].committed);
-            });
-        in.baselineActivity = dvfs::domainActivity(ctx.domains, d,
-                                                   ctx.record);
-        in.numCus = ctx.domains.cusPerDomain();
-        in.staticShare = ctx.power.params().memStatic /
-            ctx.domains.numDomains();
-        in.epochLen = ctx.epochLen;
-        in.temperature = ctx.temperature;
-        in.perfDegradationLimit = ctx.perfDegradationLimit;
-        in.nominalState = ctx.nominalState;
-        in.avgChipPower = ctx.avgChipPower;
-        if (ctx.avgDomainInstr)
-            in.avgInstr = (*ctx.avgDomainInstr)[d];
-
-        out[d].state = dvfs::chooseState(ctx.table, ctx.power, in,
-                                         ctx.objective);
-        out[d].predictedInstr = instr_at[out[d].state];
+        domainInstrAt(kind, ctx, d, instr_at);
+        out[d] = dvfs::decideDomain(ctx, d, instr_at);
 
         if (ctx.audit) {
             // Reactive estimates carry no table state; describe the

@@ -55,4 +55,18 @@ waveLevel(const gpu::WaveEpochRecord &record,
     return std::max(i1 - s * freqGHzD(freq), 0.0);
 }
 
+double
+phaseModelInstr(double level, double sens, Freq freq)
+{
+    return std::max(level + sens * freqGHzD(freq), 0.0);
+}
+
+void
+phaseModelInstrAt(double level, double sens, const power::VfTable &table,
+                  std::span<double> out)
+{
+    for (std::size_t s = 0; s < out.size(); ++s)
+        out[s] = phaseModelInstr(level, sens, table.state(s).freq);
+}
+
 } // namespace pcstall::models

@@ -17,9 +17,11 @@
 #define PCSTALL_MODELS_WAVE_ESTIMATOR_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 #include "gpu/epoch_stats.hh"
+#include "power/vf_table.hh"
 
 namespace pcstall::models
 {
@@ -69,6 +71,18 @@ double normalizedWaveSensitivity(const gpu::WaveEpochRecord &record,
 double waveLevel(const gpu::WaveEpochRecord &record,
                  const WaveEstimatorConfig &cfg, Tick epoch_len,
                  Freq freq);
+
+/**
+ * A summed phase model I(f) = level + sens * f (f in GHz) evaluated at
+ * @p freq, clamped at zero: the prediction PCSTALL and GPHT select
+ * from (and PCSTALL's watchdog scores).
+ */
+double phaseModelInstr(double level, double sens, Freq freq);
+
+/** phaseModelInstr() at every state of @p table, written to @p out. */
+void phaseModelInstrAt(double level, double sens,
+                       const power::VfTable &table,
+                       std::span<double> out);
 
 } // namespace pcstall::models
 

@@ -6,43 +6,11 @@ namespace pcstall::oracle
 {
 
 std::vector<dvfs::DomainDecision>
-decideFromAccurate(const dvfs::EpochContext &ctx,
-                   const dvfs::AccurateEstimates &est)
-{
-    std::vector<dvfs::DomainDecision> out(ctx.domains.numDomains());
-    for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
-        dvfs::DomainScoreInputs in;
-        in.instrAtState = est.domainInstr[d];
-        in.baselineInstr = dvfs::sumOverDomain(
-            ctx.domains, d, [&](std::uint32_t cu) {
-                return static_cast<double>(ctx.record.cus[cu].committed);
-            });
-        in.baselineActivity = dvfs::domainActivity(ctx.domains, d,
-                                                   ctx.record);
-        in.numCus = ctx.domains.cusPerDomain();
-        in.staticShare = ctx.power.params().memStatic /
-            ctx.domains.numDomains();
-        in.epochLen = ctx.epochLen;
-        in.temperature = ctx.temperature;
-        in.perfDegradationLimit = ctx.perfDegradationLimit;
-        in.nominalState = ctx.nominalState;
-        in.avgChipPower = ctx.avgChipPower;
-        if (ctx.avgDomainInstr)
-            in.avgInstr = (*ctx.avgDomainInstr)[d];
-
-        out[d].state = dvfs::chooseState(ctx.table, ctx.power, in,
-                                         ctx.objective);
-        out[d].predictedInstr = est.domainInstr[d][out[d].state];
-    }
-    return out;
-}
-
-std::vector<dvfs::DomainDecision>
 OracleController::decide(const dvfs::EpochContext &ctx)
 {
     panicIf(ctx.upcomingAccurate == nullptr,
             "ORACLE requires upcoming-epoch accurate estimates");
-    return decideFromAccurate(ctx, *ctx.upcomingAccurate);
+    return dvfs::decideDomains(ctx, ctx.upcomingAccurate->domainInstr);
 }
 
 std::vector<dvfs::DomainDecision>
@@ -50,7 +18,7 @@ AccurateReactiveController::decide(const dvfs::EpochContext &ctx)
 {
     panicIf(ctx.elapsedAccurate == nullptr,
             "ACCREAC requires elapsed-epoch accurate estimates");
-    return decideFromAccurate(ctx, *ctx.elapsedAccurate);
+    return dvfs::decideDomains(ctx, ctx.elapsedAccurate->domainInstr);
 }
 
 } // namespace pcstall::oracle

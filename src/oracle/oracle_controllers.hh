@@ -6,6 +6,8 @@
  *  - ACCREAC: uses accurate estimates of the *elapsed* epoch,
  *             applied reactively (a perfect last-value predictor);
  *  - ACCPC is realized by PcstallController(accurateEstimates=true).
+ * ORACLE and ACCREAC hand the sweep's measured I(f) curves straight to
+ * dvfs::decideDomains, the selection step every design shares.
  */
 
 #ifndef PCSTALL_ORACLE_ORACLE_CONTROLLERS_HH
@@ -15,17 +17,6 @@
 
 namespace pcstall::oracle
 {
-
-/**
- * Shared frequency-selection step from accurate I(f) curves.
- *
- * @param ctx  The epoch context (power model, V/f table, objective).
- * @param est  Accurate per-domain I(f) estimates from a sweep.
- * @return One chosen V/f state per domain (chooseState per domain).
- */
-std::vector<dvfs::DomainDecision>
-decideFromAccurate(const dvfs::EpochContext &ctx,
-                   const dvfs::AccurateEstimates &est);
 
 /** Near-optimal oracle: accurate estimates of the upcoming epoch. */
 class OracleController : public dvfs::DvfsController

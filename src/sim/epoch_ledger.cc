@@ -72,10 +72,7 @@ EpochLedger::observeEpoch(const gpu::EpochRecord &record,
 
     // --- prediction accuracy of the decisions made last epoch ---
     for (std::uint32_t d = 0; d < domainMap.numDomains(); ++d) {
-        const double actual = dvfs::sumOverDomain(
-            domainMap, d, [&](std::uint32_t cu) {
-                return static_cast<double>(record.cus[cu].committed);
-            });
+        const double actual = dvfs::domainCommitted(domainMap, d, record);
         if (prevPred[d] >= 0.0 && actual > 0.0) {
             const double err = std::abs(prevPred[d] - actual) / actual;
             accuracySum += clampTo(1.0 - err, 0.0, 1.0);
@@ -111,10 +108,7 @@ EpochLedger::observeEpoch(const gpu::EpochRecord &record,
             : (1.0 - avgAlpha) * avgPower + avgAlpha * epoch_power;
     }
     for (std::uint32_t d = 0; d < domainMap.numDomains(); ++d) {
-        const double instr = dvfs::sumOverDomain(
-            domainMap, d, [&](std::uint32_t cu) {
-                return static_cast<double>(observed.cus[cu].committed);
-            });
+        const double instr = dvfs::domainCommitted(domainMap, d, observed);
         avgInstr[d] = avgInstr[d] == 0.0 ? instr
             : (1.0 - avgAlpha) * avgInstr[d] + avgAlpha * instr;
     }
@@ -132,14 +126,22 @@ EpochLedger::observeEpoch(const gpu::EpochRecord &record,
         for (std::uint32_t d = 0; d < domainMap.numDomains(); ++d) {
             entry.domainState.push_back(
                 static_cast<std::uint8_t>(domainState[d]));
-            entry.domainCommitted.push_back(dvfs::sumOverDomain(
-                domainMap, d, [&](std::uint32_t cu) {
-                    return static_cast<double>(
-                        record.cus[cu].committed);
-                }));
+            entry.domainCommitted.push_back(
+                dvfs::domainCommitted(domainMap, d, record));
         }
         traceEntries.push_back(std::move(entry));
     }
+}
+
+dvfs::EpochContext
+EpochLedger::context(const gpu::EpochRecord &record,
+                     const std::vector<gpu::WaveSnapshot> &snapshots) const
+{
+    return dvfs::EpochContext{
+        record, snapshots, domainMap, table, power,
+        cfg.epochLen, thermal.temperature(), cfg.objective,
+        cfg.perfDegradationLimit, nominalIdx,
+        nullptr, nullptr, avgPower, &avgInstr, nullptr};
 }
 
 dvfs::EpochContext
@@ -148,11 +150,9 @@ EpochLedger::makeContext(const gpu::EpochRecord &observed,
                          const dvfs::AccurateEstimates *elapsed,
                          const dvfs::AccurateEstimates *upcoming) const
 {
-    dvfs::EpochContext ctx{
-        observed, snapshots, domainMap, table, power,
-        cfg.epochLen, thermal.temperature(), cfg.objective,
-        cfg.perfDegradationLimit, nominalIdx,
-        elapsed, upcoming, avgPower, &avgInstr, nullptr};
+    dvfs::EpochContext ctx = context(observed, snapshots);
+    ctx.elapsedAccurate = elapsed;
+    ctx.upcomingAccurate = upcoming;
     if (auditEnabled_) {
         audit_.reset(domainMap.numDomains());
         ctx.audit = &audit_;
@@ -228,6 +228,10 @@ EpochLedger::applyDecisions(std::vector<dvfs::DomainDecision> &decisions,
 void
 EpochLedger::realizePending(const gpu::EpochRecord &record)
 {
+    // Hindsight scoring sees the physical record through the same
+    // context and input builder the decision was made with.
+    static const std::vector<gpu::WaveSnapshot> no_waves;
+    const dvfs::EpochContext ctx = context(record, no_waves);
     const std::size_t num_states = table.numStates();
     std::vector<double> instr_at(num_states, 0.0);
     std::vector<double> scores(num_states, 0.0);
@@ -235,38 +239,14 @@ EpochLedger::realizePending(const gpu::EpochRecord &record)
 
     for (std::uint32_t d = 0; d < domainMap.numDomains(); ++d) {
         obs::DomainDecisionProv &p = pending_.domains[d];
-        std::uint64_t realized = 0;
-        std::fill(instr_at.begin(), instr_at.end(), 0.0);
-        const std::uint32_t first = domainMap.firstCu(d);
-        for (std::uint32_t cu = first;
-             cu < first + domainMap.cusPerDomain(); ++cu) {
-            const gpu::CuEpochRecord &cr = record.cus[cu];
-            realized += cr.committed;
-            // The hindsight model: what the realized epoch says each
-            // candidate frequency would have committed (STALL
-            // decomposition, the paper's implementable baseline).
-            for (std::size_t s = 0; s < num_states; ++s) {
-                instr_at[s] += models::cuInstrAt(
-                    models::EstimationKind::Stall, cr, cfg.epochLen,
-                    table.state(s).freq);
-            }
-        }
-        p.realizedInstr = realized;
-
-        dvfs::DomainScoreInputs in;
-        in.instrAtState = instr_at;
-        in.baselineInstr = static_cast<double>(realized);
-        in.baselineActivity =
-            dvfs::domainActivity(domainMap, d, record);
-        in.numCus = domainMap.cusPerDomain();
-        in.staticShare =
-            power.params().memStatic / domainMap.numDomains();
-        in.epochLen = cfg.epochLen;
-        in.temperature = thermal.temperature();
-        in.perfDegradationLimit = cfg.perfDegradationLimit;
-        in.nominalState = nominalIdx;
-        in.avgChipPower = avgPower;
-        in.avgInstr = avgInstr[d];
+        // The hindsight model: what the realized epoch says each
+        // candidate frequency would have committed (STALL
+        // decomposition, the paper's implementable baseline).
+        models::domainInstrAt(models::EstimationKind::Stall, ctx, d,
+                              instr_at);
+        const dvfs::DomainScoreInputs in =
+            dvfs::scoreInputs(ctx, d, instr_at);
+        p.realizedInstr = static_cast<std::uint64_t>(in.baselineInstr);
         dvfs::scoreStates(table, power, in, cfg.objective, scores);
 
         std::size_t best = 0;

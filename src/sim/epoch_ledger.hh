@@ -110,12 +110,19 @@ class EpochLedger
     bool auditEnabled() const { return auditEnabled_; }
 
   private:
+    /** The context a decision at this boundary sees of @p record (no
+     *  accurate estimates, no audit). */
+    dvfs::EpochContext
+    context(const gpu::EpochRecord &record,
+            const std::vector<gpu::WaveSnapshot> &snapshots) const;
+
     /**
      * Fill in the pending DecisionRecord's realized outcome from the
      * epoch that just completed: per-state hindsight scores (STALL
-     * estimation model + dvfs::scoreStates on the physical record),
-     * the regret against best-in-hindsight and best-static, and the
-     * regret-summary rollup. Called at the top of observeEpoch().
+     * estimation model, dvfs::scoreInputs and dvfs::scoreStates on the
+     * physical record), the regret against best-in-hindsight and
+     * best-static, and the regret-summary rollup. Called at the top of
+     * observeEpoch().
      */
     void realizePending(const gpu::EpochRecord &record);
     const RunConfig &cfg;

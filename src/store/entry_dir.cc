@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <system_error>
 
@@ -15,9 +17,13 @@ namespace
 
 constexpr const char *corruptDirName = ".corrupt";
 
-/** Regular files in @p dir with extension @p ext (any if empty). */
+/** Quarantines made by this process so far (the suffix sequence). */
+std::atomic<std::uint64_t> quarantineSeq{0};
+
+} // namespace
+
 std::size_t
-countFiles(const fs::path &dir, const std::string &ext)
+countFiles(const std::string &dir, const std::string &ext)
 {
     std::size_t n = 0;
     std::error_code ec;
@@ -29,8 +35,6 @@ countFiles(const fs::path &dir, const std::string &ext)
     }
     return n;
 }
-
-} // namespace
 
 EntryDir::EntryDir(std::string root, const std::string &what)
     : root_(std::move(root))
@@ -63,7 +67,8 @@ EntryDir::quarantine(const std::string &path) const
         return;
     fs::create_directories(pen, ec);
     fs::rename(src, pen / (src.filename().string() + "." +
-                           std::to_string(::getpid())), ec);
+                           std::to_string(::getpid()) + "." +
+                           std::to_string(quarantineSeq++)), ec);
     if (ec)
         fs::remove(src, ec);
 }
@@ -77,7 +82,7 @@ EntryDir::count(const std::string &ext) const
 std::size_t
 EntryDir::quarantinedCount() const
 {
-    return countFiles(fs::path(root_) / corruptDirName, "");
+    return countFiles((fs::path(root_) / corruptDirName).string(), "");
 }
 
 } // namespace pcstall::store

@@ -15,6 +15,11 @@
 namespace pcstall::store
 {
 
+/** Regular files in @p dir with extension @p ext (any if empty); 0
+ *  when @p dir does not exist. Creates nothing, so status tools can
+ *  count a store they must not initialize. */
+std::size_t countFiles(const std::string &dir, const std::string &ext);
+
 class EntryDir
 {
   public:
@@ -31,14 +36,15 @@ class EntryDir
 
     /**
      * Move the file at @p path into `.corrupt/` (created on first
-     * use), suffixed with the pid so quarantines from different
-     * processes never collide. If the rename fails (a concurrent
-     * quarantine won) the file is removed, so bad bytes never block a
-     * fresh entry. A missing file is left alone.
+     * use), suffixed with the pid and a process-wide sequence number
+     * so repeated quarantines of one entry, in one process or many,
+     * never collide. If the rename fails (a concurrent quarantine
+     * won) the file is removed, so bad bytes never block a fresh
+     * entry. A missing file is left alone.
      */
     void quarantine(const std::string &path) const;
 
-    /** Regular files in the directory with extension @p ext. */
+    /** countFiles() of the directory with extension @p ext. */
     std::size_t count(const std::string &ext) const;
 
     /** Regular files under `.corrupt/`. */

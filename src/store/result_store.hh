@@ -121,9 +121,10 @@ class ResultStore
 
     /**
      * Look up @p key. Corrupt or truncated entries are moved to the
-     * `.corrupt/` sidecar (suffixed with the pid so repeated
-     * quarantines never collide) and reported as Corrupt so the
-     * caller recomputes - a bad checkpoint is never trusted.
+     * `.corrupt/` sidecar (suffixed with the pid and a process-wide
+     * sequence number so repeated quarantines never collide) and
+     * reported as Corrupt so the caller recomputes - a bad checkpoint
+     * is never trusted.
      *
      * @param key  Cell identity to look up.
      * @return Hit with the payload, Miss, or Corrupt.

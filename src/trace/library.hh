@@ -160,8 +160,8 @@ class TraceLibrary
 
     /**
      * Move @p key's entry (trace + sidecar) into the `.corrupt/`
-     * quarantine, suffixed with the pid so repeated quarantines never
-     * collide. Called when a cached trace fails to decode or replays
+     * quarantine, suffixed with the pid and a process-wide sequence
+     * number so repeated quarantines never collide. Called when a cached trace fails to decode or replays
      * with decision mismatches against its own recording - the entry
      * is preserved for post-mortems and the caller recaptures live.
      */

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/stats_util.hh"
 #include "isa/kernel.hh"
-#include "models/estimation.hh"
 #include "obs/context.hh"
 
 namespace pcstall::zoo
@@ -65,11 +64,10 @@ staticMemFrac(const isa::Kernel &kernel, double mem_cost)
 
 DsoController::DsoController(const DsoConfig &config,
                              const isa::Application *app)
-    : cfg(config)
+    : cfg(config), watchdog(models::WatchdogConfig{config.watchdog})
 {
     cfg.beta = clampTo(cfg.beta, 0.0, 1.0);
     cfg.memCostCycles = std::max(cfg.memCostCycles, 1.0);
-    watchdog.enabled = cfg.watchdog;
     if (app == nullptr)
         return;
     for (const isa::Kernel &kernel : app->launches) {
@@ -127,22 +125,7 @@ DsoController::decide(const dvfs::EpochContext &ctx)
                     "running dynamic-only");
     }
 
-    // Watchdog: score last epoch's prediction at the realized state.
-    if (!prevInstrAt.empty()) {
-        double err_sum = 0.0;
-        std::uint32_t err_n = 0;
-        for (std::uint32_t d = 0; d < num_domains; ++d) {
-            const double committed = domainCommitted(ctx, d);
-            if (committed <= 0.0)
-                continue;
-            const double predicted =
-                prevInstrAt[d][domainActualState(ctx, d)];
-            err_sum += std::abs(predicted - committed) / committed;
-            ++err_n;
-        }
-        if (err_n > 0)
-            watchdog.observe(err_sum / static_cast<double>(err_n));
-    }
+    watchdog.observe(ctx, prevInstrAt);
 
     // Static prior per CU: mean static fraction over the kernels the
     // CU's resident waves are executing right now.
@@ -206,23 +189,14 @@ DsoController::decide(const dvfs::EpochContext &ctx)
                 });
         }
     }
-    for (std::uint32_t d = 0; d < num_domains; ++d) {
-        // prevInstrAt is sized lazily so the first epoch scores no
-        // prediction (there is none yet).
-        if (prevInstrAt.size() != num_domains)
-            prevInstrAt.assign(num_domains, {});
-        prevInstrAt[d] = instr_at[d];
-    }
+    prevInstrAt = instr_at;
     registry.counter("controller.dso.decisions").add(num_domains);
 
     if (watchdog.inFallback()) {
-        watchdog.noteFallbackEpoch();
         registry.counter("controller.dso.fallback_epochs").add(1);
-        if (ctx.audit)
-            ctx.audit->fallbackActive = true;
-        return stallFallback.decide(ctx);
+        return watchdog.decideFallback(ctx);
     }
-    return chooseFromInstrAt(ctx, instr_at);
+    return dvfs::decideDomains(ctx, instr_at);
 }
 
 } // namespace pcstall::zoo

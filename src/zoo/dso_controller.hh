@@ -37,8 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "models/reactive_controller.hh"
-#include "zoo/policy_util.hh"
+#include "models/divergence_watchdog.hh"
 
 namespace pcstall::isa
 {
@@ -101,11 +100,10 @@ class DsoController : public dvfs::DvfsController
     /** Sorted by base; deduplicated (launches share code bases). */
     std::vector<StaticKernel> kernels;
     bool warnedNoApp = false;
-    /** Last epoch's per-domain predictions (watchdog scoring). */
+    /** Last epoch's per-domain predictions (watchdog scoring;
+     *  empty until the first decision). */
     std::vector<std::vector<double>> prevInstrAt;
-    DivergenceWatchdog watchdog;
-    models::ReactiveController stallFallback{
-        models::EstimationKind::Stall};
+    models::DivergenceWatchdog watchdog;
 };
 
 } // namespace pcstall::zoo

@@ -1,7 +1,6 @@
 #include "zoo/regr_controller.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/stats_util.hh"
 #include "models/estimation.hh"
@@ -12,12 +11,12 @@ namespace pcstall::zoo
 
 RegrController::RegrController(const RegrConfig &config,
                                std::uint32_t num_domains)
-    : cfg(config), domains_(num_domains)
+    : cfg(config), domains_(num_domains),
+      watchdog(models::WatchdogConfig{config.watchdog})
 {
     cfg.historyLength = std::max(cfg.historyLength, 2u);
     cfg.forget = clampTo(cfg.forget, 0.01, 1.0);
     cfg.deadlineMargin = clampTo(cfg.deadlineMargin, 0.0, 0.5);
-    watchdog.enabled = cfg.watchdog;
 }
 
 bool
@@ -69,13 +68,11 @@ RegrController::decide(const dvfs::EpochContext &ctx)
 
     // 1. Learn: append the elapsed epoch's (frequency, throughput)
     //    observation, and score the previous prediction for the
-    //    watchdog (at the state the domain actually ran, so transition
-    //    faults do not count against the model).
-    double err_sum = 0.0;
-    std::uint32_t err_n = 0;
+    //    watchdog.
     for (std::uint32_t d = 0; d < num_domains; ++d) {
         DomainState &dom = domains_[d];
-        const double committed = domainCommitted(ctx, d);
+        const double committed =
+            dvfs::domainCommitted(ctx.domains, d, ctx.record);
         const Freq freq = ctx.record.cus[ctx.domains.firstCu(d)].freq;
         if (committed > 0.0 && freq > 0) {
             dom.ring.push_back({freqGHzD(freq), committed});
@@ -83,15 +80,8 @@ RegrController::decide(const dvfs::EpochContext &ctx)
                 dom.ring.erase(dom.ring.begin());
             registry.counter("controller.regr.samples").add(1);
         }
-        if (!dom.prevInstrAt.empty() && committed > 0.0) {
-            const double predicted =
-                dom.prevInstrAt[domainActualState(ctx, d)];
-            err_sum += std::abs(predicted - committed) / committed;
-            ++err_n;
-        }
     }
-    if (err_n > 0)
-        watchdog.observe(err_sum / static_cast<double>(err_n));
+    watchdog.observe(ctx, prevInstrAt);
 
     // 2. Predict: the learned regression where it has rank, the STALL
     //    decomposition where it does not (cold start / no diversity).
@@ -113,37 +103,27 @@ RegrController::decide(const dvfs::EpochContext &ctx)
                 ++aud.reactive;
             }
         }
-        if (fitted) {
-            ++fitDecisions_;
-            registry.counter("controller.regr.fit_decisions").add(1);
-        } else {
+        if (!fitted) {
             registry.counter("controller.regr.anchor_decisions").add(1);
+            models::domainInstrAt(models::EstimationKind::Stall, ctx, d,
+                                  instr_at[d]);
+            continue;
         }
+        ++fitDecisions_;
+        registry.counter("controller.regr.fit_decisions").add(1);
         for (std::size_t s = 0; s < num_states; ++s) {
-            const Freq f2 = ctx.table.state(s).freq;
-            if (fitted) {
-                instr_at[d][s] = std::max(0.0, a + b * freqGHzD(f2));
-            } else {
-                instr_at[d][s] = dvfs::sumOverDomain(
-                    ctx.domains, d, [&](std::uint32_t cu) {
-                        return models::cuInstrAt(
-                            models::EstimationKind::Stall,
-                            ctx.record.cus[cu], ctx.epochLen, f2);
-                    });
-            }
+            instr_at[d][s] = std::max(
+                0.0, a + b * freqGHzD(ctx.table.state(s).freq));
         }
-        domains_[d].prevInstrAt = instr_at[d];
     }
+    prevInstrAt = instr_at;
 
     // 3. Select. While the watchdog is tripped the reactive STALL
     //    fallback decides; otherwise the objective scores the model,
     //    with the deadline margin tightening the perf bound.
     if (watchdog.inFallback()) {
-        watchdog.noteFallbackEpoch();
         registry.counter("controller.regr.fallback_epochs").add(1);
-        if (ctx.audit)
-            ctx.audit->fallbackActive = true;
-        return stallFallback.decide(ctx);
+        return watchdog.decideFallback(ctx);
     }
     double limit_override = -1.0;
     if (ctx.objective == dvfs::Objective::EnergyUnderPerfBound) {
@@ -151,7 +131,7 @@ RegrController::decide(const dvfs::EpochContext &ctx)
             0.0, ctx.perfDegradationLimit - cfg.deadlineMargin);
     }
     std::vector<dvfs::DomainDecision> out =
-        chooseFromInstrAt(ctx, instr_at, limit_override);
+        dvfs::decideDomains(ctx, instr_at, limit_override);
 
     // 4. Probe: periodically nudge each domain one state (alternating
     //    direction) so the regression keeps frequency diversity.

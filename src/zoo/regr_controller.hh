@@ -39,8 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "models/reactive_controller.hh"
-#include "zoo/policy_util.hh"
+#include "models/divergence_watchdog.hh"
 
 namespace pcstall::zoo
 {
@@ -95,9 +94,6 @@ class RegrController : public dvfs::DvfsController
     {
         /** Newest-last observation ring. */
         std::vector<Sample> ring;
-        /** Last epoch's predicted instructions per V/f state (empty
-         *  until the first decision); watchdog scoring input. */
-        std::vector<double> prevInstrAt;
     };
 
     /** Weighted least-squares fit over a domain's ring; returns false
@@ -108,10 +104,10 @@ class RegrController : public dvfs::DvfsController
     std::vector<DomainState> domains_;
     std::uint64_t epochIndex = 0;
     std::uint64_t fitDecisions_ = 0;
-    DivergenceWatchdog watchdog;
-    /** Decisions come from here while the watchdog is tripped. */
-    models::ReactiveController stallFallback{
-        models::EstimationKind::Stall};
+    /** Last epoch's predicted instructions per domain and V/f state
+     *  (empty until the first decision); watchdog scoring input. */
+    std::vector<std::vector<double>> prevInstrAt;
+    models::DivergenceWatchdog watchdog;
 };
 
 } // namespace pcstall::zoo

@@ -67,7 +67,7 @@ WangChuController::decide(const dvfs::EpochContext &ctx)
                 .add(1);
         }
     }
-    return chooseFromInstrAt(ctx, instr_at);
+    return dvfs::decideDomains(ctx, instr_at);
 }
 
 } // namespace pcstall::zoo

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "zoo/policy_util.hh"
+#include "dvfs/controller.hh"
 
 namespace pcstall::zoo
 {

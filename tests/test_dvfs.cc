@@ -353,6 +353,44 @@ TEST(Objective, MarginalEd2pPricesTimeTwiceEdp)
               chooseState(t, pm, in, Objective::MarginalEdp));
 }
 
+TEST(Objective, ChooseStateIsTheFeasibleArgminOfScoreStates)
+{
+    const power::VfTable t = power::VfTable::paperTable();
+    const power::PowerModel pm;
+    for (const auto &instr : {computeBoundInstr(t), memoryBoundInstr(t)}) {
+        DomainScoreInputs in = inputsFor(instr);
+        in.avgChipPower = 6.0;
+        in.avgInstr = 900.0;
+        const double floor_instr =
+            instr[in.nominalState] * (1.0 - in.perfDegradationLimit);
+        for (const Objective o :
+             {Objective::Edp, Objective::Ed2p, Objective::Ed3p,
+              Objective::EnergyUnderPerfBound, Objective::MarginalEdp,
+              Objective::MarginalEd2p}) {
+            std::vector<double> scores(t.numStates());
+            scoreStates(t, pm, in, o, scores);
+            // Only the perf bound has infeasible states; they score a
+            // finite penalty but are never chosen.
+            std::size_t best = t.numStates();
+            for (std::size_t s = 0; s < t.numStates(); ++s) {
+                const bool feasible =
+                    o != Objective::EnergyUnderPerfBound ||
+                    instr[s] >= floor_instr;
+                if (feasible &&
+                    (best == t.numStates() || scores[s] < scores[best])) {
+                    best = s;
+                }
+            }
+            EXPECT_EQ(chooseState(t, pm, in, o), best)
+                << objectiveName(o);
+        }
+        // No state can meet an impossible bound: keep nominal.
+        in.perfDegradationLimit = -1.0;
+        EXPECT_EQ(chooseState(t, pm, in, Objective::EnergyUnderPerfBound),
+                  in.nominalState);
+    }
+}
+
 TEST(Objective, MarginalNames)
 {
     EXPECT_STREQ(objectiveName(Objective::MarginalEdp),

@@ -283,7 +283,7 @@ TEST(OracleControllers, DecideFromAccuratePicksSensibleStates)
     dvfs::EpochContext ctx{record, snaps, domains, table, pm, tickUs,
                            45.0, dvfs::Objective::Ed2p, 0.05, 4,
                            &est, &est};
-    const auto decisions = decideFromAccurate(ctx, est);
+    const auto decisions = dvfs::decideDomains(ctx, est.domainInstr);
     ASSERT_EQ(decisions.size(), 2u);
     EXPECT_GT(decisions[0].state, decisions[1].state);
     EXPECT_LE(decisions[1].state, 2u);

@@ -201,6 +201,22 @@ TEST(ResultStore, FlippedPayloadByteFailsChecksum)
     EXPECT_EQ(rs.quarantinedCount(), 1u);
 }
 
+TEST(ResultStore, RepeatedQuarantinesOfOneKeyKeepEveryFile)
+{
+    store::ResultStore rs(scratchDir("requarantine"));
+    ASSERT_TRUE(rs.ok()) << rs.error();
+    for (const char *payload : {"first bad bytes", "second bad bytes"}) {
+        ASSERT_EQ(rs.put(sampleKey(), payload), "");
+        fs::resize_file(rs.entryPath(sampleKey()), 6);
+        EXPECT_EQ(rs.get(sampleKey()).status,
+                  store::ResultStore::GetStatus::Corrupt);
+    }
+    // Both bad images survive for post-mortems: the second quarantine
+    // of the same entry in the same process must not replace the
+    // first.
+    EXPECT_EQ(rs.quarantinedCount(), 2u);
+}
+
 TEST(ResultStore, DigestCollisionReadsAsMissNotWrongPayload)
 {
     store::ResultStore rs(scratchDir("collide"));

@@ -50,6 +50,7 @@
 
 #include "harness.hh"
 #include "store/atomic_file.hh"
+#include "store/entry_dir.hh"
 
 using namespace pcstall;
 
@@ -378,12 +379,7 @@ statusMain(const FarmOptions &opts)
                     log_bytes);
     }
 
-    std::size_t cells = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(opts.storeDir, ec)) {
-        if (!ec && entry.path().extension() == ".pcres")
-            ++cells;
-    }
+    const std::size_t cells = store::countFiles(opts.storeDir, ".pcres");
     std::printf("%zu worker(s): %u running, %u failed; "
                 "%zu cell(s) checkpointed in %s\n",
                 beats.size(), running, failed, cells,

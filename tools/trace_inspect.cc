@@ -251,11 +251,8 @@ cmdCsv(const std::string &path, std::ostream &os)
             }
             entry.domainState.push_back(
                 static_cast<std::uint8_t>(state));
-            entry.domainCommitted.push_back(dvfs::sumOverDomain(
-                domains, d, [&](std::uint32_t cu) {
-                    return static_cast<double>(
-                        f.record.cus[cu].committed);
-                }));
+            entry.domainCommitted.push_back(
+                dvfs::domainCommitted(domains, d, f.record));
         }
         synth.trace.push_back(std::move(entry));
     }
