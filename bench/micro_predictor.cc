@@ -106,7 +106,8 @@ BM_ChooseState(benchmark::State &state)
     in.baselineInstr = 1400.0;
     in.baselineActivity.l1Hits = 300;
     in.baselineActivity.l2Misses = 40;
-    in.epochLen = tickUs;
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
+    in.costs = &costs;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             dvfs::chooseState(table, pm, in, dvfs::Objective::Ed2p));

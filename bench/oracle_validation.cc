@@ -91,12 +91,7 @@ validateWorkload(const std::string &name,
         const gpu::EpochRecord rec = real.harvestEpoch(t);
 
         for (std::uint32_t d = 0; d < domains.numDomains(); ++d) {
-            double actual = 0.0;
-            const std::uint32_t first = domains.firstCu(d);
-            for (std::uint32_t cu = first;
-                 cu < first + domains.cusPerDomain(); ++cu) {
-                actual += static_cast<double>(rec.cus[cu].committed);
-            }
+            const double actual = dvfs::domainCommitted(domains, d, rec);
             if (actual <= 0.0)
                 continue;
             const double predicted = est.domainInstr[d][chosen[d]];

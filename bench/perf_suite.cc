@@ -5,7 +5,8 @@
  * Times the simulator's hot paths - a deep chip copy against a pooled
  * restore, oracle fork-pre-execute sweeps serial and in-cell
  * parallel, raw epoch simulation, predictor table updates, trace
- * encoding - plus end-to-end experiment cells (ACCPC, PCSTALL with
+ * encoding, every tournament design's decisions over one replayed
+ * stream - plus end-to-end experiment cells (ACCPC, PCSTALL with
  * and without the decision-provenance audit), as median-of-N wall
  * times. Alongside the timings it *always* verifies that the serial
  * and parallel oracle sweeps produce bit-identical estimates and that
@@ -57,7 +58,9 @@
 #include "store/atomic_file.hh"
 #include "sweep_runner.hh"
 #include "trace/format.hh"
+#include "trace/replay.hh"
 #include "trace/sealed.hh"
+#include "zoo/registry.hh"
 
 using namespace pcstall;
 
@@ -554,6 +557,56 @@ main(int argc, char **argv)
                         "warm replay sweep diverged from cold capture");
             }));
             std::filesystem::remove_all(cache_root);
+        }
+
+        // --- the decision layer alone: one recorded what-if stream
+        // replayed under every tournament design. A capture under
+        // ACCPC carries the fork-pre-execute sweeps, wave-level
+        // sensitivities included, that ACCREAC, ACCPC and ORACLE
+        // consume, so every design replays the same frames. No GPU
+        // model runs: the time is controller decisions plus the
+        // ledger's accounting.
+        {
+            const std::string tmp = "perf_suite_decide.tmp.pctrace";
+            const sim::RunConfig cfg = opts.runConfig();
+            sim::ExperimentDriver driver(cfg);
+            auto capturer = bench::makeController("ACCPC", cfg, app.get());
+            {
+                trace::TraceWriter writer(
+                    tmp, trace::makeTraceMeta(cfg, driver.table(),
+                                              workload, *capturer));
+                trace::TraceCapture capture(writer);
+                driver.run(app, *capturer, &capture);
+                fatalIf(!capture.finished() || !writer.ok(),
+                        "decide_replay: stream capture failed");
+            }
+            trace::TraceReadResult read = trace::readTraceFile(tmp);
+            std::remove(tmp.c_str());
+            fatalIf(!read.ok(), "decide_replay: " + read.error);
+            const trace::TraceData stream = std::move(*read.trace);
+            const std::vector<std::string> designs =
+                dvfs::ControllerRegistry::instance().tournamentNames();
+            auto replay_all = [&] {
+                std::uint64_t fp = 0xCBF29CE484222325ULL;
+                for (const std::string &design : designs) {
+                    auto controller =
+                        bench::makeController(design, cfg, app.get());
+                    trace::ReplayOptions ropts;
+                    ropts.verifyDecisions = false;
+                    const trace::ReplayOutcome outcome =
+                        trace::ReplayDriver(stream).run(*controller, ropts);
+                    fatalIf(!outcome.ok(),
+                            "decide_replay: " + design + ": " +
+                                outcome.error);
+                    fp = hashCombine(fp, resultFingerprint(outcome.result));
+                }
+                return fp;
+            };
+            const std::uint64_t decide_fp = replay_all();
+            timings.push_back(timeBench("decide_replay", repeats, [&] {
+                fatalIf(replay_all() != decide_fp,
+                        "decide replays diverged between iterations");
+            }));
         }
 
         inform("identity checks passed: "

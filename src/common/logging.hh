@@ -132,6 +132,18 @@ panicIf(bool cond, const std::string &msg)
 }
 
 /**
+ * panicIf() for a literal message: builds the std::string only on
+ * failure, so a passing check on a hot path allocates nothing (the
+ * std::string overload constructs its argument on every call).
+ */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond)
+        panic(msg);
+}
+
+/**
  * True in builds that compile in the simulator's self-checks (oracle
  * restore fingerprints, the timing model's derived-state shadow
  * checks): Debug builds and any build configured with
@@ -146,6 +158,14 @@ inline constexpr bool verifyBuild = false;
 /** Throw FatalError with a message when @p cond is true (see panicIf). */
 inline void
 fatalIf(bool cond, const std::string &msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
+/** fatalIf() for a literal message (see the const char * panicIf). */
+inline void
+fatalIf(bool cond, const char *msg)
 {
     if (cond)
         fatal(msg);

@@ -9,6 +9,7 @@
 #define PCSTALL_COMMON_STATS_UTIL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -62,6 +63,25 @@ constexpr double
 clampTo(double v, double lo, double hi)
 {
     return v < lo ? lo : (v > hi ? hi : v);
+}
+
+/**
+ * std::llround without the libm call: the integer nearest @p x, halves
+ * rounded away from zero. Equal to std::llround for every |x| < 2^63:
+ * the remainder x - trunc(x) is exact in double precision, so comparing
+ * it with +-0.5 decides exactly. NaN and larger magnitudes are
+ * undefined.
+ */
+constexpr std::int64_t
+roundHalfAway(double x)
+{
+    const auto whole = static_cast<std::int64_t>(x);
+    const double rem = x - static_cast<double>(whole);
+    if (rem >= 0.5)
+        return whole + 1;
+    if (rem <= -0.5)
+        return whole - 1;
+    return whole;
 }
 
 } // namespace pcstall

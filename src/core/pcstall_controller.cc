@@ -40,6 +40,39 @@ PcstallController::PcstallController(const PcstallConfig &config,
     tables.reserve(num_tables);
     for (std::uint32_t i = 0; i < num_tables; ++i)
         tables.emplace_back(cfg.table);
+    modelStride = std::max<std::size_t>(cfg.estimator.waveSlots, 1);
+    lastModel.resize(num_cus * modelStride);
+}
+
+void
+PcstallController::storeModel(std::uint32_t cu, std::uint32_t slot,
+                              const models::WavePhase &phase,
+                              std::uint64_t granule)
+{
+    if (slot >= modelStride) {
+        // A slot past the configured count: widen every CU's row,
+        // keeping the entries this epoch has already written.
+        const std::size_t rows = lastModel.size() / modelStride;
+        const std::size_t stride = std::size_t{slot} + 1;
+        std::vector<WaveModel> wider(rows * stride);
+        for (std::size_t row = 0; row < rows; ++row) {
+            std::copy_n(lastModel.begin() + row * modelStride,
+                        modelStride, wider.begin() + row * stride);
+        }
+        lastModel.swap(wider);
+        modelStride = stride;
+    }
+    lastModel[cu * modelStride + slot] =
+        {phase.sens, phase.level, granule, epochStamp};
+}
+
+const PcstallController::WaveModel *
+PcstallController::findModel(std::uint32_t cu, std::uint32_t slot) const
+{
+    if (slot >= modelStride)
+        return nullptr;
+    const WaveModel &model = lastModel[cu * modelStride + slot];
+    return model.epoch == epochStamp ? &model : nullptr;
 }
 
 std::string
@@ -64,8 +97,10 @@ PcstallController::learnContention(const dvfs::EpochContext &ctx)
     if (!cfg.adaptiveContention)
         return;
     // Per-age committed sums across the whole GPU this epoch.
-    std::vector<double> by_age(cfg.estimator.waveSlots, 0.0);
-    std::vector<double> count(cfg.estimator.waveSlots, 0.0);
+    std::vector<double> &by_age = ageCommitted;
+    std::vector<double> &count = ageCount;
+    by_age.assign(cfg.estimator.waveSlots, 0.0);
+    count.assign(cfg.estimator.waveSlots, 0.0);
     for (const gpu::WaveEpochRecord &w : ctx.record.waves) {
         if (!w.active)
             continue;
@@ -101,7 +136,7 @@ PcstallController::learnContention(const dvfs::EpochContext &ctx)
 void
 PcstallController::observeWatchdog(const dvfs::EpochContext &ctx)
 {
-    if (!watchdog.enabled() || prevSens.empty())
+    if (!watchdog.enabled() || domainSens.empty())
         return;
 
     // Telemetry plausibility: the GPU model clips every time-class
@@ -127,7 +162,7 @@ PcstallController::observeWatchdog(const dvfs::EpochContext &ctx)
     for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
         const Freq f = ctx.record.cus[ctx.domains.firstCu(d)].freq;
         watchdog.score(
-            models::phaseModelInstr(prevLevel[d], prevSens[d], f),
+            models::phaseModelInstr(domainLevel[d], domainSens[d], f),
             dvfs::domainCommitted(ctx.domains, d, ctx.record));
     }
     watchdog.endEpoch(implausible);
@@ -148,7 +183,7 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
         return pc_addr >> offset;
     };
 
-    lastModel.clear();
+    ++epochStamp; // empties lastModel
     if (cfg.accurateEstimates) {
         panicIf(ctx.elapsedAccurate == nullptr,
                 "ACCPC requires elapsed-epoch accurate estimates");
@@ -157,9 +192,9 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
             tableFor(ws.cu).update(ws.startPcAddr,
                                    std::max(ws.sensitivity, 0.0) / c,
                                    ws.level / c);
-            lastModel[{ws.cu, ws.slot}] =
-                {std::max(ws.sensitivity, 0.0), ws.level,
-                 granule_of(ws.startPcAddr)};
+            storeModel(ws.cu, ws.slot,
+                       {std::max(ws.sensitivity, 0.0), ws.level},
+                       granule_of(ws.startPcAddr));
         }
     } else {
         for (const gpu::WaveEpochRecord &w : ctx.record.waves) {
@@ -174,14 +209,12 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
                 continue;
             }
             const Freq f1 = ctx.record.cus[w.cu].freq;
-            const double raw = models::waveSensitivity(
-                w, cfg.estimator, ctx.epochLen, f1);
-            const double level = models::waveLevel(
+            const models::WavePhase phase = models::wavePhase(
                 w, cfg.estimator, ctx.epochLen, f1);
             const double c = contention(w.ageRank);
-            tableFor(w.cu).update(w.startPcAddr, raw / c, level / c);
-            lastModel[{w.cu, w.slot}] =
-                {raw, level, granule_of(w.startPcAddr)};
+            tableFor(w.cu).update(w.startPcAddr, phase.sens / c,
+                                  phase.level / c);
+            storeModel(w.cu, w.slot, phase, granule_of(w.startPcAddr));
         }
     }
 
@@ -190,12 +223,16 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
     // I(f) = I0 + S*f from its next PC; models sum per domain (the
     // metric is commutative, Section 4.2).
     // ------------------------------------------------------------------
-    std::vector<double> domain_sens(ctx.domains.numDomains(), 0.0);
-    std::vector<double> domain_level(ctx.domains.numDomains(), 0.0);
+    // The shadow the watchdog scored is consumed: this epoch's phase
+    // model replaces it, even when the fallback decides, so the
+    // watchdog keeps scoring the predictor in the background and a
+    // recovered table can win control back.
+    domainSens.assign(ctx.domains.numDomains(), 0.0);
+    domainLevel.assign(ctx.domains.numDomains(), 0.0);
     for (const gpu::WaveSnapshot &snap : ctx.snapshots) {
-        const auto it = lastModel.find({snap.cu, snap.slot});
-        const bool same_region = it != lastModel.end() &&
-            it->second.granule == granule_of(snap.pcAddr);
+        const WaveModel *own = findModel(snap.cu, snap.slot);
+        const bool same_region =
+            own != nullptr && own->granule == granule_of(snap.pcAddr);
         const std::uint32_t d = ctx.domains.domainOf(snap.cu);
         dvfs::DomainAudit *aud =
             ctx.audit ? &ctx.audit->domains[d] : nullptr;
@@ -208,8 +245,8 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
             // The wave is still in the region its last epoch started
             // in: its own fresh estimate beats the (older, shared)
             // table entry.
-            sens = it->second.sens;
-            level = it->second.level;
+            sens = own->sens;
+            level = own->level;
             if (aud)
                 ++aud->sameRegion;
         } else if (const auto hit =
@@ -224,26 +261,21 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
         } else {
             if (aud)
                 ++aud->lookups;
-            if (cfg.reactiveFallback && it != lastModel.end()) {
-                sens = it->second.sens;
-                level = it->second.level;
+            if (cfg.reactiveFallback && own != nullptr) {
+                sens = own->sens;
+                level = own->level;
                 if (aud)
                     ++aud->reactive;
             }
         }
-        domain_sens[d] += sens;
-        domain_level[d] += level;
+        domainSens[d] += sens;
+        domainLevel[d] += level;
     }
 
-    // Shadow the phase model even when the fallback decides: the
-    // watchdog keeps scoring the predictor in the background so a
-    // recovered table can win control back.
-    prevSens = domain_sens;
-    prevLevel = domain_level;
     if (ctx.audit) {
         for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
-            ctx.audit->domains[d].predictedSens = domain_sens[d];
-            ctx.audit->domains[d].predictedLevel = domain_level[d];
+            ctx.audit->domains[d].predictedSens = domainSens[d];
+            ctx.audit->domains[d].predictedLevel = domainLevel[d];
         }
     }
 
@@ -254,12 +286,12 @@ PcstallController::decide(const dvfs::EpochContext &ctx)
     // SELECT: I(f) = I0 + S * f, objective-driven (the frequency
     // choice itself is orthogonal to the prediction, Section 5.2).
     // ------------------------------------------------------------------
-    std::vector<double> instr_at(ctx.table.numStates());
+    instrAt.resize(ctx.table.numStates());
     std::vector<dvfs::DomainDecision> out(ctx.domains.numDomains());
     for (std::uint32_t d = 0; d < ctx.domains.numDomains(); ++d) {
-        models::phaseModelInstrAt(domain_level[d], domain_sens[d],
-                                  ctx.table, instr_at);
-        out[d] = dvfs::decideDomain(ctx, d, instr_at);
+        models::phaseModelInstrAt(domainLevel[d], domainSens[d],
+                                  ctx.table, instrAt);
+        out[d] = dvfs::decideDomain(ctx, d, instrAt);
     }
     return out;
 }

@@ -27,7 +27,6 @@
 #define PCSTALL_CORE_PCSTALL_CONTROLLER_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "dvfs/controller.hh"
@@ -167,22 +166,48 @@ class PcstallController : public dvfs::DvfsController
         double level = 0.0;
         /** PC-table granule the elapsed epoch started at. */
         std::uint64_t granule = ~0ULL;
+        /** The decide() that wrote it (see epochStamp). */
+        std::uint64_t epoch = 0;
     };
+
+    /** Record (cu, slot)'s model for this epoch; a later write for
+     *  the same wave replaces an earlier one. */
+    void storeModel(std::uint32_t cu, std::uint32_t slot,
+                    const models::WavePhase &phase,
+                    std::uint64_t granule);
+
+    /** (cu, slot)'s model written this epoch, or null. */
+    const WaveModel *findModel(std::uint32_t cu, std::uint32_t slot) const;
 
     PcstallConfig cfg;
     std::vector<predict::PcSensitivityTable> tables;
-    /** Last-epoch model per (cu, slot): used directly while the wave
-     *  stays in the same code region, and as the miss fallback. */
-    std::map<std::pair<std::uint32_t, std::uint32_t>, WaveModel>
-        lastModel;
+    /**
+     * Last-epoch model per (cu, slot), flat at cu * modelStride + slot:
+     * used directly while the wave stays in the same code region, and
+     * as the miss fallback. An entry is current only while its epoch
+     * equals epochStamp, so starting an epoch empties the table
+     * without touching it.
+     */
+    std::vector<WaveModel> lastModel;
+    /** Slots per CU row: the configured wave slots, widened when a
+     *  higher slot is written. */
+    std::size_t modelStride = 1;
+    /** Counts decide() calls; 0 marks an entry never written. */
+    std::uint64_t epochStamp = 0;
     /** Measured throughput share per age rank (adaptive contention). */
     std::vector<double> ageShare;
+    /** learnContention() scratch: per-age committed sums and counts. */
+    std::vector<double> ageCommitted;
+    std::vector<double> ageCount;
 
     models::DivergenceWatchdog watchdog;
-    /** Previous epoch's per-domain phase model (prediction shadow;
-     *  empty before the first decision). */
-    std::vector<double> prevSens;
-    std::vector<double> prevLevel;
+    /** Per-domain phase model of the latest decision (the watchdog's
+     *  prediction shadow, scored at the next decide(); empty before
+     *  the first decision). */
+    std::vector<double> domainSens;
+    std::vector<double> domainLevel;
+    /** Selection scratch: one domain's I(f) at every state. */
+    std::vector<double> instrAt;
     std::uint64_t bitFlips_ = 0;
 };
 

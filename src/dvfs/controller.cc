@@ -78,8 +78,7 @@ scoreInputs(const EpochContext &ctx, std::uint32_t d,
     in.numCus = ctx.domains.cusPerDomain();
     in.staticShare =
         ctx.power.params().memStatic / ctx.domains.numDomains();
-    in.epochLen = ctx.epochLen;
-    in.temperature = ctx.temperature;
+    in.costs = ctx.stateCosts;
     in.perfDegradationLimit =
         perf_limit >= 0.0 ? perf_limit : ctx.perfDegradationLimit;
     in.nominalState = ctx.nominalState;

@@ -100,6 +100,13 @@ struct EpochContext
      * describe what they looked up: `if (ctx.audit) ...`.
      */
     DecisionAudit *audit = nullptr;
+
+    /**
+     * The epoch's state-only energy terms at epochLen and temperature
+     * (objective.hh), computed once per epoch by the run's ledger;
+     * scoring needs them, so a context built by hand must set them.
+     */
+    const StateCosts *stateCosts = nullptr;
 };
 
 /** One domain's decision for the next epoch. */

@@ -46,11 +46,12 @@ HierarchicalPowerManager::epochPower(const EpochContext &ctx) const
         return 0.0;
     Joules energy = 0.0;
     memory::MemActivity total;
+    const power::LeakageFactor leak =
+        ctx.power.leakageFactor(ctx.temperature);
     for (const gpu::CuEpochRecord &cu : ctx.record.cus) {
         const Volts v = ctx.table.voltageAt(cu.freq);
         energy += ctx.power.cuEpochEnergy(
-            v, cu.freq, cu.committed, cu.mem, len,
-            ctx.temperature).total();
+            v, cu.freq, cu.committed, cu.mem, len, leak).total();
         total += cu.mem;
     }
     energy += ctx.power.memEpochEnergy(total, len);

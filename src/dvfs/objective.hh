@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/types.hh"
 #include "memory/memory_system.hh"
@@ -53,6 +54,49 @@ enum class Objective : std::uint8_t
 const char *objectiveName(Objective objective);
 
 /**
+ * The state-only energy terms of one epoch: what each V/f state costs
+ * a CU over an epoch of a given length at a given die temperature,
+ * whatever work it does (power::CuStateTerms: V^2, clock energy,
+ * leakage, IVR efficiency). Every domain of the epoch shares them, so
+ * the run's ledger keeps one table (sim::EpochLedger,
+ * EpochContext::stateCosts) and every (domain, state) score is left
+ * with its work-dependent arithmetic alone. Only the leakage moves
+ * with the temperature, so a new epoch recomputes nothing else.
+ */
+class StateCosts
+{
+  public:
+    /** The costs of every state of @p table over @p epoch_len ticks at
+     *  @p temperature (C). Keeps references to @p table and @p model,
+     *  which must outlive it. */
+    StateCosts(const power::VfTable &table,
+               const power::PowerModel &model, Tick epoch_len,
+               double temperature);
+
+    /** Move to a new die temperature: one exp() and each state's
+     *  leakage. */
+    void setTemperature(double temperature);
+
+    std::size_t numStates() const { return states_.size(); }
+    const power::CuStateTerms &state(std::size_t s) const
+    {
+        return states_[s];
+    }
+
+    /** The leakage temperature factor the terms are at. */
+    power::LeakageFactor leakage() const { return leak_; }
+    /** tickSeconds() of the epoch length. */
+    double epochSeconds() const { return epochSeconds_; }
+
+  private:
+    const power::VfTable &table_;
+    const power::PowerModel &model_;
+    double epochSeconds_ = 0.0;
+    power::LeakageFactor leak_;
+    std::vector<power::CuStateTerms> states_;
+};
+
+/**
  * Inputs needed to score candidate states for one V/f domain. Filled
  * from an epoch context by dvfs::scoreInputs() (controller.hh), the
  * one builder every design's decision and the ledger's hindsight
@@ -82,8 +126,9 @@ struct DomainScoreInputs
      */
     Watts staticShare = 0.0;
 
-    Tick epochLen = 0;
-    double temperature = 45.0;
+    /** The epoch's state-only energy terms, which also fix the epoch
+     *  length; required (scoring panics without them). */
+    const StateCosts *costs = nullptr;
 
     /** For EnergyUnderPerfBound: allowed fractional slowdown. */
     double perfDegradationLimit = 0.05;
@@ -100,7 +145,9 @@ struct DomainScoreInputs
 /**
  * Predicted energy the domain (CUs + attributed memory-side dynamic
  * energy) would consume in one epoch at state @p state, assuming
- * memory activity scales with predicted instruction throughput.
+ * memory activity scales with predicted instruction throughput. The
+ * state-only terms come from @p in.costs; chooseState() and
+ * scoreStates() run the same arithmetic.
  */
 Joules domainEpochEnergy(const power::VfTable &table,
                          const power::PowerModel &model,

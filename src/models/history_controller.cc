@@ -44,8 +44,10 @@ HistoryController::decide(const dvfs::EpochContext &ctx)
             continue;
         const Freq f1 = ctx.record.cus[w.cu].freq;
         Entry &e = measured[ctx.domains.domainOf(w.cu)];
-        e.sens += waveSensitivity(w, cfg.estimator, ctx.epochLen, f1);
-        e.level += waveLevel(w, cfg.estimator, ctx.epochLen, f1);
+        const WavePhase phase =
+            wavePhase(w, cfg.estimator, ctx.epochLen, f1);
+        e.sens += phase.sens;
+        e.level += phase.level;
     }
 
     std::vector<double> instr_at(ctx.table.numStates());

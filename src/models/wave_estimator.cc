@@ -45,14 +45,17 @@ normalizedWaveSensitivity(const gpu::WaveEpochRecord &record,
         contentionFactor(cfg, record.ageRank);
 }
 
-double
-waveLevel(const gpu::WaveEpochRecord &record,
+WavePhase
+wavePhase(const gpu::WaveEpochRecord &record,
           const WaveEstimatorConfig &cfg, Tick epoch_len, Freq freq)
 {
     // I0 = I1 - S * f1 = I1 * T_async / T.
-    const double i1 = static_cast<double>(record.committed);
-    const double s = waveSensitivity(record, cfg, epoch_len, freq);
-    return std::max(i1 - s * freqGHzD(freq), 0.0);
+    WavePhase phase;
+    phase.sens = waveSensitivity(record, cfg, epoch_len, freq);
+    phase.level = std::max(static_cast<double>(record.committed) -
+                               phase.sens * freqGHzD(freq),
+                           0.0);
+    return phase;
 }
 
 double

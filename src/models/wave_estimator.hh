@@ -62,15 +62,25 @@ double normalizedWaveSensitivity(const gpu::WaveEpochRecord &record,
                                  const WaveEstimatorConfig &cfg,
                                  Tick epoch_len, Freq freq);
 
-/**
- * The frequency-independent instruction floor of the wave's linear
- * phase model I(f) = I0 + S*f, from the stall-model linearization:
- * I0 = I1 * T_async / T (a fully stalled wave keeps its throughput, a
- * fully compute wave scales through the origin).
- */
-double waveLevel(const gpu::WaveEpochRecord &record,
-                 const WaveEstimatorConfig &cfg, Tick epoch_len,
-                 Freq freq);
+/** A wave's linear phase model I(f) = level + sens * f (f in GHz). */
+struct WavePhase
+{
+    /** waveSensitivity(): instructions per GHz. */
+    double sens = 0.0;
+    /**
+     * The frequency-independent instruction floor I0, from the
+     * stall-model linearization: I0 = I1 * T_async / T (a fully
+     * stalled wave keeps its throughput, a fully compute wave scales
+     * through the origin).
+     */
+    double level = 0.0;
+};
+
+/** The wave's elapsed-epoch phase model: its sensitivity and the
+ *  level of the same linearization, computed together. */
+WavePhase wavePhase(const gpu::WaveEpochRecord &record,
+                    const WaveEstimatorConfig &cfg, Tick epoch_len,
+                    Freq freq);
 
 /**
  * A summed phase model I(f) = level + sens * f (f in GHz) evaluated at

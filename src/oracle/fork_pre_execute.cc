@@ -51,13 +51,8 @@ runOneSample(std::size_t k, gpu::GpuChip &sample,
     for (std::uint32_t d = 0; d < num_domains; ++d) {
         const std::size_t state = options.shuffle
             ? (k + d) % num_states : k;
-        double committed = 0.0;
-        const std::uint32_t first = domains.firstCu(d);
-        for (std::uint32_t cu = first;
-             cu < first + domains.cusPerDomain(); ++cu) {
-            committed += static_cast<double>(record.cus[cu].committed);
-        }
-        est.domainInstr[d][state] = committed;
+        est.domainInstr[d][state] =
+            dvfs::domainCommitted(domains, d, record);
     }
 
     if (options.waveLevel) {

@@ -34,36 +34,30 @@ PowerModel::transitionEnergy(Volts from, Volts to) const
         p.transitionFixed;
 }
 
+LeakageFactor
+PowerModel::leakageFactor(double temperature) const
+{
+    return {std::exp(p.leakTempCoeff * (temperature - p.tRef))};
+}
+
 Watts
 PowerModel::cuLeakage(Volts voltage, double temperature) const
 {
-    return p.leakPerCu * voltage *
-        std::exp(p.leakTempCoeff * (temperature - p.tRef));
+    return p.leakPerCu * voltage * leakageFactor(temperature).value;
 }
 
-CuEnergy
-PowerModel::cuEpochEnergy(Volts voltage, Freq freq,
-                          std::uint64_t committed,
-                          const memory::MemActivity &activity,
-                          Tick epoch_len, double temperature) const
+CuStateTerms
+PowerModel::cuStateTerms(Volts voltage, Freq freq, Tick epoch_len,
+                         LeakageFactor leak) const
 {
-    const double v2 = voltage * voltage;
     const double seconds = tickSeconds(epoch_len);
     const double cycles = seconds * static_cast<double>(freq);
-
-    CuEnergy energy;
-    const double l1_accesses = static_cast<double>(
-        activity.l1Hits + activity.l1Misses + activity.storesCombined);
-    energy.dynamic = v2 *
-        (p.eInst * static_cast<double>(committed) +
-         p.eL1 * l1_accesses +
-         p.cClk * cycles);
-    energy.leakage = cuLeakage(voltage, temperature) * seconds;
-
-    const double delivered = energy.dynamic + energy.leakage;
-    const double eta = ivrEfficiency(voltage);
-    energy.ivrLoss = delivered / eta - delivered;
-    return energy;
+    CuStateTerms terms;
+    terms.v2 = voltage * voltage;
+    terms.clock = p.cClk * cycles;
+    terms.leakage = cuLeakageEnergy(voltage, seconds, leak);
+    terms.ivrEfficiency = ivrEfficiency(voltage);
+    return terms;
 }
 
 Joules

@@ -73,6 +73,32 @@ struct CuEnergy
 };
 
 /**
+ * How the die temperature scales every CU's leakage,
+ * exp(leakTempCoeff * (T - tRef)). One value per epoch: every CU and
+ * every V/f state of the epoch shares it.
+ */
+struct LeakageFactor
+{
+    double value = 1.0;
+};
+
+/**
+ * The terms of a CU's epoch energy that depend only on its V/f point,
+ * the epoch length and the temperature, not on the work it did.
+ */
+struct CuStateTerms
+{
+    /** V^2 (the dynamic coefficients are at 1 V). */
+    double v2 = 0.0;
+    /** Clock-tree energy at 1 V: cClk times the epoch's cycles. */
+    Joules clock = 0.0;
+    /** Leakage energy over the epoch. */
+    Joules leakage = 0.0;
+    /** IVR conversion efficiency at the voltage. */
+    double ivrEfficiency = 1.0;
+};
+
+/**
  * Computes epoch energies from activity counters. Stateless; the
  * thermal state is supplied by the caller (see ThermalModel).
  */
@@ -84,18 +110,59 @@ class PowerModel
     /**
      * Energy one CU domain consumes over an epoch.
      *
-     * @param voltage     Supply voltage of the domain.
-     * @param freq        Operating frequency of the domain.
-     * @param committed   Instructions committed in the epoch.
-     * @param activity    Memory activity of the CU in the epoch
-     *                    (L1 side is charged to the CU domain).
-     * @param epoch_len   Epoch duration in ticks.
-     * @param temperature Die temperature in C (leakage scaling).
+     * @param voltage   Supply voltage of the domain.
+     * @param freq      Operating frequency of the domain.
+     * @param committed Instructions committed in the epoch.
+     * @param activity  Memory activity of the CU in the epoch
+     *                  (L1 side is charged to the CU domain).
+     * @param epoch_len Epoch duration in ticks.
+     * @param leak      leakageFactor() at the die temperature.
      */
     CuEnergy cuEpochEnergy(Volts voltage, Freq freq,
                            std::uint64_t committed,
                            const memory::MemActivity &activity,
-                           Tick epoch_len, double temperature) const;
+                           Tick epoch_len, LeakageFactor leak) const
+    {
+        return cuEpochEnergy(cuStateTerms(voltage, freq, epoch_len, leak),
+                             committed, activity);
+    }
+
+    /** The work-independent terms of cuEpochEnergy() at one V/f
+     *  point. */
+    CuStateTerms cuStateTerms(Volts voltage, Freq freq, Tick epoch_len,
+                              LeakageFactor leak) const;
+
+    /** CuStateTerms::leakage: one CU's leakage energy over @p seconds,
+     *  the one term that moves with the temperature. */
+    Joules
+    cuLeakageEnergy(Volts voltage, double seconds, LeakageFactor leak) const
+    {
+        return p.leakPerCu * voltage * leak.value * seconds;
+    }
+
+    /** cuEpochEnergy() from precomputed state terms: the per-work
+     *  arithmetic alone. */
+    CuEnergy
+    cuEpochEnergy(const CuStateTerms &state, std::uint64_t committed,
+                  const memory::MemActivity &activity) const
+    {
+        CuEnergy energy;
+        const double l1_accesses = static_cast<double>(
+            activity.l1Hits + activity.l1Misses +
+            activity.storesCombined);
+        energy.dynamic = state.v2 *
+            (p.eInst * static_cast<double>(committed) +
+             p.eL1 * l1_accesses +
+             state.clock);
+        energy.leakage = state.leakage;
+
+        const double delivered = energy.dynamic + energy.leakage;
+        energy.ivrLoss = delivered / state.ivrEfficiency - delivered;
+        return energy;
+    }
+
+    /** The leakage temperature factor at @p temperature (C). */
+    LeakageFactor leakageFactor(double temperature) const;
 
     /**
      * Energy of the shared fixed-clock memory domain (L2 + DRAM) for

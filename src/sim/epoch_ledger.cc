@@ -16,7 +16,8 @@ EpochLedger::EpochLedger(const RunConfig &config,
                          const dvfs::DomainMap &domain_map,
                          std::size_t nominal_idx)
     : cfg(config), table(vf_table), power(power_model),
-      domainMap(domain_map), nominalIdx(nominal_idx)
+      domainMap(domain_map), nominalIdx(nominal_idx),
+      stateCosts(table, power, cfg.epochLen, thermal.temperature())
 {
     domainState.assign(domainMap.numDomains(), nominalIdx);
     prevPred.assign(domainMap.numDomains(), -1.0);
@@ -96,13 +97,14 @@ EpochLedger::observeEpoch(const gpu::EpochRecord &record,
                 .state(domainState[domainMap.domainOf(cu)]).voltage;
             epoch_energy += power.cuEpochEnergy(
                 v, cr.freq, cr.committed, cr.mem, eff_len,
-                thermal.temperature()).total();
+                stateCosts.leakage()).total();
             total_activity += cr.mem;
         }
         epoch_energy += power.memEpochEnergy(total_activity, eff_len);
         energy += epoch_energy;
         thermal.update(epoch_energy / tickSeconds(eff_len),
                        tickSeconds(eff_len));
+        stateCosts.setTemperature(thermal.temperature());
         const Watts epoch_power = epoch_energy / tickSeconds(eff_len);
         avgPower = avgPower == 0.0 ? epoch_power
             : (1.0 - avgAlpha) * avgPower + avgAlpha * epoch_power;
@@ -141,7 +143,7 @@ EpochLedger::context(const gpu::EpochRecord &record,
         record, snapshots, domainMap, table, power,
         cfg.epochLen, thermal.temperature(), cfg.objective,
         cfg.perfDegradationLimit, nominalIdx,
-        nullptr, nullptr, avgPower, &avgInstr, nullptr};
+        nullptr, nullptr, avgPower, &avgInstr, nullptr, &stateCosts};
 }
 
 dvfs::EpochContext

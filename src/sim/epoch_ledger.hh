@@ -132,6 +132,11 @@ class EpochLedger
     std::size_t nominalIdx;
 
     power::ThermalModel thermal;
+    /** The state-only energy terms at the current temperature: every
+     *  context scores from them, and the next observeEpoch() charges
+     *  leakage with their factor. Their leakage follows the
+     *  temperature, i.e. moves once per epoch. */
+    dvfs::StateCosts stateCosts;
     std::vector<std::size_t> domainState;
     /** Last predicted instructions per domain (< 0 = no prediction). */
     std::vector<double> prevPred;

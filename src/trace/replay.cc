@@ -88,6 +88,15 @@ ReplayDriver::run(dvfs::DvfsController &controller,
     outcome.result.controller = controller.name();
     outcome.result.workload = meta.workload;
 
+    // Decide-layer self-profile, recorded as the live driver records
+    // it (Timing-kind, outside the canonical metric sections; no clock
+    // is read while metrics are off).
+    obs::Registry &registry = obs::reg();
+    obs::Counter &predict_ns =
+        registry.counter("profile.predict_ns", obs::MetricKind::Timing);
+    obs::Histogram &decide_wall = registry.histogram(
+        "predict.decide_wall_ns", obs::MetricKind::Timing);
+
     const dvfs::AccurateEstimates *prev_sweep = nullptr;
     std::uint64_t sweeps_served = 0;
     for (std::size_t i = 0; i < data.frames.size(); ++i) {
@@ -121,10 +130,14 @@ ReplayDriver::run(dvfs::DvfsController &controller,
 
         controller.applyStorageFaults(injector);
 
-        std::vector<dvfs::DomainDecision> decisions =
-            sim::decideEpoch(controller, ctx, need,
-                             prev_sweep != nullptr,
-                             domains.numDomains(), nominal_idx);
+        std::vector<dvfs::DomainDecision> decisions;
+        {
+            const obs::ScopedTimer timer(&decide_wall, &predict_ns);
+            decisions = sim::decideEpoch(controller, ctx, need,
+                                         prev_sweep != nullptr,
+                                         domains.numDomains(),
+                                         nominal_idx);
+        }
 
         const auto applied = ledger.applyDecisions(decisions, injector);
 
@@ -156,7 +169,6 @@ ReplayDriver::run(dvfs::DvfsController &controller,
 
     outcome.replayWallMs = static_cast<double>(nowNs() - t0) / 1e6;
     if (obs::metricsEnabled()) {
-        obs::Registry &registry = obs::reg();
         if (options.liveMetricProfile) {
             // Cache-served replay standing in for a live simulation:
             // record what the equivalent live run would have (the

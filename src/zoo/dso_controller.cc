@@ -125,14 +125,16 @@ DsoController::decide(const dvfs::EpochContext &ctx)
                     "running dynamic-only");
     }
 
-    watchdog.observe(ctx, prevInstrAt);
+    watchdog.observe(ctx, instrAt);
 
     // Static prior per CU: mean static fraction over the kernels the
     // CU's resident waves are executing right now.
-    std::vector<double> static_frac(num_cus, -1.0);
+    staticFrac.assign(num_cus, -1.0);
     if (!kernels.empty()) {
-        std::vector<double> sum(num_cus, 0.0);
-        std::vector<std::uint32_t> n(num_cus, 0);
+        fracSum.assign(num_cus, 0.0);
+        fracCount.assign(num_cus, 0);
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
         for (const gpu::WaveSnapshot &wave : ctx.snapshots) {
             const double frac = staticFracAt(wave.pcAddr);
             dvfs::DomainAudit *aud = ctx.audit
@@ -144,41 +146,57 @@ DsoController::decide(const dvfs::EpochContext &ctx)
                     aud->pcKey = wave.pcAddr;
             }
             if (frac >= 0.0) {
-                sum[wave.cu] += frac;
-                ++n[wave.cu];
+                fracSum[wave.cu] += frac;
+                ++fracCount[wave.cu];
                 if (aud)
                     ++aud->hits;
-                registry.counter("controller.dso.lookup_hits").add(1);
+                ++hits;
             } else {
-                registry.counter("controller.dso.lookup_misses").add(1);
+                ++misses;
             }
         }
+        // Counted per wave, recorded once per decide; a counter is
+        // created only by the outcome that happened.
+        if (hits > 0)
+            registry.counter("controller.dso.lookup_hits").add(hits);
+        if (misses > 0)
+            registry.counter("controller.dso.lookup_misses").add(misses);
         for (std::uint32_t cu = 0; cu < num_cus; ++cu) {
-            if (n[cu] > 0)
-                static_frac[cu] = sum[cu] / n[cu];
+            if (fracCount[cu] > 0)
+                staticFrac[cu] = fracSum[cu] / fracCount[cu];
         }
     }
 
-    // Fuse and scale per CU, aggregate per domain.
+    // Fuse per CU: the asynchronous time does not depend on the
+    // candidate state (< 0 marks a CU that contributes nothing).
     const double epoch = static_cast<double>(ctx.epochLen);
-    std::vector<std::vector<double>> instr_at(
-        num_domains, std::vector<double>(num_states, 0.0));
+    asyncTime.assign(num_cus, -1.0);
+    for (std::uint32_t cu = 0; cu < num_cus; ++cu) {
+        const gpu::CuEpochRecord &rec = ctx.record.cus[cu];
+        if (rec.committed == 0 || rec.freq == 0)
+            continue;
+        const double dyn = clampTo(
+            static_cast<double>(rec.loadStall) / epoch, 0.0, 1.0);
+        const double stat = staticFrac[cu];
+        const double fused = stat >= 0.0
+            ? cfg.beta * stat + (1.0 - cfg.beta) * dyn
+            : dyn;
+        asyncTime[cu] = fused * epoch;
+    }
+
+    // Scale per CU, aggregate per domain. The watchdog has scored the
+    // previous predictions, so this epoch's overwrite them.
+    instrAt.resize(num_domains);
     for (std::uint32_t d = 0; d < num_domains; ++d) {
+        instrAt[d].resize(num_states);
         for (std::size_t s = 0; s < num_states; ++s) {
             const Freq f2 = ctx.table.state(s).freq;
-            instr_at[d][s] = dvfs::sumOverDomain(
+            instrAt[d][s] = dvfs::sumOverDomain(
                 ctx.domains, d, [&](std::uint32_t cu) {
-                    const gpu::CuEpochRecord &rec = ctx.record.cus[cu];
-                    if (rec.committed == 0 || rec.freq == 0)
+                    const double t_async = asyncTime[cu];
+                    if (t_async < 0.0)
                         return 0.0;
-                    const double dyn = clampTo(
-                        static_cast<double>(rec.loadStall) / epoch,
-                        0.0, 1.0);
-                    const double stat = static_frac[cu];
-                    const double fused = stat >= 0.0
-                        ? cfg.beta * stat + (1.0 - cfg.beta) * dyn
-                        : dyn;
-                    const double t_async = fused * epoch;
+                    const gpu::CuEpochRecord &rec = ctx.record.cus[cu];
                     const double ratio =
                         static_cast<double>(rec.freq) /
                         static_cast<double>(f2);
@@ -189,14 +207,13 @@ DsoController::decide(const dvfs::EpochContext &ctx)
                 });
         }
     }
-    prevInstrAt = instr_at;
     registry.counter("controller.dso.decisions").add(num_domains);
 
     if (watchdog.inFallback()) {
         registry.counter("controller.dso.fallback_epochs").add(1);
         return watchdog.decideFallback(ctx);
     }
-    return dvfs::decideDomains(ctx, instr_at);
+    return dvfs::decideDomains(ctx, instrAt);
 }
 
 } // namespace pcstall::zoo

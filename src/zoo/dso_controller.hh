@@ -100,9 +100,17 @@ class DsoController : public dvfs::DvfsController
     /** Sorted by base; deduplicated (launches share code bases). */
     std::vector<StaticKernel> kernels;
     bool warnedNoApp = false;
-    /** Last epoch's per-domain predictions (watchdog scoring;
-     *  empty until the first decision). */
-    std::vector<std::vector<double>> prevInstrAt;
+    /** The latest decision's per-domain predictions at every state:
+     *  the watchdog scores them at the next decide(), which then
+     *  overwrites them in place (empty until the first decision). */
+    std::vector<std::vector<double>> instrAt;
+    /** decide() scratch, per CU: the static prior (< 0 = none), its
+     *  sum and count over resident waves, and the fused asynchronous
+     *  time (< 0 = the CU contributes nothing). */
+    std::vector<double> staticFrac;
+    std::vector<double> fracSum;
+    std::vector<std::uint32_t> fracCount;
+    std::vector<double> asyncTime;
     models::DivergenceWatchdog watchdog;
 };
 

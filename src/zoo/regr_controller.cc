@@ -69,6 +69,7 @@ RegrController::decide(const dvfs::EpochContext &ctx)
     // 1. Learn: append the elapsed epoch's (frequency, throughput)
     //    observation, and score the previous prediction for the
     //    watchdog.
+    std::uint64_t samples = 0;
     for (std::uint32_t d = 0; d < num_domains; ++d) {
         DomainState &dom = domains_[d];
         const double committed =
@@ -78,16 +79,25 @@ RegrController::decide(const dvfs::EpochContext &ctx)
             dom.ring.push_back({freqGHzD(freq), committed});
             if (dom.ring.size() > cfg.historyLength)
                 dom.ring.erase(dom.ring.begin());
-            registry.counter("controller.regr.samples").add(1);
+            ++samples;
         }
     }
-    watchdog.observe(ctx, prevInstrAt);
+    // Counted per domain, recorded once per decide; a counter is
+    // created only by the outcome that happened.
+    if (samples > 0)
+        registry.counter("controller.regr.samples").add(samples);
+    watchdog.observe(ctx, instrAt);
 
     // 2. Predict: the learned regression where it has rank, the STALL
     //    decomposition where it does not (cold start / no diversity).
-    std::vector<std::vector<double>> instr_at(
-        num_domains, std::vector<double>(num_states, 0.0));
+    //    The watchdog has scored the previous predictions, so this
+    //    epoch's overwrite them.
+    instrAt.resize(num_domains);
+    std::uint64_t anchors = 0;
+    std::uint64_t fits = 0;
     for (std::uint32_t d = 0; d < num_domains; ++d) {
+        std::vector<double> &instr_at = instrAt[d];
+        instr_at.resize(num_states);
         double a = 0.0, b = 0.0;
         const bool fitted = fitDomain(domains_[d], a, b);
         if (ctx.audit) {
@@ -104,19 +114,24 @@ RegrController::decide(const dvfs::EpochContext &ctx)
             }
         }
         if (!fitted) {
-            registry.counter("controller.regr.anchor_decisions").add(1);
+            ++anchors;
             models::domainInstrAt(models::EstimationKind::Stall, ctx, d,
-                                  instr_at[d]);
+                                  instr_at);
             continue;
         }
         ++fitDecisions_;
-        registry.counter("controller.regr.fit_decisions").add(1);
+        ++fits;
         for (std::size_t s = 0; s < num_states; ++s) {
-            instr_at[d][s] = std::max(
+            instr_at[s] = std::max(
                 0.0, a + b * freqGHzD(ctx.table.state(s).freq));
         }
     }
-    prevInstrAt = instr_at;
+    if (anchors > 0) {
+        registry.counter("controller.regr.anchor_decisions")
+            .add(anchors);
+    }
+    if (fits > 0)
+        registry.counter("controller.regr.fit_decisions").add(fits);
 
     // 3. Select. While the watchdog is tripped the reactive STALL
     //    fallback decides; otherwise the objective scores the model,
@@ -131,7 +146,7 @@ RegrController::decide(const dvfs::EpochContext &ctx)
             0.0, ctx.perfDegradationLimit - cfg.deadlineMargin);
     }
     std::vector<dvfs::DomainDecision> out =
-        dvfs::decideDomains(ctx, instr_at, limit_override);
+        dvfs::decideDomains(ctx, instrAt, limit_override);
 
     // 4. Probe: periodically nudge each domain one state (alternating
     //    direction) so the regression keeps frequency diversity.
@@ -145,7 +160,7 @@ RegrController::decide(const dvfs::EpochContext &ctx)
             else if (!up && probed > 0)
                 --probed;
             out[d].state = probed;
-            out[d].predictedInstr = instr_at[d][probed];
+            out[d].predictedInstr = instrAt[d][probed];
         }
         registry.counter("controller.regr.probe_epochs").add(1);
     }

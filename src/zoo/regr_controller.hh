@@ -104,9 +104,11 @@ class RegrController : public dvfs::DvfsController
     std::vector<DomainState> domains_;
     std::uint64_t epochIndex = 0;
     std::uint64_t fitDecisions_ = 0;
-    /** Last epoch's predicted instructions per domain and V/f state
-     *  (empty until the first decision); watchdog scoring input. */
-    std::vector<std::vector<double>> prevInstrAt;
+    /** The latest decision's predicted instructions per domain and
+     *  V/f state: the watchdog scores them at the next decide(), which
+     *  then overwrites them in place (empty until the first
+     *  decision). */
+    std::vector<std::vector<double>> instrAt;
     models::DivergenceWatchdog watchdog;
 };
 

@@ -40,14 +40,15 @@ WangChuController::decide(const dvfs::EpochContext &ctx)
     obs::Registry &registry = obs::reg();
     registry.counter("controller.wangchu.epochs").add(1);
 
-    std::vector<std::vector<double>> instr_at(
-        num_domains, std::vector<double>(num_states, 0.0));
+    instrAt.resize(num_domains);
+    std::uint64_t mem_bound = 0;
     for (std::uint32_t d = 0; d < num_domains; ++d) {
         double t_core = 0.0;
         double t_mem_excl = 0.0;
+        instrAt[d].resize(num_states);
         for (std::size_t s = 0; s < num_states; ++s) {
             const Freq f2 = ctx.table.state(s).freq;
-            instr_at[d][s] = dvfs::sumOverDomain(
+            instrAt[d][s] = dvfs::sumOverDomain(
                 ctx.domains, d, [&](std::uint32_t cu) {
                     return wangChuInstrAt(ctx.record.cus[cu],
                                           ctx.epochLen, f2);
@@ -62,12 +63,16 @@ WangChuController::decide(const dvfs::EpochContext &ctx)
                              std::min(rec.busy, rec.memInterval)));
             return 0.0;
         });
-        if (t_mem_excl > t_core) {
-            registry.counter("controller.wangchu.mem_bound_domains")
-                .add(1);
-        }
+        if (t_mem_excl > t_core)
+            ++mem_bound;
     }
-    return dvfs::decideDomains(ctx, instr_at);
+    // Counted per domain, recorded once per decide; the counter is
+    // created only once a domain is memory-bound.
+    if (mem_bound > 0) {
+        registry.counter("controller.wangchu.mem_bound_domains")
+            .add(mem_bound);
+    }
+    return dvfs::decideDomains(ctx, instrAt);
 }
 
 } // namespace pcstall::zoo

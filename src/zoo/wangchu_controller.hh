@@ -42,6 +42,10 @@ class WangChuController : public dvfs::DvfsController
 
     std::vector<dvfs::DomainDecision>
     decide(const dvfs::EpochContext &ctx) override;
+
+  private:
+    /** decide() scratch: per-domain predictions at every state. */
+    std::vector<std::vector<double>> instrAt;
 };
 
 /**

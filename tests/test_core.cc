@@ -106,9 +106,11 @@ TEST(PcstallController, DecidesForEveryDomain)
     power::PowerParams scaled_power;
     sim::scaleToCus(scaled_gpu, scaled_power, 2);
     const power::PowerModel pm(scaled_power);
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
     dvfs::EpochContext ctx{f.record, f.snaps, domains, table, pm,
                            tickUs, 45.0, dvfs::Objective::Ed2p, 0.05,
                            4, nullptr, nullptr};
+    ctx.stateCosts = &costs;
     PcstallController c(PcstallConfig::forEpoch(tickUs, 8), 2);
     const auto decisions = c.decide(ctx);
     ASSERT_EQ(decisions.size(), 2u);
@@ -126,11 +128,13 @@ TEST(PcstallController, ComputeBoundPrefersHigherStateThanMemoryBound)
     sim::scaleToCus(scaled_gpu, scaled_power, 2);
     const power::PowerModel pm(scaled_power);
     const dvfs::DomainMap domains(2, 1);
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
 
     auto decide = [&](Fixture &f) {
         dvfs::EpochContext ctx{f.record, f.snaps, domains, table, pm,
                                tickUs, 45.0, dvfs::Objective::Ed2p,
                                0.05, 4, nullptr, nullptr};
+        ctx.stateCosts = &costs;
         PcstallController c(PcstallConfig::forEpoch(tickUs, 8), 2);
         // Two epochs of warm-up so the table has entries.
         c.decide(ctx);
@@ -153,6 +157,7 @@ TEST(PcstallController, TableHitRatioGrowsWithReuse)
     const dvfs::DomainMap domains(2, 1);
     const power::VfTable table = power::VfTable::paperTable();
     const power::PowerModel pm;
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
     PcstallController c(PcstallConfig::forEpoch(tickUs, 8), 2);
     for (int epoch = 1; epoch <= 8; ++epoch) {
         f.chip->runUntil((1 + epoch) * tickUs);
@@ -161,6 +166,7 @@ TEST(PcstallController, TableHitRatioGrowsWithReuse)
         dvfs::EpochContext ctx{rec, snaps, domains, table, pm, tickUs,
                                45.0, dvfs::Objective::Ed2p, 0.05, 4,
                                nullptr, nullptr};
+        ctx.stateCosts = &costs;
         c.decide(ctx);
     }
     EXPECT_GT(c.tableHitRatio(), 0.3);
@@ -200,9 +206,11 @@ TEST(PcstallController, AdaptiveContentionLearnsSkew)
         record.waves.push_back(w);
     }
     std::vector<gpu::WaveSnapshot> snaps;
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
     dvfs::EpochContext ctx{record, snaps, domains, table, pm, tickUs,
                            45.0, dvfs::Objective::Ed2p, 0.05, 4,
                            nullptr, nullptr};
+    ctx.stateCosts = &costs;
 
     PcstallConfig cfg = PcstallConfig::forEpoch(tickUs, 8);
     PcstallController c(cfg, 1);
@@ -247,6 +255,7 @@ struct MiniCtx
         p.memStatic = 1.0; // single-CU scale
         return p;
     }()};
+    dvfs::StateCosts costs{table, pm, tickUs, 45.0};
 
     MiniCtx(std::uint64_t start_pc_addr, std::uint64_t cur_pc_addr,
             std::uint64_t committed, Tick stall)
@@ -276,9 +285,11 @@ struct MiniCtx
     dvfs::EpochContext
     ctx()
     {
-        return dvfs::EpochContext{record, snaps, domains, table, pm,
-                                  tickUs, 45.0, dvfs::Objective::Ed2p,
-                                  0.05, 4, nullptr, nullptr};
+        dvfs::EpochContext c{record, snaps, domains, table, pm,
+                             tickUs, 45.0, dvfs::Objective::Ed2p,
+                             0.05, 4, nullptr, nullptr};
+        c.stateCosts = &costs;
+        return c;
     }
 };
 
@@ -302,6 +313,68 @@ TEST(PcstallController, RegionGateUsesOwnModelInsideGranule)
     // Steep model: prediction at the chosen (high) state well above
     // the elapsed count would only come from the wave's own model.
     EXPECT_GE(d[0].state, 5u);
+}
+
+TEST(PcstallController, OwnModelsSurviveSlotsPastTheConfiguredCount)
+{
+    // Configured for 8 slots, fed waves in slots 3 and 79 of one CU:
+    // the wider slot arrives after slot 3's model is stored, and both
+    // waves, still in their granules, must find their own models.
+    PcstallConfig cfg = PcstallConfig::forEpoch(tickUs, 8);
+    PcstallController c(cfg, 1);
+
+    MiniCtx m(0x1000, 0x1004, 3000, 0);
+    gpu::WaveEpochRecord wide = m.record.waves[0];
+    gpu::WaveSnapshot wide_snap = m.snaps[0];
+    m.record.waves[0].slot = 3;
+    m.snaps[0].slot = 3;
+    wide.slot = 79;
+    wide_snap.slot = 79;
+    m.record.waves.push_back(wide);
+    m.snaps.push_back(wide_snap);
+
+    dvfs::DecisionAudit audit;
+    audit.reset(1);
+    auto ctx = m.ctx();
+    ctx.audit = &audit;
+    c.decide(ctx);
+    EXPECT_EQ(audit.domains[0].sameRegion, 2u);
+    EXPECT_EQ(audit.domains[0].lookups, 0u);
+    const double own = models::wavePhase(m.record.waves[0], cfg.estimator,
+                                         tickUs, 1'700 * freqMHz)
+                           .sens;
+    EXPECT_GT(own, 0.0);
+    EXPECT_DOUBLE_EQ(audit.domains[0].predictedSens, 2.0 * own);
+}
+
+TEST(PcstallController, LaterSweepEntryForOneWaveWins)
+{
+    // An elapsed sweep can list one (cu, slot) twice: the later entry
+    // is the wave's model, as a map assignment would keep it.
+    PcstallConfig cfg = PcstallConfig::forEpoch(tickUs, 8);
+    cfg.accurateEstimates = true;
+    PcstallController c(cfg, 1);
+
+    MiniCtx m(0x1000, 0x1004, 3000, 0);
+    dvfs::AccurateEstimates est;
+    dvfs::AccurateEstimates::WaveSens first;
+    first.startPcAddr = 0x1000;
+    first.sensitivity = 10.0;
+    first.level = 5.0;
+    dvfs::AccurateEstimates::WaveSens second = first;
+    second.sensitivity = 40.0;
+    second.level = 7.0;
+    est.waves = {first, second};
+
+    dvfs::DecisionAudit audit;
+    audit.reset(1);
+    auto ctx = m.ctx();
+    ctx.elapsedAccurate = &est;
+    ctx.audit = &audit;
+    c.decide(ctx);
+    EXPECT_EQ(audit.domains[0].sameRegion, 1u);
+    EXPECT_EQ(audit.domains[0].predictedSens, 40.0);
+    EXPECT_EQ(audit.domains[0].predictedLevel, 7.0);
 }
 
 TEST(PcstallController, RegionGateUsesTableAcrossGranules)

@@ -371,6 +371,7 @@ struct WatchCtx
     dvfs::DomainMap domains{1, 1};
     power::VfTable table = power::VfTable::paperTable();
     power::PowerModel pm{power::PowerParams{}};
+    dvfs::StateCosts costs{table, pm, tickUs, 45.0};
 
     WatchCtx()
     {
@@ -383,9 +384,11 @@ struct WatchCtx
 
     dvfs::EpochContext ctx()
     {
-        return dvfs::EpochContext{record, snaps, domains, table, pm,
-                                  tickUs, 45.0, dvfs::Objective::Ed2p,
-                                  0.05, 4, nullptr, nullptr};
+        dvfs::EpochContext c{record, snaps, domains, table, pm,
+                             tickUs, 45.0, dvfs::Objective::Ed2p,
+                             0.05, 4, nullptr, nullptr};
+        c.stateCosts = &costs;
+        return c;
     }
 };
 

@@ -218,22 +218,25 @@ TEST(WaveEstimator, LevelPlusSlopeReconstructsCommitted)
     const auto w = waveWith(140, tickUs / 3);
     const Freq f1 = 1'800 * freqMHz;
     const double s = waveSensitivity(w, cfg, tickUs, f1);
-    const double i0 = waveLevel(w, cfg, tickUs, f1);
-    EXPECT_NEAR(i0 + s * freqGHzD(f1), 140.0, 1e-9);
+    const WavePhase phase = wavePhase(w, cfg, tickUs, f1);
+    EXPECT_EQ(phase.sens, s);
+    EXPECT_NEAR(phase.level + s * freqGHzD(f1), 140.0, 1e-9);
 }
 
 TEST(WaveEstimator, FullyComputeLevelIsZero)
 {
     WaveEstimatorConfig cfg;
     const auto w = waveWith(200, 0);
-    EXPECT_NEAR(waveLevel(w, cfg, tickUs, 2'000 * freqMHz), 0.0, 1e-9);
+    EXPECT_NEAR(wavePhase(w, cfg, tickUs, 2'000 * freqMHz).level, 0.0,
+                1e-9);
 }
 
 TEST(WaveEstimator, FullyStalledLevelEqualsCommitted)
 {
     WaveEstimatorConfig cfg;
     const auto w = waveWith(50, tickUs);
-    EXPECT_NEAR(waveLevel(w, cfg, tickUs, 2'000 * freqMHz), 50.0, 1e-9);
+    EXPECT_NEAR(wavePhase(w, cfg, tickUs, 2'000 * freqMHz).level, 50.0,
+                1e-9);
 }
 
 TEST(WaveEstimator, LevelNeverNegative)
@@ -241,7 +244,7 @@ TEST(WaveEstimator, LevelNeverNegative)
     WaveEstimatorConfig cfg;
     for (int stall_pct : {0, 20, 50, 90, 100}) {
         const auto w = waveWith(123, tickUs * stall_pct / 100);
-        EXPECT_GE(waveLevel(w, cfg, tickUs, 1'300 * freqMHz), 0.0);
+        EXPECT_GE(wavePhase(w, cfg, tickUs, 1'300 * freqMHz).level, 0.0);
     }
 }
 
@@ -274,6 +277,7 @@ TEST(HistoryController, PredictsRepeatingPattern)
     cfg.historyLength = 2;
     HistoryController c(cfg, 1);
     std::vector<gpu::WaveSnapshot> snaps;
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
 
     // Drive A,B,A,B,... for several rounds.
     std::vector<dvfs::DomainDecision> last;
@@ -282,6 +286,7 @@ TEST(HistoryController, PredictsRepeatingPattern)
         dvfs::EpochContext ctx{rec, snaps, domains, table, pm, tickUs,
                                45.0, dvfs::Objective::Ed2p, 0.05, 4,
                                nullptr, nullptr};
+        ctx.stateCosts = &costs;
         last = c.decide(ctx);
     }
     EXPECT_GT(c.tableHitRatio(), 0.5);
@@ -309,9 +314,11 @@ TEST(HistoryController, FallsBackToLastValueWhenCold)
     w.active = true;
     rec.waves.push_back(w);
     std::vector<gpu::WaveSnapshot> snaps;
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
     dvfs::EpochContext ctx{rec, snaps, domains, table, pm, tickUs,
                            45.0, dvfs::Objective::Ed2p, 0.05, 4,
                            nullptr, nullptr};
+    ctx.stateCosts = &costs;
     HistoryController c(HistoryConfig{}, 1);
     const auto d = c.decide(ctx);
     ASSERT_EQ(d.size(), 1u);

@@ -280,9 +280,11 @@ TEST(OracleControllers, DecideFromAccuratePicksSensibleStates)
         est.domainInstr[1].push_back(600.0 + s);
     }
 
+    const dvfs::StateCosts costs(table, pm, tickUs, 45.0);
     dvfs::EpochContext ctx{record, snaps, domains, table, pm, tickUs,
                            45.0, dvfs::Objective::Ed2p, 0.05, 4,
                            &est, &est};
+    ctx.stateCosts = &costs;
     const auto decisions = dvfs::decideDomains(ctx, est.domainInstr);
     ASSERT_EQ(decisions.size(), 2u);
     EXPECT_GT(decisions[0].state, decisions[1].state);

@@ -79,10 +79,12 @@ TEST(PowerModel, EnergyGrowsWithVoltageAndFrequency)
     const PowerModel pm;
     const VfTable t = VfTable::paperTable();
     const auto low = pm.cuEpochEnergy(t.state(0).voltage, t.state(0).freq,
-                                      1000, someActivity(), tickUs, 45.0);
+                                      1000, someActivity(), tickUs,
+                                      pm.leakageFactor(45.0));
     const auto high = pm.cuEpochEnergy(t.state(9).voltage,
                                        t.state(9).freq, 1000,
-                                       someActivity(), tickUs, 45.0);
+                                       someActivity(), tickUs,
+                                       pm.leakageFactor(45.0));
     EXPECT_GT(high.total(), low.total());
     EXPECT_GT(high.dynamic, low.dynamic);
 }
@@ -94,10 +96,11 @@ TEST(PowerModel, EnergyGrowsWithWork)
     const auto idle = pm.cuEpochEnergy(t.state(4).voltage,
                                        t.state(4).freq, 0,
                                        memory::MemActivity{}, tickUs,
-                                       45.0);
+                                       pm.leakageFactor(45.0));
     const auto busy = pm.cuEpochEnergy(t.state(4).voltage,
                                        t.state(4).freq, 2000,
-                                       someActivity(), tickUs, 45.0);
+                                       someActivity(), tickUs,
+                                       pm.leakageFactor(45.0));
     EXPECT_GT(busy.dynamic, idle.dynamic);
     EXPECT_DOUBLE_EQ(busy.leakage, idle.leakage);
 }
@@ -123,7 +126,8 @@ TEST(PowerModel, IvrLossIsPositive)
 {
     const PowerModel pm;
     const auto e = pm.cuEpochEnergy(0.9, 1'700 * freqMHz, 1000,
-                                    someActivity(), tickUs, 45.0);
+                                    someActivity(), tickUs,
+                                    pm.leakageFactor(45.0));
     EXPECT_GT(e.ivrLoss, 0.0);
 }
 
@@ -151,7 +155,8 @@ TEST(PowerModel, PlausibleChipPower)
     act.stores = 50;
     const std::uint64_t instr = 1700; // per us at IPC 1
     const auto cu = pm.cuEpochEnergy(nominal.voltage, nominal.freq,
-                                     instr, act, tickUs, 55.0);
+                                     instr, act, tickUs,
+                                     pm.leakageFactor(55.0));
     memory::MemActivity total;
     for (int i = 0; i < 64; ++i)
         total += act;
