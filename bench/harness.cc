@@ -542,7 +542,18 @@ makeReplayController(const trace::TraceMeta &meta, std::string name)
     else if (name != meta.controller)
         capped = false;
 
-    out.inner = makeController(name, trace::runConfigFromMeta(meta));
+    // The application a capture ran, rebuilt from its recorded build,
+    // for controllers that analyse the program ahead of time (DSO).
+    std::shared_ptr<const isa::Application> app;
+    if (meta.workloadScale > 0.0) {
+        BenchOptions build;
+        build.cus = meta.numCus;
+        build.scale = meta.workloadScale;
+        build.seed = meta.workloadSeed;
+        app = makeApp(meta.workload, build);
+    }
+    out.inner =
+        makeController(name, trace::runConfigFromMeta(meta), app.get());
     out.use = out.inner.get();
     if (capped) {
         dvfs::HierarchicalConfig hier;
@@ -799,35 +810,21 @@ bumpCacheCounter(const char *name)
         obs::reg().counter(name, obs::MetricKind::Timing).add(1);
 }
 
-/** How a live run with a trace capture went (runCapturing). */
-enum class Capture
-{
-    /** The trace file could not be opened; nothing ran. */
-    Unwritable,
-    /** The run completed, but writing its capture failed. */
-    IoError,
-    /** The run completed and its capture is committed. */
-    Written,
-};
+} // namespace
 
-/**
- * Run live while streaming a PCTR capture to @p path, embedding the
- * learned PC table of a PCSTALL controller. The TraceWriter stages
- * through temp + fsync + rename, so @p path only ever holds a whole
- * capture: for the trace library that staging is the atomic
- * publication of the entry.
- */
 Capture
 runCapturing(sim::ExperimentDriver &driver,
              std::shared_ptr<const isa::Application> app,
-             dvfs::DvfsController &controller,
+             dvfs::DvfsController &controller, const BenchOptions &opts,
              const std::string &workload, const std::string &path,
              sim::RunResult &result)
 {
-    trace::TraceWriter writer(
-        path, trace::makeTraceMeta(driver.config(), driver.table(),
-                                   workload, controller,
-                                   hierarchicalMetaOf(controller)));
+    trace::TraceMeta meta =
+        trace::makeTraceMeta(driver.config(), driver.table(), workload,
+                             controller, hierarchicalMetaOf(controller));
+    meta.workloadScale = opts.scale;
+    meta.workloadSeed = opts.seed;
+    trace::TraceWriter writer(path, meta);
     if (!writer.ok())
         return Capture::Unwritable;
     trace::TraceCapture capture(writer);
@@ -842,67 +839,79 @@ runCapturing(sim::ExperimentDriver &driver,
                                              : Capture::IoError;
 }
 
-} // namespace
-
-bool
-resolveTraceCache(sim::ExperimentDriver &driver,
-                  std::shared_ptr<const isa::Application> app,
-                  dvfs::DvfsController *&controller,
-                  const BenchOptions &opts,
-                  const std::string &workload, TraceCacheContext &cache,
-                  obs::ProvenanceLog *prov, sim::RunResult &result)
+namespace
 {
-    if (cache.library == nullptr || !cache.library->ok() ||
-        !cache.freshController) {
-        return false;
-    }
-    trace::TraceLibrary &lib = *cache.library;
-    const trace::LibraryKey &key = cache.key;
-    bool capture_on_miss = cache.captureOnMiss;
 
-    const trace::TraceLibrary::GetResult got = lib.get(key);
-    if (got.status == trace::TraceLibrary::GetStatus::Hit) {
-        std::string decode_err;
-        const std::shared_ptr<const trace::TraceData> data =
-            loadTrace(got.tracePath, decode_err);
-        if (data == nullptr) {
-            // Truncated/corrupt entry: quarantined and recaptured,
-            // never ingested.
-            evictTrace(got.tracePath);
-            lib.quarantine(key, decode_err);
-            bumpCacheCounter("trace_cache.quarantined");
-        } else {
-            trace::ReplayDriver replayer(*data);
-            trace::ReplayOptions ropts;
-            // Exact-tier entries were captured under this very
-            // (design, run index, config) cell, so decision
-            // verification doubles as staleness detection. Shared
-            // (what-if) replays drive foreign controllers over the
-            // owner's stream - divergent decisions are the point.
-            ropts.verifyDecisions = !key.shared &&
-                controller->name() == data->meta.controller;
-            ropts.auditRegret = opts.auditRegret || prov != nullptr;
-            ropts.provenance = prov;
-            ropts.liveMetricProfile = true;
-            trace::ReplayOutcome outcome =
-                replayer.run(*controller, ropts);
-            if (outcome.ok() && outcome.decisionMismatches == 0) {
-                debug("trace cache hit: " + key.digest() + " (" +
-                      workload + " under " + controller->name() + ")");
-                bumpCacheCounter("trace_cache.hits");
-                result = outcome.result;
-                return true;
-            }
-            if (!outcome.ok() && key.shared) {
-                // The owner's stream cannot drive this controller
-                // (e.g. it needs fork sweeps the owner never
-                // requested). The entry is fine for other cells:
-                // leave it be, run this cell live, and do not clobber
-                // the owner's capture.
-                warn("trace cache: " + outcome.error +
-                     " (simulating this cell live)");
-                capture_on_miss = false;
+/** The controller @p make builds; a maker must build one. */
+std::unique_ptr<dvfs::DvfsController>
+buildController(const ControllerMaker &make)
+{
+    std::unique_ptr<dvfs::DvfsController> controller = make();
+    fatalIf(controller == nullptr, "cell factory returned no controller");
+    return controller;
+}
+
+/**
+ * Resolve a run along @p route (see LibraryRoute). Returns true when
+ * @p result was produced; false tells the caller to run live itself.
+ * A stale entry swaps a cold @p controller in before the recapture.
+ * @p prov may be null.
+ */
+bool
+resolveInLibrary(sim::ExperimentDriver &driver,
+                 const std::shared_ptr<const isa::Application> &app,
+                 const ControllerMaker &make,
+                 std::unique_ptr<dvfs::DvfsController> &controller,
+                 const BenchOptions &opts, const std::string &workload,
+                 const LibraryRoute &route, obs::ProvenanceLog *prov,
+                 sim::RunResult &result)
+{
+    trace::TraceLibrary &lib = *route.library;
+    for (const trace::LibraryKey &key : route.keys) {
+        const trace::TraceLibrary::GetResult got = lib.get(key);
+        if (got.status == trace::TraceLibrary::GetStatus::Hit) {
+            std::string decode_err;
+            const std::shared_ptr<const trace::TraceData> data =
+                loadTrace(got.tracePath, decode_err);
+            if (data == nullptr) {
+                // Truncated/corrupt entry: quarantined and recaptured,
+                // never ingested.
+                evictTrace(got.tracePath);
+                lib.quarantine(key, decode_err);
+                bumpCacheCounter("trace_cache.quarantined");
             } else {
+                trace::ReplayDriver replayer(*data);
+                trace::ReplayOptions ropts;
+                // Exact-tier entries were captured under this very
+                // (design, run index, config) cell, so decision
+                // verification doubles as staleness detection. Shared
+                // (what-if) replays drive foreign controllers over one
+                // stream - divergent decisions are the point.
+                ropts.verifyDecisions = !key.shared &&
+                    controller->name() == data->meta.controller;
+                ropts.auditRegret = opts.auditRegret || prov != nullptr;
+                ropts.provenance = prov;
+                ropts.liveMetricProfile = true;
+                trace::ReplayOutcome outcome =
+                    replayer.run(*controller, ropts);
+                if (outcome.ok() && outcome.decisionMismatches == 0) {
+                    debug("trace cache hit: " + key.digest() + " (" +
+                          workload + " under " + controller->name() +
+                          ")");
+                    bumpCacheCounter("trace_cache.hits");
+                    result = outcome.result;
+                    return true;
+                }
+                if (key.shared) {
+                    // The stream cannot drive this controller (shared
+                    // replays verify nothing, so only a refusal gets
+                    // here). It came before the first decide, so the
+                    // controller is still cold, and the entry is fine
+                    // for the group's other cells: leave it be.
+                    debug("trace cache: " + outcome.error +
+                          " (resolving through the exact-tier key)");
+                    continue;
+                }
                 // Stale entry (decision drift, or an upfront replay
                 // failure): quarantine and recapture. The replay may
                 // have half-driven the controller, so rebuild it cold
@@ -917,44 +926,47 @@ resolveTraceCache(sim::ExperimentDriver &driver,
                             outcome.firstMismatch
                         : outcome.error);
                 bumpCacheCounter("trace_cache.quarantined");
-                cache.rebuilt = cache.freshController();
-                controller = cache.rebuilt.get();
+                controller = buildController(make);
                 restorePcSnapshotIn(opts, pcstallBehind(*controller));
                 if (prov != nullptr)
                     *prov = obs::ProvenanceLog{};
             }
         }
-    }
 
-    // Miss (or a just-quarantined hit): simulate live, streaming the
-    // capture straight to the library entry. The key sidecar follows
-    // the committed trace strictly after, so a crash leaves at most an
-    // orphan trace (a miss), never a sidecar naming a partial trace.
-    bumpCacheCounter("trace_cache.misses");
-    if (!capture_on_miss)
-        return false;
-    const std::string path = lib.entryPath(key);
-    switch (runCapturing(driver, app, *controller, workload, path,
-                         result)) {
-    case Capture::Unwritable:
-        warn("trace cache: cannot write '" + path +
-             "' (running uncached)");
-        return false;
-    case Capture::IoError:
-        warn("trace cache: I/O error capturing '" + path +
-             "' (cell ran live)");
+        // Miss (or a just-quarantined entry): simulate live, streaming
+        // the capture straight to the library entry. The key sidecar
+        // follows the committed trace strictly after, so a crash
+        // leaves at most an orphan trace (a miss), never a sidecar
+        // naming a partial trace.
+        bumpCacheCounter("trace_cache.misses");
+        if (key.shared && !route.captureShared)
+            continue;
+        const std::string path = lib.entryPath(key);
+        switch (runCapturing(driver, app, *controller, opts, workload,
+                             path, result)) {
+        case Capture::Unwritable:
+            warn("trace cache: cannot write '" + path +
+                 "' (running uncached)");
+            return false;
+        case Capture::IoError:
+            warn("trace cache: I/O error capturing '" + path +
+                 "' (cell ran live)");
+            return true;
+        case Capture::Written:
+            break;
+        }
+        const std::string key_err = lib.publishKey(key);
+        if (!key_err.empty())
+            warn("trace cache: " + key_err);
+        debug("trace cache capture: " + key.digest() + " (" + workload +
+              " under " + controller->name() + ")");
+        bumpCacheCounter("trace_cache.captures");
         return true;
-    case Capture::Written:
-        break;
     }
-    const std::string key_err = lib.publishKey(key);
-    if (!key_err.empty())
-        warn("trace cache: " + key_err);
-    debug("trace cache capture: " + key.digest() + " (" + workload +
-          " under " + controller->name() + ")");
-    bumpCacheCounter("trace_cache.captures");
-    return true;
+    return false;
 }
+
+} // namespace
 
 void
 publishPcTableMetrics(const core::PcstallController &pcstall)
@@ -983,19 +995,16 @@ publishPcTableMetrics(const core::PcstallController &pcstall)
 sim::RunResult
 runTraced(sim::ExperimentDriver &driver,
           std::shared_ptr<const isa::Application> app,
-          dvfs::DvfsController &controller, const BenchOptions &opts,
-          const std::string &workload, std::size_t run_index,
-          TraceCacheContext *cache)
+          const ControllerMaker &make,
+          std::unique_ptr<dvfs::DvfsController> &controller,
+          const BenchOptions &opts, const std::string &workload,
+          std::size_t run_index, const LibraryRoute &route)
 {
-    debug("runTraced: " + workload + " under " + controller.name() +
+    controller = buildController(make);
+    debug("runTraced: " + workload + " under " + controller->name() +
           (run_index > 0 ? " (run " + std::to_string(run_index) + ")"
                          : ""));
-    // A trace-cache heal can swap in a freshly built controller
-    // mid-function (cache->rebuilt); everything below goes through
-    // these two pointers so post-run bookkeeping follows the swap.
-    dvfs::DvfsController *ctrl = &controller;
-    core::PcstallController *pcstall = pcstallBehind(*ctrl);
-    restorePcSnapshotIn(opts, pcstall);
+    restorePcSnapshotIn(opts, pcstallBehind(*controller));
 
     // Run: replayed from a trace, captured to a trace, resolved
     // through the trace library, or plain.
@@ -1009,7 +1018,7 @@ runTraced(sim::ExperimentDriver &driver,
         // Symmetric with capture: repeat N replays the -rN capture.
         std::string read_err;
         const std::shared_ptr<const trace::TraceData> data = loadTrace(
-            expandRunPath(opts.replayTrace, workload, ctrl->name(),
+            expandRunPath(opts.replayTrace, workload, controller->name(),
                           run_index),
             read_err);
         if (data == nullptr) {
@@ -1023,10 +1032,11 @@ runTraced(sim::ExperimentDriver &driver,
             trace::ReplayDriver replayer(*data);
             trace::ReplayOptions ropts;
             ropts.verifyDecisions =
-                ctrl->name() == data->meta.controller;
+                controller->name() == data->meta.controller;
             ropts.auditRegret = opts.auditRegret;
             ropts.provenance = prov;
-            trace::ReplayOutcome outcome = replayer.run(*ctrl, ropts);
+            trace::ReplayOutcome outcome =
+                replayer.run(*controller, ropts);
             if (outcome.ok()) {
                 if (ropts.verifyDecisions &&
                     outcome.decisionMismatches > 0) {
@@ -1045,9 +1055,9 @@ runTraced(sim::ExperimentDriver &driver,
     }
     if (!ran && !opts.traceOut.empty()) {
         const std::string path = claimOutputPath(expandRunPath(
-            opts.traceOut, workload, ctrl->name(), run_index));
-        const Capture status =
-            runCapturing(driver, app, *ctrl, workload, path, result);
+            opts.traceOut, workload, controller->name(), run_index));
+        const Capture status = runCapturing(driver, app, *controller,
+                                            opts, workload, path, result);
         ran = status != Capture::Unwritable;
         if (status == Capture::Unwritable) {
             warn("--trace-out: cannot write '" + path +
@@ -1056,19 +1066,17 @@ runTraced(sim::ExperimentDriver &driver,
             warn("--trace-out: I/O error writing '" + path + "'");
         }
     }
-    if (!ran && cache != nullptr) {
-        ran = resolveTraceCache(driver, app, ctrl, opts, workload,
-                                *cache, prov, result);
-        // A heal may have swapped in a rebuilt controller.
-        pcstall = pcstallBehind(*ctrl);
+    if (!ran && route.library != nullptr) {
+        ran = resolveInLibrary(driver, app, make, controller, opts,
+                               workload, route, prov, result);
     }
     if (!ran)
-        result = runWithObservers(driver, app, *ctrl, nullptr);
+        result = runWithObservers(driver, app, *controller, nullptr);
     driver.setProvenance(nullptr);
 
     if (prov != nullptr) {
         const std::string prov_path = claimOutputPath(expandRunPath(
-            opts.provenanceOut, workload, ctrl->name(),
+            opts.provenanceOut, workload, controller->name(),
             run_index));
         const std::string perr = store::writeFileAtomic(
             prov_path, obs::encodeProvenance(*prov));
@@ -1076,12 +1084,13 @@ runTraced(sim::ExperimentDriver &driver,
             warn("--provenance-out: " + perr);
     }
 
+    core::PcstallController *pcstall = pcstallBehind(*controller);
     if (pcstall != nullptr && obs::metricsEnabled())
         publishPcTableMetrics(*pcstall);
 
     if (!opts.pcSnapshotOut.empty() && pcstall != nullptr) {
         const std::string snap_path = claimOutputPath(expandRunPath(
-            opts.pcSnapshotOut, workload, ctrl->name(),
+            opts.pcSnapshotOut, workload, controller->name(),
             run_index));
         if (!trace::writePcSnapshotFile(
                 snap_path,

@@ -2,8 +2,8 @@
  * @file
  * Shared plumbing for the figure/table harnesses: a common option
  * vocabulary (--cus, --epoch-us, --scale, --workloads, --threads,
- * --csv), the standard experiment configuration, and cached
- * static-baseline runs.
+ * --csv), the standard experiment configuration, and runTraced(), the
+ * one run path every sweep run takes.
  *
  * Defaults (8 CUs, scale 1.0) are sized so every harness finishes in
  * minutes while preserving the paper's trends; pass --cus 64 --scale 1
@@ -306,7 +306,10 @@ struct ReplayController
  * Rebuild design @p name to replay a trace recorded with @p meta. A
  * recorded "NAME+CAP" controller comes back as NAME inside the
  * recorded power-cap manager; any other name than the recorded one
- * replays uncapped. Unknown names are fatal, as in makeController().
+ * replays uncapped. The application is rebuilt from the recorded
+ * workload build, so controllers that analyse it ahead of time (DSO)
+ * decide as in the captured run. Unknown names are fatal, as in
+ * makeController().
  */
 ReplayController makeReplayController(const trace::TraceMeta &meta,
                                       std::string name);
@@ -316,101 +319,97 @@ ReplayController makeReplayController(const trace::TraceMeta &meta,
  *  order. */
 const std::vector<std::string> &designNames();
 
+/** Builds one run's controller, cold. */
+using ControllerMaker =
+    std::function<std::unique_ptr<dvfs::DvfsController>()>;
+
 /**
- * Per-cell trace-cache routing for runTraced(), assembled by
- * SweepRunner for replay-eligible cells of a --trace-cache sweep
- * (docs/replay_studies.md). The full flow:
+ * Where runTraced() resolves a run in the trace library
+ * (docs/replay_studies.md). The keys are tried in order:
  *
- *  - library hit: the cached trace replays the cell's controller with
- *    live metric accounting; exact-tier hits also verify every
- *    decision against the recording, so a stale entry (key schema
- *    drift, truncated file, foreign simulator build) is detected, not
- *    trusted;
- *  - stale/corrupt hit: the entry is quarantined, the (half-driven)
- *    controller is rebuilt cold via freshController, and the cell
- *    recaptures live;
- *  - miss: the cell simulates live, streaming its capture straight to
- *    the library entry path when captureOnMiss is set.
+ *  - a hit replays the run with live metric accounting; an exact-tier
+ *    hit also verifies every decision against the recording, so a
+ *    stale entry (key schema drift, foreign simulator build) is
+ *    detected, not trusted;
+ *  - a shared stream that cannot drive the run's controller (it lacks
+ *    the sweeps, or the per-wave sweep sensitivities, the controller
+ *    needs) is refused before the first decide, and the run moves on
+ *    to the next key;
+ *  - a corrupt or stale entry is quarantined and then treated as a
+ *    miss; a stale replay may have half-driven the controller, so it
+ *    is rebuilt cold first;
+ *  - a miss captures the live run into the entry, except a shared miss
+ *    the run may not capture, which moves on to the next key.
  */
-struct TraceCacheContext
+struct LibraryRoute
 {
-    /** Open library (not owned). The context is ignored - the run is
-     *  a plain live run - when this is null, !ok(), or
-     *  freshController is unset. */
+    /** Open library (not owned); null = the run is not cached. */
     trace::TraceLibrary *library = nullptr;
-    /** The cell's fully formed cache key (exact or shared tier). */
-    trace::LibraryKey key;
+    /** A what-if cell's shared stream, then its exact-tier key; any
+     *  other run has its exact-tier key alone. */
+    std::vector<trace::LibraryKey> keys;
     /**
-     * Capture a missing entry from this cell's live run. What-if
-     * waiter cells whose stream owner failed clear this: they run
-     * live without capturing, so a shared-tier entry only ever holds
-     * the owner's stream.
+     * Capture a missing shared stream. Set for the first cell of a
+     * what-if group only, so a shared entry only ever holds that
+     * cell's stream; the group's other cells move on to their own
+     * exact-tier key.
      */
-    bool captureOnMiss = true;
-    /**
-     * Rebuild this cell's controller from cold state, exactly as the
-     * original was built (same design string, config and application).
-     * Used when a stale cached entry is quarantined mid-replay: the
-     * half-driven controller must not be reused for the live
-     * recapture. Required - a context without it is ignored.
-     */
-    std::function<std::unique_ptr<dvfs::DvfsController>()>
-        freshController;
-    /**
-     * Out: set when self-healing rebuilt the controller. The caller's
-     * owning pointer must be replaced by this one - it is the object
-     * runTraced() actually drove (and the one post-run inspection
-     * must read).
-     */
-    std::unique_ptr<dvfs::DvfsController> rebuilt;
+    bool captureShared = false;
 };
 
 /**
  * Run one (workload, controller) pair honouring the trace flags:
- * plain `driver.run()` when none are set; epoch-trace capture when
- * --trace-out is given (embedding the learned PC table of PCSTALL
- * controllers); trace replay instead of simulation when --replay is
- * given; PC-table warm start / snapshot export when the snapshot
- * flags are given. Falls back to an untraced live run (with a warn)
- * when a trace file cannot be written or read.
+ * epoch-trace capture when --trace-out is given (embedding the learned
+ * PC table of PCSTALL controllers); trace replay instead of simulation
+ * when --replay is given; PC-table warm start / snapshot export when
+ * the snapshot flags are given; the trace library along @p route
+ * otherwise; a plain live run when none applies. Falls back to an
+ * untraced live run (with a warn) when a trace file cannot be written
+ * or read.
+ *
+ * @p make builds the controller; @p controller receives the one that
+ * ran, which post-run inspection must read (a stale library entry
+ * makes runTraced() rebuild it cold before the live recapture).
  *
  * @p run_index disambiguates repeated (workload, controller) runs in
  * one sweep: repeats > 0 gain a "-rN" suffix on every auto-expanded
  * output path. Independent of that, output paths are claimed in a
  * process-wide registry and re-claims are suffixed too, so no two
  * runs of one process ever overwrite each other's captures.
- *
- * @p cache routes the run through the trace library (may be null; see
- * TraceCacheContext). The explicit --replay / --trace-out flags take
- * precedence over the cache, and a heal can leave cache->rebuilt set
- * - callers that touch the controller after the run must adopt it.
  */
 sim::RunResult runTraced(sim::ExperimentDriver &driver,
                          std::shared_ptr<const isa::Application> app,
-                         dvfs::DvfsController &controller,
+                         const ControllerMaker &make,
+                         std::unique_ptr<dvfs::DvfsController> &controller,
                          const BenchOptions &opts,
                          const std::string &workload,
                          std::size_t run_index = 0,
-                         TraceCacheContext *cache = nullptr);
+                         const LibraryRoute &route = {});
+
+/** How a live run with a trace capture went (runCapturing()). */
+enum class Capture
+{
+    /** The trace file could not be opened; nothing ran. */
+    Unwritable,
+    /** The run completed, but writing its capture failed. */
+    IoError,
+    /** The run completed and its capture is committed. */
+    Written,
+};
 
 /**
- * The core --trace-cache resolution, shared by runTraced() and
- * SweepRunner's static-baseline path: a library hit replays
- * @p controller (verified, with live metric accounting); a stale or
- * corrupt hit is quarantined, the controller rebuilt cold (swapping
- * @p controller to cache.rebuilt), and the run recaptured live; a
- * plain miss runs live, capturing into the library when
- * cache.captureOnMiss. Returns true when @p result was produced;
- * false tells the caller to run live itself. @p prov may be null.
+ * Run live while streaming a PCTR capture to @p path, embedding the
+ * learned PC table of a PCSTALL controller and recording the workload
+ * build (@p opts' scale and seed) in the header. The TraceWriter
+ * stages through temp + fsync + rename, so @p path only ever holds a
+ * whole capture: for the trace library that staging is the atomic
+ * publication of the entry.
  */
-bool resolveTraceCache(sim::ExperimentDriver &driver,
-                       std::shared_ptr<const isa::Application> app,
-                       dvfs::DvfsController *&controller,
-                       const BenchOptions &opts,
-                       const std::string &workload,
-                       TraceCacheContext &cache,
-                       obs::ProvenanceLog *prov,
-                       sim::RunResult &result);
+Capture runCapturing(sim::ExperimentDriver &driver,
+                     std::shared_ptr<const isa::Application> app,
+                     dvfs::DvfsController &controller,
+                     const BenchOptions &opts, const std::string &workload,
+                     const std::string &path, sim::RunResult &result);
 
 /** Print @p table as text or CSV per @p opts. */
 void emit(const BenchOptions &opts, const TableWriter &table);

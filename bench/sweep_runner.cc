@@ -126,6 +126,34 @@ cacheBypassed(const SweepCell &cell)
            !cell.opts.replayTrace.empty();
 }
 
+/**
+ * The cell of the static-nominal baseline shared by every cell with
+ * (@p workload, @p opts): a StaticController at the nominal state,
+ * seeded under the design key "STATIC". It writes no run artifacts,
+ * and keeps the regret audit --provenance-out implies, so it runs
+ * under the same RunConfig as the cells it serves.
+ */
+SweepCell
+baselineCell(const std::string &workload, const BenchOptions &opts)
+{
+    SweepCell cell;
+    cell.workload = workload;
+    cell.design = "STATIC";
+    cell.opts = opts;
+    cell.opts.auditRegret = opts.runConfig().auditRegret;
+    cell.opts.traceOut.clear();
+    cell.opts.replayTrace.clear();
+    cell.opts.pcSnapshotOut.clear();
+    cell.opts.provenanceOut.clear();
+    cell.factory = [](const sim::RunConfig &cfg)
+        -> std::unique_ptr<dvfs::DvfsController> {
+        return std::make_unique<dvfs::StaticController>(
+            static_cast<std::size_t>(
+                power::VfTable::paperTable().indexOf(cfg.nominalFreq)));
+    };
+    return cell;
+}
+
 } // namespace
 
 /** One cell's watchdog slot. Workers publish a deadline at attempt
@@ -328,84 +356,17 @@ SweepRunner::storePut(const store::CellKey *key, const std::string &label,
 }
 
 RunOutcome
-SweepRunner::computeBaseline(const trace::LibraryKey &id,
-                             const BenchOptions &opts,
-                             ShardArtifact &art)
-{
-    RunOutcome out;
-    const std::string &workload = id.workload;
-    const store::CellKey key = storeKeyFor(id, opts.auditRegret);
-    if (storeGet(&key, "baseline " + workload, out, art))
-        return out;
-
-    // Live compute in a private context so the baseline's metrics
-    // shard is exactly this run's recording - cleanly snapshottable
-    // for the store and for submission-order collection.
-    obs::RunContext attempt_ctx("baseline: " + workload);
-    {
-        const obs::ScopedContext scope(attempt_ctx);
-        try {
-            sim::RunConfig cfg = opts.runConfig();
-            const std::string err = sim::validateRunConfig(cfg);
-            if (!err.empty()) {
-                out.error = err;
-            } else if (AppPtr app = appFor(workload, opts)) {
-                // The baseline's stream derives from the same pure
-                // key scheme as cells, with the design slot pinned,
-                // so it is identical however many cells share it.
-                cfg.gpu.seed =
-                    Rng::split(opts.seed, workload, "STATIC").next();
-                sim::ExperimentDriver driver(cfg);
-                dvfs::StaticController nominal(driver.nominalState());
-                TraceCacheContext cctx;
-                cctx.library = traceLibrary.get();
-                cctx.key = id;
-                cctx.freshController = [&driver]()
-                    -> std::unique_ptr<dvfs::DvfsController> {
-                    return std::make_unique<dvfs::StaticController>(
-                        driver.nominalState());
-                };
-                dvfs::DvfsController *ctrl = &nominal;
-                if (!resolveTraceCache(driver, app, ctrl, opts, workload,
-                                       cctx, nullptr, out.result)) {
-                    out.result = driver.run(app, nominal);
-                }
-                out.result.workload = workload;
-                out.ok = true;
-            } else {
-                out.error =
-                    "workload '" + workload + "' failed to build";
-            }
-        } catch (const FatalError &e) {
-            out.error = e.what();
-        } catch (const std::exception &e) {
-            out.error = e.what();
-        }
-    }
-    art.snap = attempt_ctx.registry.snapshot();
-    art.timeline = std::move(attempt_ctx.timeline);
-    art.valid = true;
-
-    if (!out.ok) {
-        noteSweepFailure();
-        warn("static baseline for " + workload +
-             " failed: " + out.error);
-    }
-    storePut(&key, "baseline " + workload, out, art);
-    return out;
-}
-
-RunOutcome
 SweepRunner::staticBaseline(const std::string &workload,
                             const BenchOptions &opts)
 {
     return memoBaseline(
-        baselineOf(identityOf(workload, baselineDesign, opts)), opts);
+        baselineOf(identityOf(workload, baselineDesign, opts)), opts,
+        nullptr);
 }
 
 RunOutcome
 SweepRunner::memoBaseline(const trace::LibraryKey &id,
-                          const BenchOptions &opts)
+                          const BenchOptions &opts, CellWatch *watch)
 {
     const std::string key = id.text();
     std::shared_future<RunOutcome> fut;
@@ -423,7 +384,10 @@ SweepRunner::memoBaseline(const trace::LibraryKey &id,
     }
     if (mine != nullptr) {
         ShardArtifact art;
-        RunOutcome out = computeBaseline(id, opts, art);
+        RunOutcome out =
+            executeCell(baselineCell(id.workload, opts), id,
+                        "baseline: " + id.workload, watch, art,
+                        WhatIf::Off);
         {
             const std::lock_guard<std::mutex> lock(artifactMutex);
             baselineArtifacts[key] = std::move(art);
@@ -436,7 +400,7 @@ SweepRunner::memoBaseline(const trace::LibraryKey &id,
 SweepRunner::FailureKind
 SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
                          const std::atomic<bool> *cancel,
-                         RunOutcome &run, const CacheRouting &routing)
+                         RunOutcome &run, WhatIf what_if)
 {
     try {
         sim::RunConfig cfg = cell.opts.runConfig();
@@ -458,33 +422,26 @@ SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
                                   cell.design, cell.runIndex).next();
         cfg.cancel = cancel;
         sim::ExperimentDriver driver(cfg);
-        std::unique_ptr<dvfs::DvfsController> controller =
-            cell.factory != nullptr
-                ? cell.factory(cfg)
-                : makeController(cell.design, cfg, app.get());
-        fatalIf(controller == nullptr,
-                "cell factory returned no controller");
-        TraceCacheContext cacheCtx;
-        if (routing.enabled) {
-            cacheCtx.library = traceLibrary.get();
-            cacheCtx.key = id;
-            cacheCtx.key.shared = defaults.traceWhatIf;
-            cacheCtx.captureOnMiss = routing.captureOnMiss;
-            cacheCtx.freshController = [&cell, &cfg, &app]()
-                -> std::unique_ptr<dvfs::DvfsController> {
+        LibraryRoute route;
+        if (traceLibrary != nullptr && !cacheBypassed(cell)) {
+            route.library = traceLibrary.get();
+            if (what_if != WhatIf::Off) {
+                route.keys.push_back(id);
+                route.keys.back().shared = true;
+            }
+            route.keys.push_back(id);
+            route.captureShared = what_if == WhatIf::Owner;
+        }
+        std::unique_ptr<dvfs::DvfsController> controller;
+        run.result = runTraced(
+            driver, app,
+            [&cell, &cfg, &app] {
                 return cell.factory != nullptr
                     ? cell.factory(cfg)
                     : makeController(cell.design, cfg, app.get());
-            };
-        }
-        run.result = runTraced(driver, app, *controller, cell.opts,
-                               cell.workload, cell.runIndex, &cacheCtx);
+            },
+            controller, cell.opts, cell.workload, cell.runIndex, route);
         run.result.workload = cell.workload;
-        // A stale-entry heal swaps in a fresh controller mid-run; the
-        // rebuilt one carries the live run's final state, so inspect
-        // callbacks must see it instead of the abandoned original.
-        if (cacheCtx.rebuilt != nullptr)
-            controller = std::move(cacheCtx.rebuilt);
         if (cell.inspect != nullptr)
             cell.inspect(*controller);
         run.ok = true;
@@ -504,41 +461,35 @@ SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
     }
 }
 
-CellOutcome
+RunOutcome
 SweepRunner::executeCell(const SweepCell &cell,
-                         const trace::LibraryKey &id, CellWatch *watch,
-                         ShardArtifact &art, const CacheRouting &routing)
+                         const trace::LibraryKey &id,
+                         const std::string &label, CellWatch *watch,
+                         ShardArtifact &art, WhatIf what_if)
 {
-    CellOutcome out;
-    if (cell.wantBaseline)
-        out.baseline = memoBaseline(baselineOf(id), cell.opts);
-
-    const std::string label = cellLabel(cell.workload, cell.design);
+    RunOutcome out;
     const store::CellKey key = storeKeyFor(id, cell.opts.auditRegret);
     const store::CellKey *stored = storeBypassed(cell) ? nullptr : &key;
-    if (storeGet(stored, label, out.run, art))
+    if (storeGet(stored, label, out, art))
         return out;
 
     const std::int64_t budget_ns = static_cast<std::int64_t>(
         defaults.cellTimeoutSec * 1e9);
     const unsigned max_attempts = 1 + defaults.cellRetries;
-    std::string ctx_label = label;
-    if (cell.runIndex > 0)
-        ctx_label += " r" + std::to_string(cell.runIndex);
     for (unsigned attempt = 0;; ++attempt) {
         if (watch != nullptr && budget_ns > 0) {
             watch->cancel.store(false, std::memory_order_relaxed);
             watch->deadline.store(steadyNowNs() + budget_ns,
                                   std::memory_order_release);
         }
-        obs::RunContext attempt_ctx(ctx_label);
+        obs::RunContext attempt_ctx(label);
         FailureKind kind;
         {
             const obs::ScopedContext scope(attempt_ctx);
-            out.run = RunOutcome{};
+            out = RunOutcome{};
             kind = attemptCell(
                 cell, id, watch != nullptr ? &watch->cancel : nullptr,
-                out.run, routing);
+                out, what_if);
         }
         if (watch != nullptr)
             watch->deadline.store(0, std::memory_order_release);
@@ -547,7 +498,7 @@ SweepRunner::executeCell(const SweepCell &cell,
         art.snap = attempt_ctx.registry.snapshot();
         art.timeline = std::move(attempt_ctx.timeline);
         art.valid = true;
-        if (out.run.ok)
+        if (out.ok)
             break;
         if (kind == FailureKind::Timeout) {
             obs::reg()
@@ -562,7 +513,7 @@ SweepRunner::executeCell(const SweepCell &cell,
                 .add(1);
             warn("sweep cell " + label + " attempt " +
                  std::to_string(attempt + 1) + " failed: " +
-                 out.run.error + " (retrying)");
+                 out.error + " (retrying)");
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(20 * (attempt + 1)));
             continue;
@@ -570,13 +521,13 @@ SweepRunner::executeCell(const SweepCell &cell,
         break;
     }
 
-    if (!out.run.ok) {
+    if (!out.ok) {
         // The one-line diagnostic; the rest of the sweep completes
         // and guardedMain turns the tally into a non-zero exit.
         noteSweepFailure();
-        warn("sweep cell " + label + " failed: " + out.run.error);
+        warn("sweep cell " + label + " failed: " + out.error);
     }
-    storePut(stored, label, out.run, art);
+    storePut(stored, label, out, art);
     return out;
 }
 
@@ -612,23 +563,22 @@ SweepRunner::run(std::vector<SweepCell> cells)
     // already drive trace I/O themselves (--trace-out / --replay)
     // bypass the library; everything else is replay-eligible. In
     // shared what-if mode, cells collapsing onto one shared key form a
-    // group: the first submission index is the owner (it captures on
-    // miss), later ones are waiters (they block on the owner's future,
-    // then replay its entry; never capture, so an owner's published
-    // trace is never clobbered). ParallelExecutor claims indices in
-    // increasing order, so an owner is always scheduled no later than
-    // its waiters and the waits cannot deadlock.
-    const bool cache_on = traceLibrary != nullptr && traceLibrary->ok();
-    std::vector<CacheRouting> routing(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        routing[i].enabled = cache_on && !cacheBypassed(cells[i]);
+    // group: the first submission index is the owner (it captures the
+    // stream on a miss), later ones are waiters (they block on the
+    // owner's future, then replay its stream, or resolve through their
+    // own exact-tier key when it cannot drive them; never capture the
+    // stream, so an owner's published trace is never clobbered).
+    // ParallelExecutor claims indices in increasing order, so an owner
+    // is always scheduled no later than its waiters and the waits
+    // cannot deadlock.
+    std::vector<WhatIf> whatIf(cells.size(), WhatIf::Off);
     std::vector<std::shared_future<void>> cellWaits(cells.size());
     std::vector<std::shared_ptr<std::promise<void>>> cellSignals(
         cells.size());
-    if (cache_on && defaults.traceWhatIf) {
+    if (traceLibrary != nullptr && defaults.traceWhatIf) {
         std::map<std::string, std::shared_future<void>> groupFuture;
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (!owned(i) || !routing[i].enabled)
+            if (!owned(i) || cacheBypassed(cells[i]))
                 continue;
             trace::LibraryKey stream = ids[i];
             stream.shared = true;
@@ -639,8 +589,9 @@ SweepRunner::run(std::vector<SweepCell> cells)
                 groupFuture.emplace(group,
                                     signal->get_future().share());
                 cellSignals[i] = std::move(signal);
+                whatIf[i] = WhatIf::Owner;
             } else {
-                routing[i].captureOnMiss = false;
+                whatIf[i] = WhatIf::Waiter;
                 cellWaits[i] = it->second;
             }
         }
@@ -693,11 +644,6 @@ SweepRunner::run(std::vector<SweepCell> cells)
         baselineCtx.push_back(std::make_unique<obs::RunContext>(
             "baseline: " + id.workload));
     }
-    pool.forEach(baselineWork.size(), [&](std::size_t i) {
-        const obs::ScopedContext scope(*baselineCtx[i]);
-        memoBaseline(baselineIds[i], cells[baselineWork[i]].opts);
-    });
-
     std::vector<std::unique_ptr<obs::RunContext>> cellCtx;
     for (const SweepCell &cell : cells) {
         std::string label = cellLabel(cell.workload, cell.design);
@@ -708,22 +654,42 @@ SweepRunner::run(std::vector<SweepCell> cells)
     }
     std::vector<ShardArtifact> cellArt(cells.size());
 
-    // The cell watchdog: workers publish per-attempt deadlines; the
-    // monitor flips the cancel flag when one passes, and the run stops
-    // cooperatively at its next epoch boundary. The monitor never
-    // touches threads or results - enforcement is entirely in-band.
+    // One background thread serves the watchdog and --progress. Every
+    // run - cell or baseline - publishes a deadline per attempt in its
+    // watch slot (cells first, then baselines); the thread flips the
+    // cancel flag when one passes, and the run stops cooperatively at
+    // its next epoch boundary. It never touches threads or results -
+    // enforcement is entirely in-band. The --progress line on stderr
+    // is a rate-limited count of completed cells: wall-clock cosmetics
+    // only, disabled when stderr is not a TTY (logs, CI).
     const bool watchdog_on = defaults.cellTimeoutSec > 0.0;
     std::vector<std::unique_ptr<CellWatch>> watches;
-    std::atomic<bool> monitor_stop{false};
-    std::thread monitor;
     if (watchdog_on) {
-        watches.resize(cells.size());
+        watches.resize(cells.size() + baselineIds.size());
         for (auto &watch : watches)
             watch = std::make_unique<CellWatch>();
-        monitor = std::thread([&] {
-            while (!monitor_stop.load(std::memory_order_acquire)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
+    }
+    const auto watchOf = [&](std::size_t slot) {
+        return watchdog_on ? watches[slot].get() : nullptr;
+    };
+    std::size_t owned_total = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (owned(i))
+            ++owned_total;
+    }
+    std::atomic<std::size_t> cells_done{0};
+    const bool progress_on = defaults.progress && owned_total > 0 &&
+        isatty(fileno(stderr)) != 0;
+    std::atomic<bool> background_stop{false};
+    std::thread background;
+    if (watchdog_on || progress_on) {
+        background = std::thread([&, owned_total] {
+            const std::int64_t start = steadyNowNs();
+            std::size_t last_done = static_cast<std::size_t>(-1);
+            std::int64_t last_print = 0;
+            for (;;) {
+                const bool stopping =
+                    background_stop.load(std::memory_order_acquire);
                 const std::int64_t now = steadyNowNs();
                 for (auto &watch : watches) {
                     const std::int64_t deadline =
@@ -733,39 +699,13 @@ SweepRunner::run(std::vector<SweepCell> cells)
                             true, std::memory_order_relaxed);
                     }
                 }
-            }
-        });
-    }
-
-    // --progress: a rate-limited status line on stderr, fed by the
-    // completion counter below. The display is wall-clock cosmetics
-    // only - results, metrics and store contents are untouched - and
-    // it disables itself when stderr is not a TTY (logs, CI).
-    std::size_t owned_total = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (owned(i))
-            ++owned_total;
-    }
-    std::atomic<std::size_t> cells_done{0};
-    const bool progress_on = defaults.progress && owned_total > 0 &&
-        isatty(fileno(stderr)) != 0;
-    std::atomic<bool> progress_stop{false};
-    std::thread progress_thread;
-    if (progress_on) {
-        progress_thread = std::thread([&, owned_total] {
-            const std::int64_t start = steadyNowNs();
-            std::size_t last_done = static_cast<std::size_t>(-1);
-            std::int64_t last_print = 0;
-            for (;;) {
-                const bool stopping =
-                    progress_stop.load(std::memory_order_acquire);
                 const std::size_t done =
                     cells_done.load(std::memory_order_relaxed);
-                const std::int64_t now = steadyNowNs();
                 // Redraw at most ~4x/s, and once more when stopping.
-                if (stopping ||
-                    (done != last_done &&
-                     now - last_print > 250'000'000)) {
+                if (progress_on &&
+                    (stopping ||
+                     (done != last_done &&
+                      now - last_print > 250'000'000))) {
                     const double secs =
                         static_cast<double>(now - start) / 1e9;
                     const double rate =
@@ -783,14 +723,21 @@ SweepRunner::run(std::vector<SweepCell> cells)
                     last_print = now;
                 }
                 if (stopping) {
-                    std::fputc('\n', stderr);
+                    if (progress_on)
+                        std::fputc('\n', stderr);
                     break;
                 }
                 std::this_thread::sleep_for(
-                    std::chrono::milliseconds(100));
+                    std::chrono::milliseconds(10));
             }
         });
     }
+
+    pool.forEach(baselineWork.size(), [&](std::size_t i) {
+        const obs::ScopedContext scope(*baselineCtx[i]);
+        memoBaseline(baselineIds[i], cells[baselineWork[i]].opts,
+                     watchOf(cells.size() + i));
+    });
 
     const std::int64_t queued_ns = obs::nowNsIfEnabled();
     std::vector<CellOutcome> out(cells.size());
@@ -814,21 +761,20 @@ SweepRunner::run(std::vector<SweepCell> cells)
             queued_ns);
         const obs::ScopedTimer wall(&registry.histogram(
             "sweep.cell_wall_ns", obs::MetricKind::Timing));
-        out[i] = executeCell(
-            cells[i], ids[i], watchdog_on ? watches[i].get() : nullptr,
-            cellArt[i], routing[i]);
+        if (cells[i].wantBaseline) {
+            out[i].baseline = memoBaseline(baselineOf(ids[i]),
+                                           cells[i].opts, nullptr);
+        }
+        out[i].run = executeCell(cells[i], ids[i], cellCtx[i]->label,
+                                 watchOf(i), cellArt[i], whatIf[i]);
         if (cellSignals[i] != nullptr)
             cellSignals[i]->set_value();
         cells_done.fetch_add(1, std::memory_order_relaxed);
     });
 
-    if (progress_on) {
-        progress_stop.store(true, std::memory_order_release);
-        progress_thread.join();
-    }
-    if (watchdog_on) {
-        monitor_stop.store(true, std::memory_order_release);
-        monitor.join();
+    if (background.joinable()) {
+        background_stop.store(true, std::memory_order_release);
+        background.join();
     }
 
     if (observing) {

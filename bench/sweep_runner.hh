@@ -42,7 +42,8 @@
  * --cell-timeout arms a watchdog thread that cancels overrunning
  * cells cooperatively at the next epoch boundary; transient failures
  * are retried with bounded backoff, deterministic FatalErrors and
- * timeouts never are.
+ * timeouts never are. A shared baseline is a sweep run like a cell:
+ * the same store lookup, watchdog, retries and trace-library route.
  *
  * Both caches key on one cell identity, the exact-tier
  * trace::LibraryKey built by identityOf(): the store adds only the
@@ -57,7 +58,8 @@
  * (--trace-out, --replay) bypass the cache; --trace-what-if switches
  * to shared-stream keys where each workload's first cell simulates
  * and every other controller replays its stream (open-loop
- * evaluation, giving up the byte-identity contract).
+ * evaluation, giving up the byte-identity contract); a controller the
+ * stream cannot drive resolves through its own exact-tier key.
  */
 
 #ifndef PCSTALL_BENCH_SWEEP_RUNNER_HH
@@ -287,37 +289,42 @@ class SweepRunner
         bool valid = false;
     };
 
-    /** Per-cell trace-cache routing, decided by run() before the cell
-     *  phase (what-if stream owners are a submission-order property
+    /** A cell's part in the what-if tier, decided by run() before the
+     *  cell phase (a group's first cell is a submission-order property
      *  of the whole grid, not of one cell). */
-    struct CacheRouting
+    enum class WhatIf
     {
-        /** Consult the trace library for this cell. */
-        bool enabled = false;
-        /** Publish this cell's live capture on a miss (off for
-         *  what-if waiters: only the stream owner's capture may live
-         *  under a shared key). */
-        bool captureOnMiss = true;
+        /** Not a what-if cell: its exact-tier key alone. */
+        Off,
+        /** First cell of its group: captures the shared stream on a
+         *  miss. */
+        Owner,
+        /** Later cell: replays the owner's stream, or resolves through
+         *  its own exact-tier key when that stream cannot drive it. */
+        Waiter,
     };
 
     /** Memoized application build (thread-safe, compute-once). */
     AppPtr appFor(const std::string &workload,
                   const BenchOptions &opts);
 
-    /** Store-checked, watchdog-guarded, retry-bounded execution of
-     *  the cell identified by @p id (the per-cell body of run()'s
-     *  parallel phase). */
-    CellOutcome executeCell(const SweepCell &cell,
-                            const trace::LibraryKey &id,
-                            CellWatch *watch, ShardArtifact &art,
-                            const CacheRouting &routing);
+    /**
+     * Store-checked, watchdog-guarded, retry-bounded execution of one
+     * run identified by @p id: a sweep cell, or a shared baseline's
+     * cell. @p label names the run in diagnostics and its metric
+     * shard.
+     */
+    RunOutcome executeCell(const SweepCell &cell,
+                           const trace::LibraryKey &id,
+                           const std::string &label, CellWatch *watch,
+                           ShardArtifact &art, WhatIf what_if);
 
-    /** One live attempt of a cell (no store, no retries). */
+    /** One attempt of a run (no store, no retries): runTraced() with
+     *  the run's trace-library route. */
     FailureKind attemptCell(const SweepCell &cell,
                             const trace::LibraryKey &id,
                             const std::atomic<bool> *cancel,
-                            RunOutcome &run,
-                            const CacheRouting &routing);
+                            RunOutcome &run, WhatIf what_if);
 
     /**
      * The one definition of a run's identity: its exact-tier trace
@@ -353,15 +360,11 @@ class SweepRunner
                   const RunOutcome &run, const ShardArtifact &art) const;
 
     /** The memoized baseline run identified by @p id (see
-     *  staticBaseline()). */
+     *  staticBaseline()): its first requester runs the baseline's
+     *  cell through executeCell(), under @p watch (may be null), and
+     *  stashes the shard for submission-order collection. */
     RunOutcome memoBaseline(const trace::LibraryKey &id,
-                            const BenchOptions &opts);
-
-    /** The store-checked baseline computation memoBaseline()'s winner
-     *  runs; fills @p art for submission-order collection. */
-    RunOutcome computeBaseline(const trace::LibraryKey &id,
-                               const BenchOptions &opts,
-                               ShardArtifact &art);
+                            const BenchOptions &opts, CellWatch *watch);
 
     /** True when a (probably valid) store entry exists for the cell
      *  identified by @p id and its baseline, so prepasses can skip

@@ -167,6 +167,36 @@ RegretSummary::percentile(double p) const
     return oracleMax;
 }
 
+void
+encodeRegretSummary(std::string &out, const RegretSummary &summary)
+{
+    putVarint(out, summary.count);
+    putDouble(out, summary.oracleSum);
+    putDouble(out, summary.oracleMax);
+    putDouble(out, summary.staticSum);
+    putVarint(out, summary.buckets.size());
+    for (const std::uint64_t b : summary.buckets)
+        putVarint(out, b);
+}
+
+bool
+decodeRegretSummary(Cursor &cur, RegretSummary &summary)
+{
+    summary.count = cur.varint();
+    summary.oracleSum = cur.getDouble();
+    summary.oracleMax = cur.getDouble();
+    summary.staticSum = cur.getDouble();
+    const std::uint64_t buckets = cur.varint();
+    if (cur.failed() || buckets > cur.remaining() ||
+        (buckets != 0 && buckets != RegretSummary::numBuckets)) {
+        return false;
+    }
+    summary.buckets.resize(buckets);
+    for (std::uint64_t &b : summary.buckets)
+        b = cur.varint();
+    return !cur.failed();
+}
+
 namespace
 {
 
@@ -302,14 +332,7 @@ encodeTrailer(const ProvenanceLog &log)
 {
     std::string out;
     putVarint(out, log.records.size());
-    const RegretSummary &r = log.regret;
-    putVarint(out, r.count);
-    putDouble(out, r.oracleSum);
-    putDouble(out, r.oracleMax);
-    putDouble(out, r.staticSum);
-    putVarint(out, r.buckets.size());
-    for (const std::uint64_t b : r.buckets)
-        putVarint(out, b);
+    encodeRegretSummary(out, log.regret);
     return out;
 }
 
@@ -317,19 +340,7 @@ bool
 decodeTrailer(Cursor cur, std::uint64_t &record_count, RegretSummary &r)
 {
     record_count = cur.varint();
-    r.count = cur.varint();
-    r.oracleSum = cur.getDouble();
-    r.oracleMax = cur.getDouble();
-    r.staticSum = cur.getDouble();
-    const std::uint64_t buckets = cur.varint();
-    if (cur.failed() || buckets > cur.remaining() ||
-        (buckets != 0 && buckets != RegretSummary::numBuckets)) {
-        return false;
-    }
-    r.buckets.resize(buckets);
-    for (std::uint64_t &b : r.buckets)
-        b = cur.varint();
-    return !cur.failed() && cur.atEnd();
+    return decodeRegretSummary(cur, r) && cur.atEnd();
 }
 
 ProvenanceReadResult

@@ -41,6 +41,11 @@
 #include <string>
 #include <vector>
 
+namespace pcstall::trace
+{
+class Cursor;
+}
+
 namespace pcstall::obs
 {
 
@@ -165,6 +170,26 @@ struct RegretSummary
 
     bool empty() const { return count == 0; }
 };
+
+/**
+ * The one wire image of a RegretSummary: the regret fields of a PCPV
+ * trailer and of a PCRS entry's run result.
+ *
+ * @param out      Bytes to append the image to.
+ * @param summary  The rollup to encode.
+ */
+void encodeRegretSummary(std::string &out, const RegretSummary &summary);
+
+/**
+ * Decode one encodeRegretSummary() image; the caller checks what
+ * follows it.
+ *
+ * @param cur      Read position, advanced past the image.
+ * @param summary  Filled with the decoded rollup.
+ * @return False when the image is truncated or malformed (a bucket
+ *         count other than 0 or RegretSummary::numBuckets).
+ */
+bool decodeRegretSummary(trace::Cursor &cur, RegretSummary &summary);
 
 /** Run identity carried in a PCPV file's META section. */
 struct ProvenanceMeta

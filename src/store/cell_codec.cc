@@ -1,5 +1,6 @@
 #include "cell_codec.hh"
 
+#include "obs/provenance.hh"
 #include "trace/wire.hh"
 
 namespace pcstall::store
@@ -68,36 +69,6 @@ decodeEpochFaults(Cursor &cur, gpu::FaultEpochCounters &fc)
 }
 
 void
-encodeRegretSummary(std::string &out, const obs::RegretSummary &rs)
-{
-    putVarint(out, rs.count);
-    putDouble(out, rs.oracleSum);
-    putDouble(out, rs.oracleMax);
-    putDouble(out, rs.staticSum);
-    putVarint(out, rs.buckets.size());
-    for (const std::uint64_t b : rs.buckets)
-        putVarint(out, b);
-}
-
-bool
-decodeRegretSummary(Cursor &cur, obs::RegretSummary &rs)
-{
-    rs.count = cur.varint();
-    rs.oracleSum = cur.getDouble();
-    rs.oracleMax = cur.getDouble();
-    rs.staticSum = cur.getDouble();
-    const std::uint64_t buckets = cur.varint();
-    if (cur.failed() || buckets > cur.remaining())
-        return false;
-    if (buckets != 0 && buckets != obs::RegretSummary::numBuckets)
-        return false;
-    rs.buckets.resize(buckets);
-    for (std::uint64_t &b : rs.buckets)
-        b = cur.varint();
-    return !cur.failed();
-}
-
-void
 encodeRunResult(std::string &out, const sim::RunResult &r)
 {
     putString(out, r.controller);
@@ -126,7 +97,7 @@ encodeRunResult(std::string &out, const sim::RunResult &r)
             putDouble(out, v);
         encodeEpochFaults(out, e.faults);
     }
-    encodeRegretSummary(out, r.regret);
+    obs::encodeRegretSummary(out, r.regret);
 }
 
 bool
@@ -172,7 +143,7 @@ decodeRunResult(Cursor &cur, sim::RunResult &r)
             v = cur.getDouble();
         decodeEpochFaults(cur, e.faults);
     }
-    if (!decodeRegretSummary(cur, r.regret))
+    if (!obs::decodeRegretSummary(cur, r.regret))
         return false;
     return !cur.failed();
 }

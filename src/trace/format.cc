@@ -46,8 +46,11 @@ encodeMeta(const TraceMeta &meta)
 {
     std::string out;
     putString(out, meta.workload);
+    putDouble(out, meta.workloadScale);
+    putFixed64(out, meta.workloadSeed);
     putString(out, meta.controller);
     out.push_back(static_cast<char>(meta.sweepNeed));
+    putBool(out, meta.waveLevel);
     putBool(out, meta.hierarchical.enabled);
     putDouble(out, meta.hierarchical.powerCap);
     putVarint(out, meta.hierarchical.reviewEpochs);
@@ -59,8 +62,11 @@ std::string
 decodeMeta(Cursor &cur, TraceMeta &meta)
 {
     meta.workload = cur.getString();
+    meta.workloadScale = cur.getDouble();
+    meta.workloadSeed = cur.fixed64();
     meta.controller = cur.getString();
     meta.sweepNeed = cur.u8();
+    meta.waveLevel = cur.getBool();
     meta.hierarchical.enabled = cur.getBool();
     meta.hierarchical.powerCap = cur.getDouble();
     meta.hierarchical.reviewEpochs =
@@ -123,6 +129,8 @@ decodeMeta(Cursor &cur, TraceMeta &meta)
     }
     if (meta.epochLen <= 0)
         return "corrupt trace meta (epoch length)";
+    if (!std::isfinite(meta.workloadScale) || meta.workloadScale < 0.0)
+        return "corrupt trace meta (workload scale)";
     if (meta.sweepNeed >
         static_cast<std::uint8_t>(dvfs::SweepNeed::Upcoming)) {
         return "corrupt trace meta (sweep kind)";
@@ -448,6 +456,7 @@ makeTraceMeta(const sim::RunConfig &config, const power::VfTable &table,
     meta.workload = workload;
     meta.controller = controller.name();
     meta.sweepNeed = static_cast<std::uint8_t>(controller.sweepNeed());
+    meta.waveLevel = controller.needsWaveLevel();
     meta.hierarchical = hier;
     return meta;
 }

@@ -48,8 +48,10 @@
 namespace pcstall::trace
 {
 
-/** Current trace format version (bumped on any wire change). */
-inline constexpr std::uint16_t traceFormatVersion = 1;
+/** Current trace format version (bumped on any wire change). Version
+ *  2 records whether the sweeps carry per-wave sensitivities and the
+ *  workload build's scale and seed. */
+inline constexpr std::uint16_t traceFormatVersion = 2;
 
 /** Hierarchical power-cap wrapper of the captured controller, if any
  *  (needed to reconstruct a NAME+CAP controller for replay). */
@@ -66,10 +68,22 @@ struct TraceMeta
 {
     /** Workload (application) name of the captured run. */
     std::string workload;
+    /**
+     * Scale and seed the application was built with; with the name and
+     * numCus they rebuild it (workloads::WorkloadParams) for
+     * controllers that analyse the program ahead of time. Outside the
+     * RunConfig image, so no cache key depends on them. Scale 0 = not
+     * recorded.
+     */
+    double workloadScale = 0.0;
+    std::uint64_t workloadSeed = 0;
     /** Display name of the captured controller (e.g. "PCSTALL"). */
     std::string controller;
     /** Sweep kind the captured controller requested (SweepNeed). */
     std::uint8_t sweepNeed = 0;
+    /** True when the recorded sweeps carry per-wave sensitivities (the
+     *  captured controller's needsWaveLevel()). */
+    bool waveLevel = false;
     HierarchicalMeta hierarchical;
 
     // --- RunConfig image ------------------------------------------

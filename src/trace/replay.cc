@@ -77,6 +77,13 @@ ReplayDriver::run(dvfs::DvfsController &controller,
                 return outcome;
             }
         }
+        if (controller.needsWaveLevel() && !meta.waveLevel) {
+            outcome.error = "controller " + controller.name() +
+                " needs per-wave sweep sensitivities, but the trace "
+                "was captured without them (capture under a "
+                "wave-level controller to replay this one)";
+            return outcome;
+        }
     }
 
     // Same seed => the injector replays the exact fault sequence the

@@ -106,7 +106,10 @@ class ReplayDriver
      * Replay every recorded epoch boundary through @p controller.
      * The controller must be freshly constructed (same cold state the
      * live run started from) for decision verification to be
-     * meaningful.
+     * meaningful. A stream that cannot drive @p controller - it needs
+     * fork-pre-execute sweeps the trace lacks, or per-wave sweep
+     * sensitivities it lacks - is refused with an error before the
+     * first decide, so a refused controller is still cold.
      */
     ReplayOutcome run(dvfs::DvfsController &controller,
                       const ReplayOptions &options = {});

@@ -11,9 +11,11 @@ namespace pcstall::trace
 namespace
 {
 
-/** Standalone snapshot file magic: "PCSN" little-endian. */
-constexpr std::uint32_t snapMagic = 0x4E534350;
-constexpr std::uint16_t snapVersion = 1;
+/** Section tags of a standalone `.pcsnap` file (version 1 was not a
+ *  sealed container, so this one is version 2). */
+constexpr std::uint8_t tagSnapshot = 1;
+constexpr std::uint8_t tagEnd = 0xFF;
+constexpr SealedFormat snapshotFormat{"PCSN", 2, tagEnd};
 
 /** Largest plausible table geometry a file may declare. */
 constexpr std::uint64_t maxTables = 1 << 16;
@@ -147,13 +149,10 @@ decodePcSnapshot(const std::string &payload, PcTableSnapshot &snap)
 bool
 writePcSnapshotFile(const std::string &path, const PcTableSnapshot &snap)
 {
-    const std::string payload = encodePcSnapshot(snap);
-    std::string out;
-    putFixed64(out, (static_cast<std::uint64_t>(snapVersion) << 32) |
-                        snapMagic);
-    putVarint(out, payload.size());
-    out += payload;
-    putFixed64(out, fnv1a(fnvSeed, payload.data(), payload.size()));
+    SealedWriter sealer(snapshotFormat);
+    std::string out = sealer.header();
+    sealer.append(out, tagSnapshot, encodePcSnapshot(snap));
+    out += sealer.end("");
     // Atomic publish: a killed run leaves either the previous snapshot
     // or none, never a truncated file a warm-start would reject.
     return store::writeFileAtomic(path, out).empty();
@@ -168,43 +167,21 @@ readPcSnapshotFile(const std::string &path)
         result.error = "cannot open '" + path + "'";
         return result;
     }
-    Cursor cur(buf);
-    const std::uint64_t head = cur.fixed64();
-    if (cur.failed() ||
-        static_cast<std::uint32_t>(head & 0xFFFFFFFF) != snapMagic) {
-        result.error = "'" + path + "' is not a PC snapshot file";
+    const Unsealed file = unseal(buf, snapshotFormat);
+    if (!file.ok()) {
+        result.error = "'" + path + "': " + file.error;
         return result;
     }
-    if (static_cast<std::uint16_t>(head >> 32) != snapVersion) {
-        result.error = "unsupported PC snapshot version " +
-            std::to_string(head >> 32);
-        return result;
-    }
-    const std::uint64_t payload_len = cur.varint();
-    if (cur.failed() || payload_len > cur.remaining()) {
-        result.error = "truncated PC snapshot file";
-        return result;
-    }
-    const std::size_t off = buf.size() - cur.remaining();
-    const std::string payload = buf.substr(off, payload_len);
-    Cursor tail(buf.data() + off + payload_len,
-                buf.size() - off - payload_len);
-    const std::uint64_t checksum = tail.fixed64();
-    if (tail.failed()) {
-        result.error = "truncated PC snapshot file";
-        return result;
-    }
-    if (checksum != fnv1a(fnvSeed, payload.data(), payload.size())) {
-        result.error = "PC snapshot checksum mismatch (corrupt file)";
+    if (file.sections.size() != 1 ||
+        file.sections.front().tag != tagSnapshot ||
+        file.trailer.size != 0) {
+        result.error = "'" + path + "': unexpected PCSN sections";
         return result;
     }
     PcTableSnapshot snap;
-    const std::string err = decodePcSnapshot(payload, snap);
-    if (!err.empty()) {
-        result.error = err;
-        return result;
-    }
-    result.snapshot = std::move(snap);
+    result.error = decodePcSnapshot(file.sections.front().bytes(), snap);
+    if (result.error.empty())
+        result.snapshot = std::move(snap);
     return result;
 }
 

@@ -306,6 +306,43 @@ INSTANTIATE_TEST_SUITE_P(Grid, ProvenanceReplay,
                              return n;
                          });
 
+TEST(Provenance, DsoCaptureReplaysAndItsSidecarVerifies)
+{
+    // DSO analyses the application ahead of time, so its replay needs
+    // the application the capture ran: makeReplayController() rebuilds
+    // it from the workload build the trace header records.
+    const std::string dir = tempDir("prov_dso");
+    bench::BenchOptions opts;
+    opts.cus = 4;
+    opts.scale = 0.25;
+    opts.threads = 1;
+    bench::SweepRunner runner(opts);
+    bench::SweepCell cell = runner.cell("comd", "DSO");
+    cell.opts.traceOut = dir + "/{w}-{c}.pctrace";
+    cell.opts.provenanceOut = dir + "/{w}-{c}.pcpv";
+    const auto out = runner.run({cell});
+    ASSERT_TRUE(out[0].run.ok) << out[0].run.error;
+
+    const auto read = trace::readTraceFile(dir + "/comd-DSO.pctrace");
+    ASSERT_TRUE(read.ok()) << read.error;
+    EXPECT_EQ(read.trace->meta.workloadScale, 0.25);
+    EXPECT_EQ(read.trace->meta.workloadSeed, opts.seed);
+    const bench::ReplayController rc =
+        bench::makeReplayController(read.trace->meta, "DSO");
+    obs::ProvenanceLog log;
+    trace::ReplayDriver replay(*read.trace);
+    trace::ReplayOptions ropts;
+    ropts.auditRegret = true;
+    ropts.provenance = &log;
+    const trace::ReplayOutcome outcome = replay.run(*rc.use, ropts);
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    EXPECT_EQ(outcome.decisionMismatches, 0u) << outcome.firstMismatch;
+    EXPECT_TRUE(obs::encodeProvenance(log) ==
+                readFileBytes(dir + "/comd-DSO.pcpv"))
+        << "the replay does not re-derive the sidecar";
+    std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Strict decoding: every truncation and every single-byte flip of a
 // valid PCPV image is rejected (the trailer checksum covers the whole

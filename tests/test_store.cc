@@ -728,6 +728,26 @@ TEST(SweepWatchdog, CellTimeoutCancelsAndIsNeverRetried)
     EXPECT_EQ(factory_calls.load(), 1);
 }
 
+TEST(SweepWatchdog, SharedBaselineRunsUnderTheWatchdog)
+{
+    bench::BenchOptions opts = smallOptions(2);
+    // A full-scale run outlasts the watchdog's 10 ms polling by far;
+    // the budget is far below any real run's wall time.
+    opts.scale = 1.0;
+    opts.cellTimeoutSec = 1e-4;
+    bench::SweepRunner runner(opts);
+    std::vector<bench::SweepCell> cells;
+    cells.push_back(runner.cell("comd", "STALL", true));
+    const auto out = runner.run(std::move(cells));
+    // The baseline is a sweep run like its cell: cancelled at an epoch
+    // boundary, not left to run past the budget.
+    ASSERT_FALSE(out[0].baseline.ok);
+    EXPECT_NE(out[0].baseline.error.find("cell wall-time budget"),
+              std::string::npos)
+        << out[0].baseline.error;
+    EXPECT_FALSE(out[0].run.ok);
+}
+
 TEST(SweepRetry, TransientFailureIsRetriedThenSucceeds)
 {
     const std::uint64_t failures_before = bench::sweepFailureCount();

@@ -344,6 +344,9 @@ TEST(TraceFormat, GoldenPctrImageIsStable)
     trace::TraceData &data = *read.trace;
     ASSERT_FALSE(data.pcSnapshot.empty());
     data.trailer.captureWallMs = 0.0;
+    // The workload build capture() ran (app(): scale 0.2, seed 42).
+    data.meta.workloadScale = 0.2;
+    data.meta.workloadSeed = 42;
 
     const std::string path = tempTracePath("golden");
     {
@@ -359,8 +362,8 @@ TEST(TraceFormat, GoldenPctrImageIsStable)
     std::remove(path.c_str());
 
     EXPECT_EQ(data.frames.size(), 3u);
-    EXPECT_EQ(image.size(), 6951u);
-    EXPECT_EQ(trace::digest128(image), "b479367d1cb82ff3ae7af91c7f06e556")
+    EXPECT_EQ(image.size(), 6968u);
+    EXPECT_EQ(trace::digest128(image), "25e1e1b24153e8af35e9ddcbf7d333c8")
         << "PCTR encoding drifted; if intentional, bump "
            "traceFormatVersion, record the new digest and update "
            "docs/trace_format.md";
@@ -479,6 +482,35 @@ class PcrsReader : public SealedReader
     std::size_t quarantined = 0;
 };
 
+class PcsnReader : public SealedReader
+{
+  public:
+    std::string image() override
+    {
+        predict::PcTableConfig cfg;
+        cfg.entries = 8;
+        std::vector<predict::PcSensitivityTable> tables;
+        tables.emplace_back(cfg);
+        tables[0].update(0x40, 1.5, 2.5);
+        EXPECT_TRUE(trace::writePcSnapshotFile(
+            path, trace::snapshotPcTables(tables)));
+        std::string bytes;
+        EXPECT_TRUE(trace::readFile(path, bytes));
+        return bytes;
+    }
+
+    std::string read(const std::string &bytes) override
+    {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        return trace::readPcSnapshotFile(path).error;
+    }
+
+    ~PcsnReader() override { std::remove(path.c_str()); }
+
+  private:
+    std::string path = tempTracePath("strict_pcsn");
+};
+
 class StrictDecoding : public ::testing::TestWithParam<std::string>
 {};
 
@@ -489,6 +521,8 @@ TEST_P(StrictDecoding, EveryTruncationAndByteFlipIsRejected)
         reader = std::make_unique<PctrReader>();
     else if (GetParam() == "PCPV")
         reader = std::make_unique<PcpvReader>();
+    else if (GetParam() == "PCSN")
+        reader = std::make_unique<PcsnReader>();
     else
         reader = std::make_unique<PcrsReader>();
     const std::string bytes = reader->image();
@@ -510,7 +544,8 @@ TEST_P(StrictDecoding, EveryTruncationAndByteFlipIsRejected)
 }
 
 INSTANTIATE_TEST_SUITE_P(SealedFormats, StrictDecoding,
-                         ::testing::Values("PCTR", "PCPV", "PCRS"),
+                         ::testing::Values("PCTR", "PCPV", "PCRS",
+                                           "PCSN"),
                          [](const auto &info) { return info.param; });
 
 // ---------------------------------------------------------------------
@@ -620,6 +655,30 @@ TEST(PcSnapshot, StandaloneFileRoundTripsAndRejectsCorruption)
     os.close();
     EXPECT_FALSE(trace::readPcSnapshotFile(path).ok());
     std::remove(path.c_str());
+}
+
+TEST(PcSnapshot, VersionOneFileReadsAsUnsupported)
+{
+    // Version 1 hand-rolled its header: magic, u32 version, payload
+    // length, payload, FNV-1a of the payload.
+    predict::PcTableConfig cfg;
+    std::vector<predict::PcSensitivityTable> tables;
+    tables.emplace_back(cfg);
+    const std::string payload =
+        trace::encodePcSnapshot(trace::snapshotPcTables(tables));
+    std::string v1("PCSN\x01\x00\x00\x00", 8);
+    trace::putVarint(v1, payload.size());
+    v1 += payload;
+    trace::putFixed64(v1, trace::fnv1a(trace::fnvSeed, payload.data(),
+                                       payload.size()));
+    const std::string path = tempTracePath("snapshot_v1");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << v1;
+    const auto read = trace::readPcSnapshotFile(path);
+    std::remove(path.c_str());
+    EXPECT_FALSE(read.ok());
+    EXPECT_NE(read.error.find("unsupported PCSN version 1"),
+              std::string::npos)
+        << read.error;
 }
 
 TEST(PcSnapshot, EmbeddedInTraceAndWarmStartsController)

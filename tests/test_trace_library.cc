@@ -18,7 +18,9 @@
 
 #include "store/atomic_file.hh"
 #include "sweep_runner.hh"
+#include "trace/format.hh"
 #include "trace/library.hh"
+#include "trace/sealed.hh"
 
 using namespace pcstall;
 
@@ -423,6 +425,135 @@ TEST(ReplaySweep, WhatIfTierSharesOneCaptureAcrossControllers)
                          "what-if cell " + std::to_string(i));
     }
     EXPECT_EQ(warm.traceCache()->entryCount(), 1u);
+}
+
+/** One what-if sweep of @p designs on comd, in submission order. */
+std::vector<bench::CellOutcome>
+whatIfSweep(const std::string &dir, const std::vector<std::string> &designs)
+{
+    bench::BenchOptions opts = smallOptions(2, dir);
+    opts.traceWhatIf = true;
+    bench::SweepRunner runner(opts);
+    std::vector<bench::SweepCell> cells;
+    for (const std::string &design : designs)
+        cells.push_back(runner.cell("comd", design));
+    return runner.run(std::move(cells));
+}
+
+/** @p design's comd cell run without any cache. */
+bench::RunOutcome
+uncached(const std::string &design)
+{
+    bench::SweepRunner runner(smallOptions(1));
+    std::vector<bench::SweepCell> cells;
+    cells.push_back(runner.cell("comd", design));
+    return runner.run(std::move(cells))[0].run;
+}
+
+TEST(ReplaySweep, WhatIfCellTheStreamCannotDriveResolvesThroughItsExactKey)
+{
+    // PCSTALL owns the stream and records no sweeps, so ORACLE and
+    // ACCPC cannot replay it: each resolves through its own exact-tier
+    // key - captured cold, replayed and verified warm - and matches
+    // its uncached run.
+    const std::string dir = scratchDir("whatifexact");
+    const std::vector<std::string> designs = {"PCSTALL", "ORACLE",
+                                              "ACCPC"};
+    const auto cold = whatIfSweep(dir, designs);
+    trace::TraceLibrary lib(dir);
+    EXPECT_EQ(lib.entryCount(), 3u) << "one stream + two exact keys";
+    const auto warm = whatIfSweep(dir, designs);
+    EXPECT_EQ(lib.entryCount(), 3u) << "the warm run captured again";
+    EXPECT_EQ(lib.quarantinedCount(), 0u);
+    for (std::size_t i = 1; i < designs.size(); ++i) {
+        const bench::RunOutcome want = uncached(designs[i]);
+        expectSameResult(want, cold[i].run, "cold " + designs[i]);
+        expectSameResult(want, warm[i].run, "warm " + designs[i]);
+    }
+    expectSameResult(cold[0].run, warm[0].run, "stream owner");
+}
+
+TEST(ReplaySweep, WaveLevelCellIsNeverReplayedOverSweepsWithoutWaves)
+{
+    // ORACLE's stream carries sweeps but no per-wave sensitivities:
+    // ACCPC, which learns from them, is refused that stream instead of
+    // deciding on empty sensitivities, and runs as it would uncached.
+    const std::string dir = scratchDir("whatifwaves");
+    const std::vector<std::string> designs = {"ORACLE", "ACCPC"};
+    const bench::RunOutcome want = uncached("ACCPC");
+    ASSERT_GT(want.result.predictionAccuracy, 0.0);
+    expectSameResult(want, whatIfSweep(dir, designs)[1].run, "cold");
+    expectSameResult(want, whatIfSweep(dir, designs)[1].run, "warm");
+}
+
+TEST(ReplaySweep, V1EntryIsQuarantinedAndRecapturedNeverRead)
+{
+    bench::SweepRunner fresh(smallOptions(1));
+    std::vector<bench::SweepCell> ref;
+    ref.push_back(fresh.cell("comd", "STALL"));
+    const auto want = fresh.run(std::move(ref));
+
+    const std::string dir = scratchDir("tracev1");
+    {
+        bench::SweepRunner cold(smallOptions(1, dir));
+        std::vector<bench::SweepCell> cells;
+        cells.push_back(cold.cell("comd", "STALL"));
+        cold.run(std::move(cells));
+    }
+    std::string entry;
+    for (const auto &f : fs::directory_iterator(dir)) {
+        if (f.path().extension() == ".pctrace")
+            entry = f.path().string();
+    }
+    ASSERT_FALSE(entry.empty());
+
+    // Rewrite the entry the way format version 1 laid out its META
+    // (no wave-level flag, no workload build) around the same frames,
+    // with a well-formed trailer one tick off: ingesting it would show.
+    const trace::TraceReadResult read = trace::readTraceFile(entry);
+    ASSERT_TRUE(read.ok()) << read.error;
+    const trace::TraceMeta &meta = read.trace->meta;
+    std::string v2_bytes;
+    ASSERT_TRUE(trace::readFile(entry, v2_bytes));
+    const trace::SealedFormat pctr{"PCTR", trace::traceFormatVersion, 4};
+    const trace::Unsealed v2 = trace::unseal(v2_bytes, pctr);
+    ASSERT_TRUE(v2.ok()) << v2.error;
+    std::string v1_meta;
+    trace::putString(v1_meta, meta.workload);
+    trace::putString(v1_meta, meta.controller);
+    v1_meta.push_back(static_cast<char>(meta.sweepNeed));
+    trace::putBool(v1_meta, meta.hierarchical.enabled);
+    trace::putDouble(v1_meta, meta.hierarchical.powerCap);
+    trace::putVarint(v1_meta, meta.hierarchical.reviewEpochs);
+    trace::putDouble(v1_meta, meta.hierarchical.widenBelow);
+    v1_meta += trace::encodeRunConfigImage(meta);
+    trace::SealedWriter v1({"PCTR", 1, 4});
+    std::string image = v1.header();
+    v1.append(image, 1, v1_meta);
+    for (std::size_t i = 1; i < v2.sections.size(); ++i)
+        v1.append(image, v2.sections[i].tag, v2.sections[i].bytes());
+    const trace::TraceTrailer &t = read.trace->trailer;
+    std::string trailer;
+    trace::putVarint(trailer, t.frameCount);
+    trace::putZigzag(trailer, t.lastCommitTick + 1);
+    trace::putVarint(trailer, t.totalCommitted);
+    trace::putBool(trailer, t.completed);
+    trace::putDouble(trailer, t.captureWallMs);
+    image += v1.end(trailer);
+    std::ofstream(entry, std::ios::binary | std::ios::trunc) << image;
+    ASSERT_NE(trace::readTraceFile(entry).error.find("version 1"),
+              std::string::npos);
+
+    bench::SweepRunner warm(smallOptions(1, dir));
+    std::vector<bench::SweepCell> cells;
+    cells.push_back(warm.cell("comd", "STALL"));
+    const auto out = warm.run(std::move(cells));
+    expectSameResult(want[0].run, out[0].run, "recaptured cell");
+    // The v1 trace and its key sidecar.
+    EXPECT_EQ(warm.traceCache()->quarantinedCount(), 2u);
+    // The recapture re-published the entry in the current format.
+    EXPECT_EQ(warm.traceCache()->entryCount(), 1u);
+    EXPECT_TRUE(trace::readTraceFile(entry).ok());
 }
 
 } // namespace

@@ -110,7 +110,12 @@ void
 printMeta(const trace::TraceData &data)
 {
     const trace::TraceMeta &m = data.meta;
-    std::printf("workload:        %s\n", m.workload.c_str());
+    std::printf("workload:        %s", m.workload.c_str());
+    if (m.workloadScale > 0.0) {
+        std::printf(" (scale %.2f, seed %" PRIu64 ")", m.workloadScale,
+                    m.workloadSeed);
+    }
+    std::printf("\n");
     std::printf("controller:      %s%s\n", m.controller.c_str(),
                 m.hierarchical.enabled ? " (power-capped)" : "");
     std::printf("geometry:        %u CUs, %u wave slots/CU, "
@@ -137,7 +142,9 @@ printMeta(const trace::TraceData &data)
                 m.faults.storage.enabled ? "on" : "off",
                 m.faults.seed);
     std::printf("sweeps recorded: %s\n",
-                m.sweepNeed != 0 ? "yes" : "no");
+                m.sweepNeed == 0 ? "no"
+                : m.waveLevel    ? "yes, with per-wave sensitivities"
+                                 : "yes");
     std::printf("pc snapshot:     %s\n",
                 data.pcSnapshot.empty()
                     ? "absent"
@@ -344,9 +351,7 @@ cmdCapture(int argc, char **argv)
         std::fprintf(stderr, "capture: --out <trace file> required\n");
         return 2;
     }
-    bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
-    opts.traceOut = out;
-    opts.replayTrace.clear();
+    const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
     const std::string workload =
         cli.get("workload", opts.firstWorkload("comd"));
 
@@ -356,29 +361,22 @@ cmdCapture(int argc, char **argv)
     const sim::RunConfig cfg = opts.runConfig();
     sim::ExperimentDriver driver(cfg);
     std::unique_ptr<dvfs::DvfsController> controller =
-        bench::makeController(design, cfg);
+        bench::makeController(design, cfg, app.get());
     // Single run: the --out path is used verbatim (unlike the bench
     // harness's sweep captures, which suffix per run).
-    const trace::TraceMeta meta = trace::makeTraceMeta(
-        cfg, driver.table(), workload, *controller);
-    trace::TraceWriter writer(out, meta);
-    if (!writer.ok()) {
+    sim::RunResult r;
+    switch (bench::runCapturing(driver, app, *controller, opts, workload,
+                                out, r)) {
+    case bench::Capture::Unwritable:
         std::fprintf(stderr, "capture: cannot write '%s'\n",
                      out.c_str());
         return 1;
-    }
-    trace::TraceCapture capture(writer);
-    if (auto *pcstall = dynamic_cast<core::PcstallController *>(
-            controller.get())) {
-        capture.setSnapshotProvider([pcstall] {
-            return trace::snapshotPcTables(pcstall->pcTables());
-        });
-    }
-    const sim::RunResult r = driver.run(app, *controller, &capture);
-    if (!writer.ok()) {
+    case bench::Capture::IoError:
         std::fprintf(stderr, "capture: I/O error writing '%s'\n",
                      out.c_str());
         return 1;
+    case bench::Capture::Written:
+        break;
     }
     std::printf("captured %zu epochs of %s under %s -> %s\n",
                 r.epochs, workload.c_str(), controller->name().c_str(),
