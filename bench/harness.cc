@@ -1,6 +1,7 @@
 #include "harness.hh"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -263,7 +264,13 @@ BenchOptions::parse(int argc, char **argv)
     CliOptions cli(argc, argv);
     BenchOptions opts;
     opts.cus = static_cast<std::uint32_t>(cli.getInt("cus", 8));
-    opts.scale = cli.getDouble("scale", 1.0);
+    const double scale = cli.getDouble("scale", 1.0);
+    if (!std::isfinite(scale) || scale <= 0.0) {
+        cli.noteError("--scale " + cli.get("scale", "") +
+                      ": must be a finite number > 0");
+    } else {
+        opts.scale = scale;
+    }
     opts.epochLen = static_cast<Tick>(
         cli.getDouble("epoch-us", 1.0) * static_cast<double>(tickUs));
     opts.cusPerDomain =

@@ -2,9 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -56,7 +54,7 @@ cellLabel(const std::string &workload, const std::string &design)
     return workload + " x " + design;
 }
 
-/** Pseudo-design the shared static-nominal baselines are stored as. */
+/** Pseudo-design a shared static-nominal baseline is stored as. */
 constexpr const char *baselineDesign = "__static_baseline__";
 
 /** Steady-clock now in ns (the watchdog's clock; independent of the
@@ -286,24 +284,6 @@ SweepRunner::identityOf(const std::string &workload,
 }
 
 bool
-SweepRunner::storeProbablyHas(const SweepCell &cell,
-                              const trace::LibraryKey &id) const
-{
-    if (resultStore == nullptr || storeBypassed(cell))
-        return false;
-    const bool audit = cell.opts.auditRegret;
-    std::error_code ec;
-    if (!std::filesystem::exists(
-            resultStore->entryPath(storeKeyFor(id, audit)), ec)) {
-        return false;
-    }
-    return !cell.wantBaseline ||
-        std::filesystem::exists(
-            resultStore->entryPath(storeKeyFor(baselineOf(id), audit)),
-            ec);
-}
-
-bool
 SweepRunner::storeGet(const store::CellKey *key, const std::string &label,
                       RunOutcome &run, ShardArtifact &art) const
 {
@@ -353,48 +333,6 @@ SweepRunner::storePut(const store::CellKey *key, const std::string &label,
         resultStore->put(*key, store::encodeStoredCell(stored));
     if (!perr.empty())
         debug("store put (" + label + "): " + perr);
-}
-
-RunOutcome
-SweepRunner::staticBaseline(const std::string &workload,
-                            const BenchOptions &opts)
-{
-    return memoBaseline(
-        baselineOf(identityOf(workload, baselineDesign, opts)), opts,
-        nullptr);
-}
-
-RunOutcome
-SweepRunner::memoBaseline(const trace::LibraryKey &id,
-                          const BenchOptions &opts, CellWatch *watch)
-{
-    const std::string key = id.text();
-    std::shared_future<RunOutcome> fut;
-    std::shared_ptr<std::promise<RunOutcome>> mine;
-    {
-        const std::lock_guard<std::mutex> lock(baselineMutex);
-        const auto it = baselines.find(key);
-        if (it != baselines.end()) {
-            fut = it->second;
-        } else {
-            mine = std::make_shared<std::promise<RunOutcome>>();
-            fut = mine->get_future().share();
-            baselines.emplace(key, fut);
-        }
-    }
-    if (mine != nullptr) {
-        ShardArtifact art;
-        RunOutcome out =
-            executeCell(baselineCell(id.workload, opts), id,
-                        "baseline: " + id.workload, watch, art,
-                        WhatIf::Off);
-        {
-            const std::lock_guard<std::mutex> lock(artifactMutex);
-            baselineArtifacts[key] = std::move(art);
-        }
-        mine->set_value(std::move(out));
-    }
-    return fut.get();
 }
 
 SweepRunner::FailureKind
@@ -559,6 +497,46 @@ SweepRunner::run(std::vector<SweepCell> cells)
         return shard_n <= 1 || i % shard_n == shard_i;
     };
 
+    // The run list: one slot per distinct static-nominal baseline an
+    // owned cell wants, in the order of its first requesting cell,
+    // then cell i at slot first + i. A baseline is a run like any
+    // cell - the same store lookup, watchdog, retries and
+    // trace-library route - and no cell waits on one: each cell's
+    // CellOutcome::baseline is copied from its baseline's slot once
+    // every run is done. Each run records into its own context (see
+    // src/obs/context.hh), collected below in slot order.
+    std::vector<SweepCell> runs;
+    std::vector<trace::LibraryKey> runIds;
+    std::vector<std::unique_ptr<obs::RunContext>> ctx;
+    std::vector<std::size_t> baselineSlot(cells.size(), 0);
+    std::map<std::string, std::size_t> baselineSlots;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (!owned(i) || !cells[i].wantBaseline)
+            continue;
+        trace::LibraryKey id = baselineOf(ids[i]);
+        const auto [slot, fresh] =
+            baselineSlots.emplace(id.text(), runs.size());
+        if (fresh) {
+            runs.push_back(baselineCell(id.workload, cells[i].opts));
+            ctx.push_back(std::make_unique<obs::RunContext>(
+                "baseline: " + id.workload));
+            runIds.push_back(std::move(id));
+        }
+        baselineSlot[i] = slot->second;
+    }
+    const std::size_t first = runs.size();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        std::string label = cellLabel(cells[i].workload, cells[i].design);
+        if (cells[i].runIndex > 0)
+            label += " r" + std::to_string(cells[i].runIndex);
+        ctx.push_back(std::make_unique<obs::RunContext>(std::move(label)));
+        runs.push_back(std::move(cells[i]));
+        runIds.push_back(std::move(ids[i]));
+    }
+    const auto ownedRun = [&](std::size_t r) {
+        return r < first || owned(r - first);
+    };
+
     // Replay-cache routing (see docs/replay_studies.md). Cells that
     // already drive trace I/O themselves (--trace-out / --replay)
     // bypass the library; everything else is replay-eligible. In
@@ -568,19 +546,19 @@ SweepRunner::run(std::vector<SweepCell> cells)
     // owner's future, then replay its stream, or resolve through their
     // own exact-tier key when it cannot drive them; never capture the
     // stream, so an owner's published trace is never clobbered).
-    // ParallelExecutor claims indices in increasing order, so an owner
-    // is always scheduled no later than its waiters and the waits
-    // cannot deadlock.
-    std::vector<WhatIf> whatIf(cells.size(), WhatIf::Off);
-    std::vector<std::shared_future<void>> cellWaits(cells.size());
-    std::vector<std::shared_ptr<std::promise<void>>> cellSignals(
-        cells.size());
+    // Baselines join no group. ParallelExecutor claims indices in
+    // increasing order, so an owner is always scheduled no later than
+    // its waiters and the waits cannot deadlock.
+    std::vector<WhatIf> whatIf(runs.size(), WhatIf::Off);
+    std::vector<std::shared_future<void>> waits(runs.size());
+    std::vector<std::shared_ptr<std::promise<void>>> signals(
+        runs.size());
     if (traceLibrary != nullptr && defaults.traceWhatIf) {
         std::map<std::string, std::shared_future<void>> groupFuture;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (!owned(i) || cacheBypassed(cells[i]))
+        for (std::size_t r = first; r < runs.size(); ++r) {
+            if (!ownedRun(r) || cacheBypassed(runs[r]))
                 continue;
-            trace::LibraryKey stream = ids[i];
+            trace::LibraryKey stream = runIds[r];
             stream.shared = true;
             const std::string group = stream.text();
             const auto it = groupFuture.find(group);
@@ -588,96 +566,36 @@ SweepRunner::run(std::vector<SweepCell> cells)
                 auto signal = std::make_shared<std::promise<void>>();
                 groupFuture.emplace(group,
                                     signal->get_future().share());
-                cellSignals[i] = std::move(signal);
-                whatIf[i] = WhatIf::Owner;
+                signals[r] = std::move(signal);
+                whatIf[r] = WhatIf::Owner;
             } else {
-                whatIf[i] = WhatIf::Waiter;
-                cellWaits[i] = it->second;
+                whatIf[r] = WhatIf::Waiter;
+                waits[r] = it->second;
             }
         }
     }
 
-    const bool observing =
-        obs::metricsEnabled() || obs::timelineEnabled();
-
-    // Warm the shared inputs with their own parallel prepasses so the
-    // cell phase never serializes behind a popular app or baseline.
-    // Cells another shard owns - or whose results (and baselines) are
-    // already checkpointed - need no inputs here; a racing corrupt
-    // entry just falls back to the memoized appFor() in the cell.
-    std::set<std::string> seen;
-    std::vector<const SweepCell *> appWork;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!owned(i) || storeProbablyHas(cells[i], ids[i]))
-            continue;
-        if (seen.insert(appKey(cells[i].workload, cells[i].opts))
-                .second) {
-            appWork.push_back(&cells[i]);
-        }
-    }
-    pool.forEach(appWork.size(), [&](std::size_t i) {
-        appFor(appWork[i]->workload, appWork[i]->opts);
-    });
-
-    seen.clear();
-    std::vector<std::size_t> baselineWork;
-    std::vector<trace::LibraryKey> baselineIds;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!owned(i) || !cells[i].wantBaseline)
-            continue;
-        trace::LibraryKey id = baselineOf(ids[i]);
-        if (seen.insert(id.text()).second) {
-            baselineWork.push_back(i);
-            baselineIds.push_back(std::move(id));
-        }
-    }
-    // Metric sharding (see src/obs/context.hh): every baseline and
-    // every cell records into a private run context; the shards are
-    // collected below in submission order - baselines first, then
-    // cells - so the merged snapshot and timeline are byte-identical
-    // for every --threads value. The baseline prepass is a barrier:
-    // by the cell phase every shared baseline is memoized, so no
-    // baseline work can leak into (and nondeterministically inflate)
-    // a cell's shard.
-    std::vector<std::unique_ptr<obs::RunContext>> baselineCtx;
-    for (const trace::LibraryKey &id : baselineIds) {
-        baselineCtx.push_back(std::make_unique<obs::RunContext>(
-            "baseline: " + id.workload));
-    }
-    std::vector<std::unique_ptr<obs::RunContext>> cellCtx;
-    for (const SweepCell &cell : cells) {
-        std::string label = cellLabel(cell.workload, cell.design);
-        if (cell.runIndex > 0)
-            label += " r" + std::to_string(cell.runIndex);
-        cellCtx.push_back(
-            std::make_unique<obs::RunContext>(std::move(label)));
-    }
-    std::vector<ShardArtifact> cellArt(cells.size());
-
     // One background thread serves the watchdog and --progress. Every
-    // run - cell or baseline - publishes a deadline per attempt in its
-    // watch slot (cells first, then baselines); the thread flips the
-    // cancel flag when one passes, and the run stops cooperatively at
-    // its next epoch boundary. It never touches threads or results -
-    // enforcement is entirely in-band. The --progress line on stderr
-    // is a rate-limited count of completed cells: wall-clock cosmetics
-    // only, disabled when stderr is not a TTY (logs, CI).
+    // run publishes a deadline per attempt in its watch slot; the
+    // thread flips the cancel flag when one passes, and the run stops
+    // cooperatively at its next epoch boundary. It never touches
+    // threads or results - enforcement is entirely in-band. The
+    // --progress line on stderr is a rate-limited count of completed
+    // runs: wall-clock cosmetics only, disabled when stderr is not a
+    // TTY (logs, CI).
     const bool watchdog_on = defaults.cellTimeoutSec > 0.0;
     std::vector<std::unique_ptr<CellWatch>> watches;
     if (watchdog_on) {
-        watches.resize(cells.size() + baselineIds.size());
+        watches.resize(runs.size());
         for (auto &watch : watches)
             watch = std::make_unique<CellWatch>();
     }
-    const auto watchOf = [&](std::size_t slot) {
-        return watchdog_on ? watches[slot].get() : nullptr;
-    };
     std::size_t owned_total = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (owned(i))
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        if (ownedRun(r))
             ++owned_total;
     }
-    std::atomic<std::size_t> cells_done{0};
+    std::atomic<std::size_t> runs_done{0};
     const bool progress_on = defaults.progress && owned_total > 0 &&
         isatty(fileno(stderr)) != 0;
     std::atomic<bool> background_stop{false};
@@ -700,7 +618,7 @@ SweepRunner::run(std::vector<SweepCell> cells)
                     }
                 }
                 const std::size_t done =
-                    cells_done.load(std::memory_order_relaxed);
+                    runs_done.load(std::memory_order_relaxed);
                 // Redraw at most ~4x/s, and once more when stopping.
                 if (progress_on &&
                     (stopping ||
@@ -715,8 +633,8 @@ SweepRunner::run(std::vector<SweepCell> cells)
                         ? static_cast<double>(owned_total - done) / rate
                         : 0.0;
                     std::fprintf(stderr,
-                                 "\r[sweep] %zu/%zu cells "
-                                 "(%.1f cells/s, ETA %.0fs)   ",
+                                 "\r[sweep] %zu/%zu runs "
+                                 "(%.1f runs/s, ETA %.0fs)   ",
                                  done, owned_total, rate, eta);
                     std::fflush(stderr);
                     last_done = done;
@@ -733,43 +651,28 @@ SweepRunner::run(std::vector<SweepCell> cells)
         });
     }
 
-    pool.forEach(baselineWork.size(), [&](std::size_t i) {
-        const obs::ScopedContext scope(*baselineCtx[i]);
-        memoBaseline(baselineIds[i], cells[baselineWork[i]].opts,
-                     watchOf(cells.size() + i));
-    });
-
     const std::int64_t queued_ns = obs::nowNsIfEnabled();
-    std::vector<CellOutcome> out(cells.size());
-    pool.forEach(cells.size(), [&](std::size_t i) {
-        if (!owned(i)) {
-            out[i].run.skipped = true;
-            out[i].run.error = "skipped: shard " +
-                std::to_string(shard_i) + "/" +
-                std::to_string(shard_n) + " does not own cell " +
-                std::to_string(i);
-            out[i].baseline.skipped = cells[i].wantBaseline;
+    std::vector<RunOutcome> results(runs.size());
+    std::vector<ShardArtifact> art(runs.size());
+    pool.forEach(runs.size(), [&](std::size_t r) {
+        if (!ownedRun(r))
             return;
-        }
-        if (cellWaits[i].valid())
-            cellWaits[i].wait();
-        const obs::ScopedContext scope(*cellCtx[i]);
-        obs::Registry &registry = cellCtx[i]->registry;
+        if (waits[r].valid())
+            waits[r].wait();
+        const obs::ScopedContext scope(*ctx[r]);
+        obs::Registry &registry = ctx[r]->registry;
         obs::recordSinceNs(
             registry.histogram("sweep.queue_wait_ns",
                                obs::MetricKind::Timing),
             queued_ns);
         const obs::ScopedTimer wall(&registry.histogram(
             "sweep.cell_wall_ns", obs::MetricKind::Timing));
-        if (cells[i].wantBaseline) {
-            out[i].baseline = memoBaseline(baselineOf(ids[i]),
-                                           cells[i].opts, nullptr);
-        }
-        out[i].run = executeCell(cells[i], ids[i], cellCtx[i]->label,
-                                 watchOf(i), cellArt[i], whatIf[i]);
-        if (cellSignals[i] != nullptr)
-            cellSignals[i]->set_value();
-        cells_done.fetch_add(1, std::memory_order_relaxed);
+        results[r] = executeCell(
+            runs[r], runIds[r], ctx[r]->label,
+            watchdog_on ? watches[r].get() : nullptr, art[r], whatIf[r]);
+        if (signals[r] != nullptr)
+            signals[r]->set_value();
+        runs_done.fetch_add(1, std::memory_order_relaxed);
     });
 
     if (background.joinable()) {
@@ -777,37 +680,37 @@ SweepRunner::run(std::vector<SweepCell> cells)
         background.join();
     }
 
-    if (observing) {
-        // Submission-order collection. Each run slot contributes its
-        // run shard (live snapshot, or the shard replayed from the
-        // store) followed by its farm-level context; the sources have
+    std::vector<CellOutcome> out(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const bool want_baseline = runs[first + i].wantBaseline;
+        if (!owned(i)) {
+            out[i].run.skipped = true;
+            out[i].run.error = "skipped: shard " +
+                std::to_string(shard_i) + "/" +
+                std::to_string(shard_n) + " does not own cell " +
+                std::to_string(i);
+            out[i].baseline.skipped = want_baseline;
+            continue;
+        }
+        out[i].run = std::move(results[first + i]);
+        if (want_baseline)
+            out[i].baseline = results[baselineSlot[i]];
+    }
+
+    if (obs::metricsEnabled() || obs::timelineEnabled()) {
+        // Submission-order collection in slot order (baseline slots,
+        // then cells), so merged double sums are the same for every
+        // --threads value. Each run slot contributes its run shard
+        // (live snapshot, or the shard replayed from the store)
+        // followed by its farm-level context; the sources have
         // disjoint deterministic names, so resumed and uninterrupted
         // sweeps merge byte-identically.
-        for (std::size_t i = 0; i < baselineWork.size(); ++i) {
-            ShardArtifact art;
-            {
-                const std::lock_guard<std::mutex> lock(artifactMutex);
-                const auto it =
-                    baselineArtifacts.find(baselineIds[i].text());
-                if (it != baselineArtifacts.end()) {
-                    art = std::move(it->second);
-                    baselineArtifacts.erase(it);
-                }
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            if (art[r].valid) {
+                obs::collectShard(ctx[r]->label, std::move(art[r].snap),
+                                  std::move(art[r].timeline));
             }
-            if (art.valid) {
-                obs::collectShard(
-                    "baseline: " + baselineIds[i].workload,
-                    std::move(art.snap), std::move(art.timeline));
-            }
-            obs::collectContext(*baselineCtx[i]);
-        }
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cellArt[i].valid) {
-                obs::collectShard(cellCtx[i]->label,
-                                  std::move(cellArt[i].snap),
-                                  std::move(cellArt[i].timeline));
-            }
-            obs::collectContext(*cellCtx[i]);
+            obs::collectContext(*ctx[r]);
         }
         obs::reg()
             .gauge("sweep.threads", obs::MetricKind::Timing)

@@ -16,9 +16,10 @@
  *  - each cell's GPU seed derives from (seed, workload, design,
  *    run index) via Rng::split - a pure function of the cell key,
  *    never of execution order;
- *  - shared inputs (applications, static-baseline runs) are memoized
- *    compute-once caches keyed on their full configuration, and the
- *    cached computation is itself a pure function of the key;
+ *  - applications are a memoized compute-once cache keyed on their
+ *    build configuration, and a build is a pure function of the key;
+ *  - a shared static-nominal baseline is a run slot of the sweep like
+ *    any cell, run once per run() for all the cells that want it;
  *  - outcomes are aggregated by submission index, not completion
  *    order.
  *
@@ -42,7 +43,7 @@
  * --cell-timeout arms a watchdog thread that cancels overrunning
  * cells cooperatively at the next epoch boundary; transient failures
  * are retried with bounded backoff, deterministic FatalErrors and
- * timeouts never are. A shared baseline is a sweep run like a cell:
+ * timeouts never are. A shared baseline is a run slot like a cell:
  * the same store lookup, watchdog, retries and trace-library route.
  *
  * Both caches key on one cell identity, the exact-tier
@@ -125,7 +126,9 @@ struct SweepCell
      */
     std::function<void(const dvfs::DvfsController &)> inspect;
     /** Also produce the static-nominal baseline run for
-     *  (workload, opts) - shared across cells via the memo cache. */
+     *  (workload, opts). run() gives each distinct baseline one run
+     *  slot ahead of the cells and copies its outcome to every cell
+     *  that wants it. */
     bool wantBaseline = false;
     /**
      * Repeat index among cells with the same identity (workload,
@@ -189,8 +192,9 @@ class SweepRunner
     /**
      * Execute every cell (in parallel, per --threads) and return the
      * outcomes in submission order. Repeat indices are assigned
-     * before execution; shared apps and baselines are warmed first so
-     * the cell phase parallelizes cleanly.
+     * before execution. Every baseline run the owned cells want gets
+     * one slot ahead of the cells in the same parallel pass; every
+     * call runs (or serves from the store) and collects its own.
      */
     std::vector<CellOutcome> run(std::vector<SweepCell> cells);
 
@@ -230,16 +234,6 @@ class SweepRunner
         }
         return out;
     }
-
-    /**
-     * The memoized static-nominal baseline run for (workload, opts):
-     * computed at most once per distinct (workload, cus, scale,
-     * epoch, domain, seed, ...) key per process and shared across
-     * cells and sweeps. Thread-safe; concurrent requesters of one key
-     * block on the single computation.
-     */
-    RunOutcome staticBaseline(const std::string &workload,
-                              const BenchOptions &opts);
 
     /** Threads the pool executes on. */
     unsigned threads() const { return pool.threadCount(); }
@@ -359,19 +353,6 @@ class SweepRunner
     void storePut(const store::CellKey *key, const std::string &label,
                   const RunOutcome &run, const ShardArtifact &art) const;
 
-    /** The memoized baseline run identified by @p id (see
-     *  staticBaseline()): its first requester runs the baseline's
-     *  cell through executeCell(), under @p watch (may be null), and
-     *  stashes the shard for submission-order collection. */
-    RunOutcome memoBaseline(const trace::LibraryKey &id,
-                            const BenchOptions &opts, CellWatch *watch);
-
-    /** True when a (probably valid) store entry exists for the cell
-     *  identified by @p id and its baseline, so prepasses can skip
-     *  warming its inputs. */
-    bool storeProbablyHas(const SweepCell &cell,
-                          const trace::LibraryKey &id) const;
-
     BenchOptions defaults;
     sim::ParallelExecutor pool;
 
@@ -386,14 +367,6 @@ class SweepRunner
 
     std::mutex appMutex;
     std::map<std::string, std::shared_future<AppPtr>> apps;
-
-    std::mutex baselineMutex;
-    std::map<std::string, std::shared_future<RunOutcome>> baselines;
-
-    /** Baseline shards stashed by compute winners, popped (once) by
-     *  run()'s submission-order collection loop. */
-    std::mutex artifactMutex;
-    std::map<std::string, ShardArtifact> baselineArtifacts;
 };
 
 } // namespace pcstall::bench

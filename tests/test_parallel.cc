@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -25,7 +26,10 @@
 #include "common/rng.hh"
 #include "dvfs/hierarchical.hh"
 #include "expect_fatal.hh"
+#include "obs/context.hh"
+#include "obs/metrics.hh"
 #include "sim/parallel_executor.hh"
+#include "store/result_store.hh"
 #include "sweep_runner.hh"
 
 using namespace pcstall;
@@ -272,27 +276,63 @@ TEST(SweepRunner, BrokenCellDoesNotTakeDownTheSweep)
     EXPECT_FALSE(out[3].run.error.empty());
 }
 
-TEST(SweepRunner, BaselineIsMemoizedAndShared)
+std::uint64_t
+collectedCounter(const std::string &name)
 {
-    bench::SweepRunner runner(smallOptions(4));
-    std::vector<bench::SweepCell> cells;
-    cells.push_back(runner.cell("comd", "STALL", true));
-    cells.push_back(runner.cell("comd", "PCSTALL", true));
-    const auto out = runner.run(std::move(cells));
-    ASSERT_EQ(out.size(), 2u);
-    ASSERT_TRUE(out[0].baseline.ok) << out[0].baseline.error;
-    ASSERT_TRUE(out[1].baseline.ok) << out[1].baseline.error;
-    // Same (workload, config) key -> the one cached baseline run.
-    EXPECT_EQ(out[0].baseline.result.energy,
-              out[1].baseline.result.energy);
-    EXPECT_EQ(out[0].baseline.result.execTime,
-              out[1].baseline.result.execTime);
+    const obs::MetricsSnapshot snap = obs::collectedSnapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
 
-    // And the standalone accessor returns the same cached run.
-    const auto direct =
-        runner.staticBaseline("comd", runner.options());
-    ASSERT_TRUE(direct.ok);
-    EXPECT_EQ(direct.result.energy, out[0].baseline.result.energy);
+TEST(SweepRunner, SharedBaselineIsOneRunSlotPerSweep)
+{
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        obs::resetAll();
+        obs::setMetricsEnabled(true);
+        const std::filesystem::path dir =
+            std::filesystem::path(::testing::TempDir()) /
+            ("pcstall_shared_baseline_" +
+             std::to_string(static_cast<long>(::getpid())) + "_" +
+             std::to_string(threads));
+        std::filesystem::remove_all(dir);
+        bench::BenchOptions opts = smallOptions(threads);
+        opts.storeDir = dir.string();
+        bench::SweepRunner runner(opts);
+        ASSERT_NE(runner.store(), nullptr);
+        const auto grid = [&runner] {
+            std::vector<bench::SweepCell> cells;
+            cells.push_back(runner.cell("comd", "STALL", true));
+            cells.push_back(runner.cell("comd", "PCSTALL", true));
+            return cells;
+        };
+
+        const auto out = runner.run(grid());
+        ASSERT_EQ(out.size(), 2u);
+        ASSERT_TRUE(out[0].baseline.ok) << out[0].baseline.error;
+        ASSERT_TRUE(out[1].baseline.ok) << out[1].baseline.error;
+        expectIdenticalOutcome(out[0].baseline, out[1].baseline,
+                               "shared baseline");
+        // Both cells share one baseline run: three store lookups, three
+        // runs and three checkpoints (two cells and the baseline).
+        EXPECT_EQ(runner.store()->entryCount(), 3u);
+        EXPECT_EQ(collectedCounter("farm.cells.miss"), 3u);
+        EXPECT_EQ(collectedCounter("run.count"), 3u);
+
+        // A second sweep on the same runner serves all three runs from
+        // the store and collects each one's shard again, the
+        // "baseline: comd" shard included.
+        const auto again = runner.run(grid());
+        ASSERT_EQ(again.size(), 2u);
+        ASSERT_TRUE(again[0].baseline.ok) << again[0].baseline.error;
+        expectIdenticalOutcome(out[0].baseline, again[0].baseline,
+                               "served baseline");
+        EXPECT_EQ(runner.store()->entryCount(), 3u);
+        EXPECT_EQ(collectedCounter("farm.cells.hit"), 3u);
+        EXPECT_EQ(collectedCounter("run.count"), 6u);
+        std::filesystem::remove_all(dir);
+    }
+    obs::resetAll();
 }
 
 TEST(SweepRunner, MapContainsFatalErrorsPerIndex)

@@ -845,6 +845,15 @@ TEST(FarmCli, MalformedShardFallsBackToDefaults)
     EXPECT_EQ(parseArgs({"--shard", "0/0"}).shardCount, 0u);
 }
 
+TEST(FarmCli, NonPositiveOrNonFiniteScaleFallsBackToOne)
+{
+    // A workload scaled by zero, a negative or a non-finite factor is
+    // no workload at all: each warns and the sweep runs at scale 1.
+    for (const char *bad : {"0", "-1", "nan", "inf"})
+        EXPECT_DOUBLE_EQ(parseArgs({"--scale", bad}).scale, 1.0) << bad;
+    EXPECT_DOUBLE_EQ(parseArgs({"--scale", "0.25"}).scale, 0.25);
+}
+
 TEST(FarmCli, NegativeTimeoutAndResumeWithoutStoreAreRecoverable)
 {
     EXPECT_DOUBLE_EQ(
