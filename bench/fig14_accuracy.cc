@@ -9,6 +9,7 @@
  */
 
 #include <iostream>
+#include <sstream>
 
 #include "common/stats_util.hh"
 #include "harness.hh"
@@ -21,8 +22,12 @@ main(int argc, char **argv)
 {
     return bench::guardedMain([&] {
         auto opts = bench::BenchOptions::parse(argc, argv);
-        bench::banner("FIGURE 14",
-                      "Prediction accuracy at 1 us epochs", opts);
+        std::ostringstream title;
+        title << "Prediction accuracy at "
+              << static_cast<double>(opts.epochLen) /
+                     static_cast<double>(tickUs)
+              << " us epochs";
+        bench::banner("FIGURE 14", title.str(), opts);
 
         bench::SweepRunner runner(opts);
         const std::vector<std::string> names = opts.workloadNames();

@@ -1,7 +1,10 @@
 #include "sweep_runner.hh"
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -165,6 +168,141 @@ struct SweepRunner::CellWatch
     std::atomic<std::int64_t> deadline{0};
 };
 
+/**
+ * Write-behind publication of one run()'s store entries. A worker
+ * hands a finished run to a bounded queue and goes on to its next
+ * run, blocking only while the queue is full; each publisher thread
+ * encodes an entry and calls ResultStore::put, which keeps its
+ * write-temp, fsync, atomic rename and crash-hook lock. close()
+ * drains the queue and joins the threads, so every entry is on disk
+ * once it returns, and a SIGKILL loses at most the queued entries
+ * (a resume recomputes them). Each run() has its own Publisher, so a
+ * failed put warns once per run() and is debug-logged after that;
+ * nothing thrown on a publisher thread escapes it.
+ */
+class SweepRunner::Publisher
+{
+  public:
+    Publisher(const store::ResultStore &target, unsigned threads)
+        : target(target)
+    {
+        publishers.reserve(threads);
+        try {
+            for (unsigned t = 0; t < threads; ++t)
+                publishers.emplace_back([this] { drain(); });
+        } catch (...) {
+            close();
+            throw;
+        }
+    }
+
+    ~Publisher() { close(); }
+
+    Publisher(const Publisher &) = delete;
+    Publisher &operator=(const Publisher &) = delete;
+
+    void
+    push(const store::CellKey &key, const std::string &label,
+         const sim::RunResult &result, const obs::MetricsSnapshot &metrics)
+    {
+        Entry entry{key, label, {}};
+        entry.cell.run.result = result;
+        entry.cell.run.ok = true;
+        entry.cell.metrics = metrics;
+        const std::int64_t t0 = obs::nowNsIfEnabled();
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            hasRoom.wait(lock, [this] { return queue.size() < depth; });
+            queue.push_back(std::move(entry));
+        }
+        hasWork.notify_one();
+        obs::recordSinceNs(obs::reg().histogram("farm.publish_wait_ns",
+                                                obs::MetricKind::Timing),
+                           t0);
+    }
+
+    /** Publish what is queued and join the threads (idempotent). */
+    void
+    close()
+    {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            closed = true;
+        }
+        hasWork.notify_all();
+        for (std::thread &t : publishers) {
+            if (t.joinable())
+                t.join();
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        store::CellKey key;
+        std::string label;
+        store::StoredCell cell;
+    };
+
+    /** Queued entries a worker may run ahead of its publishers by. */
+    static constexpr std::size_t depth = 16;
+
+    void
+    drain()
+    {
+        for (;;) {
+            Entry entry;
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                hasWork.wait(lock,
+                             [this] { return closed || !queue.empty(); });
+                if (queue.empty())
+                    return;
+                entry = std::move(queue.front());
+                queue.pop_front();
+            }
+            hasRoom.notify_one();
+            try {
+                publish(entry);
+            } catch (...) {
+                // publish() turns a failed put into a diagnostic; only
+                // building that can throw (out of memory), and the
+                // entry is then lost like any failed put.
+            }
+        }
+    }
+
+    void
+    publish(const Entry &entry)
+    {
+        std::string err;
+        try {
+            err = target.put(entry.key,
+                             store::encodeStoredCell(entry.cell));
+        } catch (const std::exception &e) {
+            err = e.what();
+        }
+        if (err.empty())
+            return;
+        debug("store put (" + entry.label + "): " + err);
+        if (!warned.exchange(true)) {
+            warn("results store: " + entry.label +
+                 " was not checkpointed: " + err +
+                 " (later failed puts of this sweep log at debug level; "
+                 "a resume recomputes every run not stored)");
+        }
+    }
+
+    const store::ResultStore &target;
+    std::mutex mutex;
+    std::condition_variable hasRoom;
+    std::condition_variable hasWork;
+    std::deque<Entry> queue;
+    bool closed = false;
+    std::atomic<bool> warned{false};
+    std::vector<std::thread> publishers;
+};
+
 SweepRunner::SweepRunner(const BenchOptions &opts)
     : defaults(opts), pool(opts.threads)
 {
@@ -319,20 +457,12 @@ SweepRunner::storeGet(const store::CellKey *key, const std::string &label,
 }
 
 void
-SweepRunner::storePut(const store::CellKey *key, const std::string &label,
-                      const RunOutcome &run,
-                      const ShardArtifact &art) const
+SweepRunner::storePut(Publisher *publisher, const store::CellKey *key,
+                      const std::string &label, const RunOutcome &run,
+                      const ShardArtifact &art)
 {
-    if (key == nullptr || resultStore == nullptr || !run.ok)
-        return;
-    store::StoredCell stored;
-    stored.run.result = run.result;
-    stored.run.ok = true;
-    stored.metrics = art.snap;
-    const std::string perr =
-        resultStore->put(*key, store::encodeStoredCell(stored));
-    if (!perr.empty())
-        debug("store put (" + label + "): " + perr);
+    if (publisher != nullptr && key != nullptr && run.ok)
+        publisher->push(*key, label, run.result, art.snap);
 }
 
 SweepRunner::FailureKind
@@ -403,7 +533,8 @@ RunOutcome
 SweepRunner::executeCell(const SweepCell &cell,
                          const trace::LibraryKey &id,
                          const std::string &label, CellWatch *watch,
-                         ShardArtifact &art, WhatIf what_if)
+                         ShardArtifact &art, WhatIf what_if,
+                         Publisher *publisher)
 {
     RunOutcome out;
     const store::CellKey key = storeKeyFor(id, cell.opts.auditRegret);
@@ -465,7 +596,7 @@ SweepRunner::executeCell(const SweepCell &cell,
         noteSweepFailure();
         warn("sweep cell " + label + " failed: " + out.error);
     }
-    storePut(stored, label, out, art);
+    storePut(publisher, stored, label, out, art);
     return out;
 }
 
@@ -651,34 +782,59 @@ SweepRunner::run(std::vector<SweepCell> cells)
         });
     }
 
+    // Store entries are written behind the runs, by one publisher
+    // thread per pool thread, so as many fsyncs can be in flight as
+    // there are workers. Every exit from the parallel pass closes the
+    // queue and joins the publishers first: what this call stored is
+    // on disk before it returns or throws.
+    std::unique_ptr<Publisher> publisher;
+    if (resultStore != nullptr) {
+        publisher = std::make_unique<Publisher>(*resultStore,
+                                                pool.threadCount());
+    }
     const std::int64_t queued_ns = obs::nowNsIfEnabled();
     std::vector<RunOutcome> results(runs.size());
     std::vector<ShardArtifact> art(runs.size());
-    pool.forEach(runs.size(), [&](std::size_t r) {
-        if (!ownedRun(r))
-            return;
-        if (waits[r].valid())
-            waits[r].wait();
-        const obs::ScopedContext scope(*ctx[r]);
-        obs::Registry &registry = ctx[r]->registry;
-        obs::recordSinceNs(
-            registry.histogram("sweep.queue_wait_ns",
-                               obs::MetricKind::Timing),
-            queued_ns);
-        const obs::ScopedTimer wall(&registry.histogram(
-            "sweep.cell_wall_ns", obs::MetricKind::Timing));
-        results[r] = executeCell(
-            runs[r], runIds[r], ctx[r]->label,
-            watchdog_on ? watches[r].get() : nullptr, art[r], whatIf[r]);
-        if (signals[r] != nullptr)
-            signals[r]->set_value();
-        runs_done.fetch_add(1, std::memory_order_relaxed);
-    });
+    std::exception_ptr failure;
+    try {
+        pool.forEach(runs.size(), [&](std::size_t r) {
+            if (!ownedRun(r))
+                return;
+            if (waits[r].valid())
+                waits[r].wait();
+            const obs::ScopedContext scope(*ctx[r]);
+            obs::Registry &registry = ctx[r]->registry;
+            obs::recordSinceNs(
+                registry.histogram("sweep.queue_wait_ns",
+                                   obs::MetricKind::Timing),
+                queued_ns);
+            const obs::ScopedTimer wall(&registry.histogram(
+                "sweep.cell_wall_ns", obs::MetricKind::Timing));
+            results[r] = executeCell(
+                runs[r], runIds[r], ctx[r]->label,
+                watchdog_on ? watches[r].get() : nullptr, art[r],
+                whatIf[r], publisher.get());
+            if (signals[r] != nullptr)
+                signals[r]->set_value();
+            runs_done.fetch_add(1, std::memory_order_relaxed);
+        });
+    } catch (...) {
+        failure = std::current_exception();
+    }
 
+    if (publisher != nullptr) {
+        const std::int64_t join_ns = obs::nowNsIfEnabled();
+        publisher->close();
+        obs::recordSinceNs(obs::reg().histogram("farm.publish_wait_ns",
+                                                obs::MetricKind::Timing),
+                           join_ns);
+    }
     if (background.joinable()) {
         background_stop.store(true, std::memory_order_release);
         background.join();
     }
+    if (failure != nullptr)
+        std::rethrow_exception(failure);
 
     std::vector<CellOutcome> out(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {

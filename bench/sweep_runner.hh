@@ -37,9 +37,13 @@
  * killed sweep restarted with the same flags recomputes only the
  * missing cells and still merges byte-identical output (stored
  * entries carry the cell's deterministic metrics shard, replayed at
- * the same submission-order position). --shard i/N restricts a worker
- * to its deterministic slice of the grid (run indices are assigned on
- * the full list first, so cell identity is shard-layout independent);
+ * the same submission-order position). Checkpoints are written
+ * behind the sweep: a worker queues its finished run and goes on to
+ * the next, one publisher thread per pool thread writes the entries,
+ * and run() returns only once every entry it produced is on disk.
+ * --shard i/N restricts a worker to its deterministic slice of the
+ * grid (run indices are assigned on the full list first, so cell
+ * identity is shard-layout independent);
  * --cell-timeout arms a watchdog thread that cancels overrunning
  * cells cooperatively at the next epoch boundary; transient failures
  * are retried with bounded backoff, deterministic FatalErrors and
@@ -195,6 +199,9 @@ class SweepRunner
      * before execution. Every baseline run the owned cells want gets
      * one slot ahead of the cells in the same parallel pass; every
      * call runs (or serves from the store) and collects its own.
+     * With a results store, every entry the call checkpoints is
+     * durable when it returns (or throws); a failed checkpoint warns
+     * once per call and leaves the cell to be recomputed on resume.
      */
     std::vector<CellOutcome> run(std::vector<SweepCell> cells);
 
@@ -258,6 +265,10 @@ class SweepRunner
     /** One cell's watchdog slot (defined in sweep_runner.cc). */
     struct CellWatch;
 
+    /** One run()'s write-behind store publication: a bounded queue
+     *  and its publisher threads (defined in sweep_runner.cc). */
+    class Publisher;
+
     /** Why one attempt of a cell failed - drives the retry policy. */
     enum class FailureKind
     {
@@ -306,12 +317,13 @@ class SweepRunner
      * Store-checked, watchdog-guarded, retry-bounded execution of one
      * run identified by @p id: a sweep cell, or a shared baseline's
      * cell. @p label names the run in diagnostics and its metric
-     * shard.
+     * shard; a successful run is checkpointed through @p publisher.
      */
     RunOutcome executeCell(const SweepCell &cell,
                            const trace::LibraryKey &id,
                            const std::string &label, CellWatch *watch,
-                           ShardArtifact &art, WhatIf what_if);
+                           ShardArtifact &art, WhatIf what_if,
+                           Publisher *publisher);
 
     /** One attempt of a run (no store, no retries): runTraced() with
      *  the run's trace-library route. */
@@ -348,10 +360,12 @@ class SweepRunner
     bool storeGet(const store::CellKey *key, const std::string &label,
                   RunOutcome &run, ShardArtifact &art) const;
 
-    /** Checkpoint @p run with the metrics shard in @p art under
-     *  @p key when it succeeded (no-op for a null key or no store). */
-    void storePut(const store::CellKey *key, const std::string &label,
-                  const RunOutcome &run, const ShardArtifact &art) const;
+    /** Queue @p run with the metrics shard in @p art for checkpointing
+     *  under @p key when it succeeded (no-op for a null key or no
+     *  store). Blocks only while @p publisher's queue is full. */
+    static void storePut(Publisher *publisher, const store::CellKey *key,
+                         const std::string &label, const RunOutcome &run,
+                         const ShardArtifact &art);
 
     BenchOptions defaults;
     sim::ParallelExecutor pool;

@@ -485,13 +485,20 @@ TEST(SweepStore, ShardUnionEqualsFullEnumeration)
                      "merged baseline");
 }
 
-TEST(SweepStore, KillMidSweepThenResumeMatchesFreshRun)
+/** Pool size of a store-backed sweep: one publisher thread per pool
+ *  thread writes its entries. */
+class SweepStoreThreads : public ::testing::TestWithParam<unsigned>
 {
-    bench::SweepRunner fresh(smallOptions(2));
+};
+
+TEST_P(SweepStoreThreads, KillMidSweepThenResumeMatchesFreshRun)
+{
+    bench::SweepRunner fresh(smallOptions(GetParam()));
     const auto want = fresh.run(smallGrid(fresh));
 
-    const std::string dir = scratchDir("kill");
-    bench::BenchOptions with_store = smallOptions(2);
+    const std::string dir =
+        scratchDir("kill_t" + std::to_string(GetParam()));
+    bench::BenchOptions with_store = smallOptions(GetParam());
     with_store.storeDir = dir;
 
     // Child: same sweep, but the store's test hook SIGKILLs the
@@ -510,6 +517,8 @@ TEST(SweepStore, KillMidSweepThenResumeMatchesFreshRun)
     ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
         << "child should have been SIGKILLed mid-sweep";
 
+    // Whatever the publishers had queued died with the child; the
+    // hook's lock left exactly the two entries it counted.
     store::ResultStore peek(dir);
     EXPECT_EQ(peek.entryCount(), 2u) << "crash left a partial store";
 
@@ -524,6 +533,46 @@ TEST(SweepStore, KillMidSweepThenResumeMatchesFreshRun)
     }
     expectSameResult(want[0].baseline, out[0].baseline,
                      "post-crash baseline");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pool, SweepStoreThreads, ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<unsigned> &info) {
+        return "threads" + std::to_string(info.param);
+    });
+
+TEST(SweepStore, FailedPutWarnsAndTheSweepCompletes)
+{
+    // A store whose directory goes away mid-sweep (or whose disk
+    // fills) fails every put. The sweep must still finish with every
+    // cell ok, and say once that it is no longer checkpointing.
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const std::string dir =
+            scratchDir("failed_put_t" + std::to_string(threads));
+        bench::BenchOptions with_store = smallOptions(threads);
+        with_store.storeDir = dir;
+        bench::SweepRunner runner(with_store);
+        ASSERT_NE(runner.store(), nullptr);
+        fs::remove_all(dir);
+
+        ::testing::internal::CaptureStderr();
+        const auto out = runner.run(smallGrid(runner));
+        const std::string err = ::testing::internal::GetCapturedStderr();
+
+        ASSERT_EQ(out.size(), 4u);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_TRUE(out[i].run.ok) << i << ": " << out[i].run.error;
+        EXPECT_TRUE(out[0].baseline.ok) << out[0].baseline.error;
+        const std::string marker = "was not checkpointed";
+        std::size_t warnings = 0;
+        for (std::size_t at = err.find(marker); at != std::string::npos;
+             at = err.find(marker, at + marker.size())) {
+            ++warnings;
+        }
+        EXPECT_EQ(warnings, 1u) << err;
+        EXPECT_FALSE(fs::exists(dir));
+    }
 }
 
 TEST(SweepStore, CorruptStoreEntryIsQuarantinedAndRecomputed)
