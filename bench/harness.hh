@@ -177,9 +177,9 @@ struct BenchOptions
      *  skipped. shardCount <= 1 = unsharded. */
     unsigned shardIndex = 0;
     unsigned shardCount = 0;
-    /** Per-cell wall-clock budget in seconds (--cell-timeout; 0 = no
-     *  watchdog). Overrunning cells are cancelled at the next epoch
-     *  boundary and marked failed-with-timeout. */
+    /** Per-attempt wall-clock budget in seconds (--cell-timeout; 0 =
+     *  none). An overrunning run stops at the next epoch boundary past
+     *  its deadline and is marked failed-with-timeout. */
     double cellTimeoutSec = 0.0;
     /** Max extra attempts for transient cell failures (--cell-retries;
      *  deterministic FatalErrors and timeouts are never retried). */

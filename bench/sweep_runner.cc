@@ -1,11 +1,13 @@
 #include "sweep_runner.hh"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <exception>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -60,31 +62,24 @@ cellLabel(const std::string &workload, const std::string &design)
 /** Pseudo-design a shared static-nominal baseline is stored as. */
 constexpr const char *baselineDesign = "__static_baseline__";
 
-/** Steady-clock now in ns (the watchdog's clock; independent of the
- *  metrics-enabled gating of obs::nowNsIfEnabled). */
-std::int64_t
-steadyNowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /**
  * The results-store key of a run: its identity (see identityOf) plus
- * the two bits that change what an entry holds. Entries written
+ * the three bits that change what an entry holds. Entries written
  * without metrics carry an empty shard, and entries written without
  * regret auditing an empty RunResult::regret; neither may satisfy a
- * run that wants them.
+ * run that wants them. A run of a what-if group (owner or waiter) may
+ * hold an open-loop replay of another controller's stream, which must
+ * never satisfy a closed-loop run, nor the reverse.
  */
 store::CellKey
-storeKeyFor(const trace::LibraryKey &id, bool audit_regret)
+storeKeyFor(const trace::LibraryKey &id, bool audit_regret, bool what_if)
 {
     store::CellKey key;
     key.fingerprint = id.text();
     key.fingerprint += obs::metricsEnabled() ? "\x1fm1" : "\x1fm0";
     // Split literals: "\x1fa1" would read as one hex escape.
     key.fingerprint += audit_regret ? "\x1f" "a1" : "\x1f" "a0";
+    key.fingerprint += what_if ? "\x1fw1" : "\x1fw0";
     return key;
 }
 
@@ -156,17 +151,6 @@ baselineCell(const std::string &workload, const BenchOptions &opts)
 }
 
 } // namespace
-
-/** One cell's watchdog slot. Workers publish a deadline at attempt
- *  start and clear it at attempt end; the monitor thread flips
- *  `cancel` when the deadline passes, and the experiment loop notices
- *  at its next epoch boundary. */
-struct SweepRunner::CellWatch
-{
-    std::atomic<bool> cancel{false};
-    /** Absolute steady-clock deadline in ns; 0 = no attempt active. */
-    std::atomic<std::int64_t> deadline{0};
-};
 
 /**
  * Write-behind publication of one run()'s store entries. A worker
@@ -467,8 +451,8 @@ SweepRunner::storePut(Publisher *publisher, const store::CellKey *key,
 
 SweepRunner::FailureKind
 SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
-                         const std::atomic<bool> *cancel,
-                         RunOutcome &run, WhatIf what_if)
+                         std::int64_t deadline_ns, RunOutcome &run,
+                         WhatIf what_if)
 {
     try {
         sim::RunConfig cfg = cell.opts.runConfig();
@@ -488,7 +472,7 @@ SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
         // in what order.
         cfg.gpu.seed = Rng::split(cell.opts.seed, cell.workload,
                                   cell.design, cell.runIndex).next();
-        cfg.cancel = cancel;
+        cfg.deadlineNs = deadline_ns;
         sim::ExperimentDriver driver(cfg);
         LibraryRoute route;
         if (traceLibrary != nullptr && !cacheBypassed(cell)) {
@@ -516,12 +500,10 @@ SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
         return FailureKind::None;
     } catch (const FatalError &e) {
         run.error = e.what();
-        // A FatalError after the watchdog flipped the flag is the
-        // cancellation surfacing, not an independent defect.
-        if (cancel != nullptr &&
-            cancel->load(std::memory_order_relaxed)) {
+        // A FatalError after the deadline is the budget running out,
+        // not an independent defect.
+        if (deadline_ns != 0 && obs::steadyNowNs() > deadline_ns)
             return FailureKind::Timeout;
-        }
         return FailureKind::Fatal;
     } catch (const std::exception &e) {
         run.error = e.what();
@@ -532,12 +514,12 @@ SweepRunner::attemptCell(const SweepCell &cell, const trace::LibraryKey &id,
 RunOutcome
 SweepRunner::executeCell(const SweepCell &cell,
                          const trace::LibraryKey &id,
-                         const std::string &label, CellWatch *watch,
-                         ShardArtifact &art, WhatIf what_if,
-                         Publisher *publisher)
+                         const std::string &label, ShardArtifact &art,
+                         WhatIf what_if, Publisher *publisher)
 {
     RunOutcome out;
-    const store::CellKey key = storeKeyFor(id, cell.opts.auditRegret);
+    const store::CellKey key = storeKeyFor(id, cell.opts.auditRegret,
+                                           what_if != WhatIf::Off);
     const store::CellKey *stored = storeBypassed(cell) ? nullptr : &key;
     if (storeGet(stored, label, out, art))
         return out;
@@ -546,22 +528,15 @@ SweepRunner::executeCell(const SweepCell &cell,
         defaults.cellTimeoutSec * 1e9);
     const unsigned max_attempts = 1 + defaults.cellRetries;
     for (unsigned attempt = 0;; ++attempt) {
-        if (watch != nullptr && budget_ns > 0) {
-            watch->cancel.store(false, std::memory_order_relaxed);
-            watch->deadline.store(steadyNowNs() + budget_ns,
-                                  std::memory_order_release);
-        }
+        const std::int64_t deadline_ns =
+            budget_ns > 0 ? obs::steadyNowNs() + budget_ns : 0;
         obs::RunContext attempt_ctx(label);
         FailureKind kind;
         {
             const obs::ScopedContext scope(attempt_ctx);
             out = RunOutcome{};
-            kind = attemptCell(
-                cell, id, watch != nullptr ? &watch->cancel : nullptr,
-                out, what_if);
+            kind = attemptCell(cell, id, deadline_ns, out, what_if);
         }
-        if (watch != nullptr)
-            watch->deadline.store(0, std::memory_order_release);
         // Per-attempt contexts keep abandoned attempts' metrics out of
         // the merge: only the final attempt's shard is collected.
         art.snap = attempt_ctx.registry.snapshot();
@@ -631,7 +606,7 @@ SweepRunner::run(std::vector<SweepCell> cells)
     // The run list: one slot per distinct static-nominal baseline an
     // owned cell wants, in the order of its first requesting cell,
     // then cell i at slot first + i. A baseline is a run like any
-    // cell - the same store lookup, watchdog, retries and
+    // cell - the same store lookup, deadline, retries and
     // trace-library route - and no cell waits on one: each cell's
     // CellOutcome::baseline is copied from its baseline's slot once
     // every run is done. Each run records into its own context (see
@@ -673,120 +648,66 @@ SweepRunner::run(std::vector<SweepCell> cells)
     // bypass the library; everything else is replay-eligible. In
     // shared what-if mode, cells collapsing onto one shared key form a
     // group: the first submission index is the owner (it captures the
-    // stream on a miss), later ones are waiters (they block on the
-    // owner's future, then replay its stream, or resolve through their
-    // own exact-tier key when it cannot drive them; never capture the
-    // stream, so an owner's published trace is never clobbered).
-    // Baselines join no group. ParallelExecutor claims indices in
-    // increasing order, so an owner is always scheduled no later than
-    // its waiters and the waits cannot deadlock.
+    // stream on a miss), later ones are waiters (they replay the
+    // owner's stream, or resolve through their own exact-tier key when
+    // it cannot drive them; never capture the stream, so an owner's
+    // published trace is never clobbered). Baselines join no group.
     std::vector<WhatIf> whatIf(runs.size(), WhatIf::Off);
-    std::vector<std::shared_future<void>> waits(runs.size());
-    std::vector<std::shared_ptr<std::promise<void>>> signals(
-        runs.size());
     if (traceLibrary != nullptr && defaults.traceWhatIf) {
-        std::map<std::string, std::shared_future<void>> groupFuture;
+        std::set<std::string> groups;
         for (std::size_t r = first; r < runs.size(); ++r) {
             if (!ownedRun(r) || cacheBypassed(runs[r]))
                 continue;
             trace::LibraryKey stream = runIds[r];
             stream.shared = true;
-            const std::string group = stream.text();
-            const auto it = groupFuture.find(group);
-            if (it == groupFuture.end()) {
-                auto signal = std::make_shared<std::promise<void>>();
-                groupFuture.emplace(group,
-                                    signal->get_future().share());
-                signals[r] = std::move(signal);
-                whatIf[r] = WhatIf::Owner;
-            } else {
-                whatIf[r] = WhatIf::Waiter;
-                waits[r] = it->second;
-            }
+            whatIf[r] = groups.insert(stream.text()).second
+                ? WhatIf::Owner
+                : WhatIf::Waiter;
         }
     }
 
-    // One background thread serves the watchdog and --progress. Every
-    // run publishes a deadline per attempt in its watch slot; the
-    // thread flips the cancel flag when one passes, and the run stops
-    // cooperatively at its next epoch boundary. It never touches
-    // threads or results - enforcement is entirely in-band. The
-    // --progress line on stderr is a rate-limited count of completed
-    // runs: wall-clock cosmetics only, disabled when stderr is not a
-    // TTY (logs, CI).
-    const bool watchdog_on = defaults.cellTimeoutSec > 0.0;
-    std::vector<std::unique_ptr<CellWatch>> watches;
-    if (watchdog_on) {
-        watches.resize(runs.size());
-        for (auto &watch : watches)
-            watch = std::make_unique<CellWatch>();
-    }
-    std::size_t owned_total = 0;
+    // The owned runs execute in two passes: the what-if owners first,
+    // so every group's stream is in the library before its waiters
+    // look for it, then every other run (baselines, plain cells,
+    // waiters). No run waits on another, so the owners of different
+    // groups simulate side by side and no worker idles on a future.
+    std::vector<std::size_t> passes[2];
     for (std::size_t r = 0; r < runs.size(); ++r) {
         if (ownedRun(r))
-            ++owned_total;
+            passes[whatIf[r] == WhatIf::Owner ? 0 : 1].push_back(r);
     }
-    std::atomic<std::size_t> runs_done{0};
+
+    // --progress: the worker that finishes a run redraws a count of
+    // finished runs on stderr, at most ~4x/s (a redraw claims its turn
+    // by compare-exchange on the last draw time), and run() draws once
+    // more after the passes. Wall-clock cosmetics only, disabled when
+    // stderr is not a TTY (logs, CI).
+    const std::size_t owned_total = passes[0].size() + passes[1].size();
     const bool progress_on = defaults.progress && owned_total > 0 &&
         isatty(fileno(stderr)) != 0;
-    std::atomic<bool> background_stop{false};
-    std::thread background;
-    if (watchdog_on || progress_on) {
-        background = std::thread([&, owned_total] {
-            const std::int64_t start = steadyNowNs();
-            std::size_t last_done = static_cast<std::size_t>(-1);
-            std::int64_t last_print = 0;
-            for (;;) {
-                const bool stopping =
-                    background_stop.load(std::memory_order_acquire);
-                const std::int64_t now = steadyNowNs();
-                for (auto &watch : watches) {
-                    const std::int64_t deadline =
-                        watch->deadline.load(std::memory_order_acquire);
-                    if (deadline != 0 && now > deadline) {
-                        watch->cancel.store(
-                            true, std::memory_order_relaxed);
-                    }
-                }
-                const std::size_t done =
-                    runs_done.load(std::memory_order_relaxed);
-                // Redraw at most ~4x/s, and once more when stopping.
-                if (progress_on &&
-                    (stopping ||
-                     (done != last_done &&
-                      now - last_print > 250'000'000))) {
-                    const double secs =
-                        static_cast<double>(now - start) / 1e9;
-                    const double rate =
-                        secs > 0.0 ? static_cast<double>(done) / secs
-                                   : 0.0;
-                    const double eta = rate > 0.0
-                        ? static_cast<double>(owned_total - done) / rate
-                        : 0.0;
-                    std::fprintf(stderr,
-                                 "\r[sweep] %zu/%zu runs "
-                                 "(%.1f runs/s, ETA %.0fs)   ",
-                                 done, owned_total, rate, eta);
-                    std::fflush(stderr);
-                    last_done = done;
-                    last_print = now;
-                }
-                if (stopping) {
-                    if (progress_on)
-                        std::fputc('\n', stderr);
-                    break;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            }
-        });
-    }
+    const std::int64_t progress_start =
+        progress_on ? obs::steadyNowNs() : 0;
+    std::atomic<std::size_t> runs_done{0};
+    std::atomic<std::int64_t> last_draw{0};
+    const auto drawProgress = [&](std::size_t done, std::int64_t now) {
+        const double secs =
+            static_cast<double>(now - progress_start) / 1e9;
+        const double rate =
+            secs > 0.0 ? static_cast<double>(done) / secs : 0.0;
+        const double eta = rate > 0.0
+            ? static_cast<double>(owned_total - done) / rate
+            : 0.0;
+        std::fprintf(stderr,
+                     "\r[sweep] %zu/%zu runs (%.1f runs/s, ETA %.0fs)   ",
+                     done, owned_total, rate, eta);
+        std::fflush(stderr);
+    };
 
     // Store entries are written behind the runs, by one publisher
     // thread per pool thread, so as many fsyncs can be in flight as
-    // there are workers. Every exit from the parallel pass closes the
-    // queue and joins the publishers first: what this call stored is
-    // on disk before it returns or throws.
+    // there are workers. Every exit from the passes closes the queue
+    // and joins the publishers first: what this call stored is on disk
+    // before it returns or throws.
     std::unique_ptr<Publisher> publisher;
     if (resultStore != nullptr) {
         publisher = std::make_unique<Publisher>(*resultStore,
@@ -795,31 +716,35 @@ SweepRunner::run(std::vector<SweepCell> cells)
     const std::int64_t queued_ns = obs::nowNsIfEnabled();
     std::vector<RunOutcome> results(runs.size());
     std::vector<ShardArtifact> art(runs.size());
+    const auto runSlot = [&](std::size_t r) {
+        const obs::ScopedContext scope(*ctx[r]);
+        obs::Registry &registry = ctx[r]->registry;
+        obs::recordSinceNs(registry.histogram("sweep.queue_wait_ns",
+                                              obs::MetricKind::Timing),
+                           queued_ns);
+        const obs::ScopedTimer wall(&registry.histogram(
+            "sweep.cell_wall_ns", obs::MetricKind::Timing));
+        results[r] = executeCell(runs[r], runIds[r], ctx[r]->label,
+                                 art[r], whatIf[r], publisher.get());
+        if (!progress_on)
+            return;
+        const std::size_t done = runs_done.fetch_add(1) + 1;
+        const std::int64_t now = obs::steadyNowNs();
+        std::int64_t last = last_draw.load();
+        if (now - last > 250'000'000 &&
+            last_draw.compare_exchange_strong(last, now)) {
+            drawProgress(done, now);
+        }
+    };
     std::exception_ptr failure;
-    try {
-        pool.forEach(runs.size(), [&](std::size_t r) {
-            if (!ownedRun(r))
-                return;
-            if (waits[r].valid())
-                waits[r].wait();
-            const obs::ScopedContext scope(*ctx[r]);
-            obs::Registry &registry = ctx[r]->registry;
-            obs::recordSinceNs(
-                registry.histogram("sweep.queue_wait_ns",
-                                   obs::MetricKind::Timing),
-                queued_ns);
-            const obs::ScopedTimer wall(&registry.histogram(
-                "sweep.cell_wall_ns", obs::MetricKind::Timing));
-            results[r] = executeCell(
-                runs[r], runIds[r], ctx[r]->label,
-                watchdog_on ? watches[r].get() : nullptr, art[r],
-                whatIf[r], publisher.get());
-            if (signals[r] != nullptr)
-                signals[r]->set_value();
-            runs_done.fetch_add(1, std::memory_order_relaxed);
-        });
-    } catch (...) {
-        failure = std::current_exception();
+    for (const std::vector<std::size_t> &pass : passes) {
+        try {
+            pool.forEach(pass.size(),
+                         [&](std::size_t i) { runSlot(pass[i]); });
+        } catch (...) {
+            if (failure == nullptr)
+                failure = std::current_exception();
+        }
     }
 
     if (publisher != nullptr) {
@@ -829,9 +754,9 @@ SweepRunner::run(std::vector<SweepCell> cells)
                                                 obs::MetricKind::Timing),
                            join_ns);
     }
-    if (background.joinable()) {
-        background_stop.store(true, std::memory_order_release);
-        background.join();
+    if (progress_on) {
+        drawProgress(runs_done.load(), obs::steadyNowNs());
+        std::fputc('\n', stderr);
     }
     if (failure != nullptr)
         std::rethrow_exception(failure);

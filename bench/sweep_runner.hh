@@ -44,15 +44,16 @@
  * --shard i/N restricts a worker to its deterministic slice of the
  * grid (run indices are assigned on the full list first, so cell
  * identity is shard-layout independent);
- * --cell-timeout arms a watchdog thread that cancels overrunning
- * cells cooperatively at the next epoch boundary; transient failures
- * are retried with bounded backoff, deterministic FatalErrors and
- * timeouts never are. A shared baseline is a run slot like a cell:
- * the same store lookup, watchdog, retries and trace-library route.
+ * --cell-timeout gives every attempt a wall-clock deadline that the
+ * run checks at each epoch boundary, so an overrunning run stops there
+ * with a contained FatalError; transient failures are retried with
+ * bounded backoff, deterministic FatalErrors and timeouts never are.
+ * A shared baseline is a run slot like a cell: the same store lookup,
+ * deadline, retries and trace-library route.
  *
  * Both caches key on one cell identity, the exact-tier
  * trace::LibraryKey built by identityOf(): the store adds only the
- * metrics-recorded and regret-audited bits.
+ * metrics-recorded, regret-audited and what-if bits.
  *
  * Replay layer (docs/replay_studies.md): with --trace-cache DIR every
  * replay-eligible cell (and shared baseline) resolves against a
@@ -64,13 +65,15 @@
  * to shared-stream keys where each workload's first cell simulates
  * and every other controller replays its stream (open-loop
  * evaluation, giving up the byte-identity contract); a controller the
- * stream cannot drive resolves through its own exact-tier key.
+ * stream cannot drive resolves through its own exact-tier key. The
+ * stream owners run in a pass of their own, side by side, before
+ * every other run.
  */
 
 #ifndef PCSTALL_BENCH_SWEEP_RUNNER_HH
 #define PCSTALL_BENCH_SWEEP_RUNNER_HH
 
-#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
@@ -197,11 +200,13 @@ class SweepRunner
      * Execute every cell (in parallel, per --threads) and return the
      * outcomes in submission order. Repeat indices are assigned
      * before execution. Every baseline run the owned cells want gets
-     * one slot ahead of the cells in the same parallel pass; every
-     * call runs (or serves from the store) and collects its own.
-     * With a results store, every entry the call checkpoints is
-     * durable when it returns (or throws); a failed checkpoint warns
-     * once per call and leaves the cell to be recomputed on resume.
+     * one slot ahead of the cells; every call runs (or serves from
+     * the store) and collects its own. The runs execute in two
+     * parallel passes: --trace-what-if stream owners first, then
+     * everything else, so no run waits on another. With a results
+     * store, every entry the call checkpoints is durable when it
+     * returns (or throws); a failed checkpoint warns once per call and
+     * leaves the cell to be recomputed on resume.
      */
     std::vector<CellOutcome> run(std::vector<SweepCell> cells);
 
@@ -262,9 +267,6 @@ class SweepRunner
   private:
     using AppPtr = std::shared_ptr<const isa::Application>;
 
-    /** One cell's watchdog slot (defined in sweep_runner.cc). */
-    struct CellWatch;
-
     /** One run()'s write-behind store publication: a bounded queue
      *  and its publisher threads (defined in sweep_runner.cc). */
     class Publisher;
@@ -281,7 +283,7 @@ class SweepRunner
         /** Non-FatalError exception (e.g. an I/O race): retried with
          *  backoff up to --cell-retries times. */
         Transient,
-        /** Cancelled by the watchdog: budget spent, never retried. */
+        /** Failed past its deadline: budget spent, never retried. */
         Timeout,
     };
 
@@ -294,8 +296,8 @@ class SweepRunner
         bool valid = false;
     };
 
-    /** A cell's part in the what-if tier, decided by run() before the
-     *  cell phase (a group's first cell is a submission-order property
+    /** A cell's part in the what-if tier, decided by run() before any
+     *  run starts (a group's first cell is a submission-order property
      *  of the whole grid, not of one cell). */
     enum class WhatIf
     {
@@ -314,23 +316,23 @@ class SweepRunner
                   const BenchOptions &opts);
 
     /**
-     * Store-checked, watchdog-guarded, retry-bounded execution of one
+     * Store-checked, deadline-bounded, retry-bounded execution of one
      * run identified by @p id: a sweep cell, or a shared baseline's
      * cell. @p label names the run in diagnostics and its metric
      * shard; a successful run is checkpointed through @p publisher.
      */
     RunOutcome executeCell(const SweepCell &cell,
                            const trace::LibraryKey &id,
-                           const std::string &label, CellWatch *watch,
-                           ShardArtifact &art, WhatIf what_if,
-                           Publisher *publisher);
+                           const std::string &label, ShardArtifact &art,
+                           WhatIf what_if, Publisher *publisher);
 
     /** One attempt of a run (no store, no retries): runTraced() with
-     *  the run's trace-library route. */
+     *  the run's trace-library route, stopped at the first epoch
+     *  boundary past @p deadline_ns (obs::steadyNowNs; 0 = none). */
     FailureKind attemptCell(const SweepCell &cell,
                             const trace::LibraryKey &id,
-                            const std::atomic<bool> *cancel,
-                            RunOutcome &run, WhatIf what_if);
+                            std::int64_t deadline_ns, RunOutcome &run,
+                            WhatIf what_if);
 
     /**
      * The one definition of a run's identity: its exact-tier trace

@@ -152,12 +152,6 @@ class MemorySystem
     /** Direct access to a CU's L1 (tests). */
     const CacheModel &l1(std::uint32_t cu_id) const { return l1s[cu_id]; }
 
-    /** Direct access to an L2 bank slice (tests). */
-    const CacheModel &l2Bank(std::uint32_t bank) const
-    {
-        return l2Slices[bank];
-    }
-
     /** Mix the hierarchy's complete state (cache tags, queue heads,
      *  activity counters) into the digest @p h. */
     void fingerprint(std::uint64_t &h) const;

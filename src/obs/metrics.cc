@@ -221,13 +221,19 @@ Registry::snapshot() const
 // --- timing helpers -------------------------------------------------
 
 std::int64_t
+steadyNowNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+std::int64_t
 nowNsIfEnabled()
 {
     if (!metricsEnabled())
         return -1;
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    return steadyNowNs();
 }
 
 void
@@ -235,22 +241,14 @@ recordSinceNs(Histogram &hist, std::int64_t t0_ns)
 {
     if (t0_ns < 0)
         return;
-    const std::int64_t now =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    hist.record(static_cast<double>(now - t0_ns));
+    hist.record(static_cast<double>(steadyNowNs() - t0_ns));
 }
 
 ScopedTimer::~ScopedTimer()
 {
     if (t0_ < 0)
         return;
-    const std::int64_t now =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    const double ns = static_cast<double>(now - t0_);
+    const double ns = static_cast<double>(steadyNowNs() - t0_);
     if (hist_ != nullptr)
         hist_->record(ns);
     if (total_ != nullptr)

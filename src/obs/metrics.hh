@@ -227,7 +227,11 @@ class Registry
 
 // --- wall-clock helpers (timing-kind metrics) -----------------------
 
-/** @return steady_clock now in ns, or -1 when metrics are disabled. */
+/** @return steady_clock now in ns, read whether or not metrics are
+ *  enabled (wall-clock deadlines, replay timings). */
+std::int64_t steadyNowNs();
+
+/** @return steadyNowNs(), or -1 when metrics are disabled. */
 std::int64_t nowNsIfEnabled();
 
 /**

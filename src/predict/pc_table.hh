@@ -148,8 +148,6 @@ class PcSensitivityTable
     /** Quantization round-trip of @p sensitivity (test hook). */
     double quantized(double sensitivity) const;
 
-    std::size_t numEntries() const { return valid.size(); }
-
     /** True when entry @p idx holds a written value. */
     bool entryValid(std::size_t idx) const;
 

@@ -97,18 +97,6 @@ class EpochLedger
                   const faults::FaultInjector &injector,
                   const dvfs::DvfsController &controller);
 
-    /** Current V/f state per domain (state during the *next* epoch). */
-    const std::vector<std::size_t> &domainStates() const
-    {
-        return domainState;
-    }
-
-    /** Decisions repaired by the most recent applyDecisions(). */
-    std::size_t lastClamped() const { return lastClamped_; }
-
-    /** True when decision provenance / regret auditing is armed. */
-    bool auditEnabled() const { return auditEnabled_; }
-
   private:
     /** The context a decision at this boundary sees of @p record (no
      *  accurate estimates, no audit). */

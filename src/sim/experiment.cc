@@ -146,8 +146,7 @@ ExperimentDriver::run(std::shared_ptr<const isa::Application> app,
     gpu::EpochRecord record;
     gpu::EpochRecord observed_storage;
     while (!done && epoch_start < cfg.maxSimTime) {
-        if (cfg.cancel != nullptr &&
-            cfg.cancel->load(std::memory_order_relaxed)) {
+        if (cfg.deadlineNs != 0 && obs::steadyNowNs() > cfg.deadlineNs) {
             fatal("run cancelled after " +
                   std::to_string(result.epochs) +
                   " epoch(s): cell wall-time budget exceeded "

@@ -9,7 +9,6 @@
 #ifndef PCSTALL_SIM_EXPERIMENT_HH
 #define PCSTALL_SIM_EXPERIMENT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -83,12 +82,12 @@ struct RunConfig
      *  serial; results are independent of the thread count). */
     unsigned oracleThreads = 1;
     /**
-     * Cooperative cancellation flag (not owned). When non-null and
-     * set, the run stops at the next epoch boundary by throwing
-     * FatalError - the sweep watchdog's --cell-timeout enforcement
-     * seam. Null (the default) means the run can never be cancelled.
+     * Wall-clock deadline (obs::steadyNowNs). Past it, the run stops
+     * at the next epoch boundary by throwing FatalError - the sweep's
+     * --cell-timeout enforcement. 0 (the default) means no deadline,
+     * and the run reads no clock for it.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    std::int64_t deadlineNs = 0;
     /**
      * Score every decision's hindsight regret into RunResult::regret
      * (summary only; no per-epoch records are retained). Cheap but

@@ -90,9 +90,6 @@ class ParallelExecutor
   private:
     void workerLoop();
 
-    /** Claim and run indices of the current batch until exhausted. */
-    void drainBatch();
-
     unsigned numThreads;
     std::vector<std::thread> workers;
 

@@ -99,15 +99,4 @@ writeRunTraceCsvFile(const std::string &path, const RunResult &result,
     return static_cast<bool>(os);
 }
 
-bool
-writeProfileCsvFile(const std::string &path,
-                    const ProfileResult &profile)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeProfileCsv(os, profile);
-    return static_cast<bool>(os);
-}
-
 } // namespace pcstall::sim

@@ -61,8 +61,6 @@ void writeWaveProfileCsv(std::ostream &os,
 bool writeRunTraceCsvFile(const std::string &path,
                           const RunResult &result,
                           const power::VfTable &table);
-bool writeProfileCsvFile(const std::string &path,
-                         const ProfileResult &profile);
 
 } // namespace pcstall::sim
 

@@ -56,7 +56,7 @@ struct CellKey
     std::string controllerConfig;
     /** Serialized run identity. bench::SweepRunner puts the cell's
      *  whole identity here (its exact-tier trace::LibraryKey text
-     *  plus the metrics-recorded and regret-audited bits;
+     *  plus the metrics-recorded, regret-audited and what-if bits;
      *  docs/sweep_farm.md) and leaves the other slots empty. */
     std::string fingerprint;
     /** Repeat index among identical (workload, design, config) cells. */

@@ -1,11 +1,11 @@
 #include "trace/format.hh"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
 #include "common/logging.hh"
 #include "dvfs/objective.hh"
+#include "obs/metrics.hh"
 #include "store/atomic_file.hh"
 #include "trace/sealed.hh"
 
@@ -30,14 +30,6 @@ constexpr std::uint64_t maxWaveSlots = 1 << 12;
 constexpr std::uint64_t maxVfStates = 1 << 10;
 
 constexpr SealedFormat traceFormat{"PCTR", traceFormatVersion, tagEnd};
-
-std::int64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 // --- META -----------------------------------------------------------
 
@@ -666,7 +658,7 @@ readTraceFile(const std::string &path)
 // --- TraceCapture ---------------------------------------------------
 
 TraceCapture::TraceCapture(TraceWriter &trace_writer)
-    : writer(trace_writer), startNs(nowNs())
+    : writer(trace_writer), startNs(obs::steadyNowNs())
 {}
 
 void
@@ -707,7 +699,7 @@ TraceCapture::onRunEnd(const sim::RunResult &result)
     trailer.totalCommitted = result.instructions;
     trailer.completed = result.completed;
     trailer.captureWallMs =
-        static_cast<double>(nowNs() - startNs) / 1e6;
+        static_cast<double>(obs::steadyNowNs() - startNs) / 1e6;
     writer.finish(trailer);
     finished_ = true;
 }

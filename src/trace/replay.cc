@@ -1,9 +1,8 @@
 #include "trace/replay.hh"
 
-#include <chrono>
-
 #include "faults/fault_injector.hh"
 #include "obs/context.hh"
+#include "obs/metrics.hh"
 #include "sim/epoch_ledger.hh"
 
 namespace pcstall::trace
@@ -11,14 +10,6 @@ namespace pcstall::trace
 
 namespace
 {
-
-std::int64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::string
 describeMismatch(std::size_t frame_idx, std::uint32_t domain,
@@ -43,7 +34,7 @@ ReplayDriver::run(dvfs::DvfsController &controller,
 {
     ReplayOutcome outcome;
     outcome.captureWallMs = data.trailer.captureWallMs;
-    const std::int64_t t0 = nowNs();
+    const std::int64_t t0 = obs::steadyNowNs();
 
     const TraceMeta &meta = data.meta;
     sim::RunConfig cfg = runConfigFromMeta(meta);
@@ -174,7 +165,8 @@ ReplayDriver::run(dvfs::DvfsController &controller,
                     data.trailer.lastCommitTick,
                     data.trailer.totalCommitted, injector, controller);
 
-    outcome.replayWallMs = static_cast<double>(nowNs() - t0) / 1e6;
+    outcome.replayWallMs =
+        static_cast<double>(obs::steadyNowNs() - t0) / 1e6;
     if (obs::metricsEnabled()) {
         if (options.liveMetricProfile) {
             // Cache-served replay standing in for a live simulation:

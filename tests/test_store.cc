@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "obs/context.hh"
 #include "store/atomic_file.hh"
 #include "store/cell_codec.hh"
 #include "store/result_store.hh"
@@ -669,6 +670,44 @@ TEST(SweepStore, V2EntryIsQuarantinedAndRecomputedNeverIngested)
     EXPECT_TRUE(trace::unseal(republished, pcrs).ok());
 }
 
+TEST(SweepStore, WhatIfResultNeverServesAClosedLoopRun)
+{
+    // A --trace-what-if run may replay another controller's stream
+    // open-loop. Its stored result must never answer the same cell
+    // run closed-loop on that store.
+    const auto grid = [](bench::SweepRunner &runner) {
+        std::vector<bench::SweepCell> cells;
+        for (const char *design : {"PCSTALL", "STALL", "CRISP"})
+            cells.push_back(runner.cell("comd", design));
+        return cells;
+    };
+    bench::SweepRunner fresh(smallOptions(1));
+    const auto want = fresh.run(grid(fresh));
+
+    const std::string dir = scratchDir("whatif");
+    bench::BenchOptions what_if = smallOptions(1);
+    what_if.storeDir = dir + "/store";
+    what_if.traceCacheDir = dir + "/lib";
+    what_if.traceWhatIf = true;
+    bench::SweepRunner writer(what_if);
+    const auto open_loop = writer.run(grid(writer));
+    ASSERT_TRUE(open_loop[1].run.ok) << open_loop[1].run.error;
+    // Not vacuous: STALL replayed over PCSTALL's stream scores
+    // differently from STALL's own closed loop.
+    EXPECT_NE(open_loop[1].run.result.predictionAccuracy,
+              want[1].run.result.predictionAccuracy);
+
+    bench::BenchOptions closed = smallOptions(1);
+    closed.storeDir = what_if.storeDir;
+    bench::SweepRunner reader(closed);
+    const auto out = reader.run(grid(reader));
+    ASSERT_EQ(out.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        expectSameResult(want[i].run, out[i].run,
+                         "closed-loop cell " + std::to_string(i));
+    }
+}
+
 TEST(SweepStore, InspectCellsBypassTheStore)
 {
     const std::string dir = scratchDir("bypass");
@@ -780,8 +819,8 @@ TEST(SweepWatchdog, CellTimeoutCancelsAndIsNeverRetried)
 TEST(SweepWatchdog, SharedBaselineRunsUnderTheWatchdog)
 {
     bench::BenchOptions opts = smallOptions(2);
-    // A full-scale run outlasts the watchdog's 10 ms polling by far;
-    // the budget is far below any real run's wall time.
+    // The budget is far below any real run's wall time, and a
+    // full-scale run crosses many epoch boundaries past its deadline.
     opts.scale = 1.0;
     opts.cellTimeoutSec = 1e-4;
     bench::SweepRunner runner(opts);
@@ -795,6 +834,44 @@ TEST(SweepWatchdog, SharedBaselineRunsUnderTheWatchdog)
               std::string::npos)
         << out[0].baseline.error;
     EXPECT_FALSE(out[0].run.ok);
+}
+
+std::uint64_t
+collectedCounter(const std::string &name)
+{
+    const obs::MetricsSnapshot snap = obs::collectedSnapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(SweepWatchdog, UnexpiredDeadlineChangesNothing)
+{
+    // Every attempt arms a deadline it never reaches: the sweep must
+    // equal the unbudgeted one, and no run may count as timed out.
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        obs::resetAll();
+        obs::setMetricsEnabled(true);
+        bench::SweepRunner unbudgeted(smallOptions(threads));
+        const auto want = unbudgeted.run(smallGrid(unbudgeted));
+
+        bench::BenchOptions opts = smallOptions(threads);
+        opts.cellTimeoutSec = 600;
+        bench::SweepRunner budgeted(opts);
+        const auto out = budgeted.run(smallGrid(budgeted));
+        ASSERT_EQ(out.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            expectSameResult(want[i].run, out[i].run,
+                             "budgeted cell " + std::to_string(i));
+        }
+        expectSameResult(want[0].baseline, out[0].baseline,
+                         "budgeted baseline");
+        EXPECT_EQ(collectedCounter("farm.cells.timeout"), 0u);
+        // Not vacuous: both sweeps' shards were collected (4 cells and
+        // a baseline each).
+        EXPECT_EQ(collectedCounter("run.count"), 10u);
+    }
+    obs::resetAll();
 }
 
 TEST(SweepRetry, TransientFailureIsRetriedThenSucceeds)

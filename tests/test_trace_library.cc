@@ -11,8 +11,11 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -425,6 +428,47 @@ TEST(ReplaySweep, WhatIfTierSharesOneCaptureAcrossControllers)
                          "what-if cell " + std::to_string(i));
     }
     EXPECT_EQ(warm.traceCache()->entryCount(), 1u);
+}
+
+TEST(ReplaySweep, WhatIfOwnersRunConcurrently)
+{
+    // A group's waiters replay its owner's stream, so none may hold a
+    // worker while an owner simulates: the owners of different groups
+    // run side by side. Each owner waits, bounded, for a second owner
+    // to start.
+    const std::string dir = scratchDir("whatifowners");
+    bench::BenchOptions opts = smallOptions(4, dir);
+    opts.traceWhatIf = true;
+    bench::SweepRunner runner(opts);
+    std::mutex mutex;
+    std::condition_variable arrived;
+    int owners = 0;
+    int timed_out = 0;
+    const auto owner = [&](const sim::RunConfig &rc) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++owners;
+        arrived.notify_all();
+        if (!arrived.wait_for(lock, std::chrono::seconds(5),
+                              [&] { return owners >= 2; })) {
+            ++timed_out;
+        }
+        return bench::makeController("PCSTALL", rc);
+    };
+    std::vector<bench::SweepCell> cells;
+    for (const char *workload : {"comd", "dgemm"}) {
+        // The first cell of each workload owns its group's stream.
+        cells.push_back(runner.cell(workload, "PCSTALL"));
+        cells.back().factory = owner;
+        for (const char *design : {"STALL", "CRISP", "LEAD", "CRIT", "GPHT"})
+            cells.push_back(runner.cell(workload, design));
+    }
+    const auto out = runner.run(std::move(cells));
+    for (const bench::CellOutcome &cell : out)
+        EXPECT_TRUE(cell.run.ok) << cell.run.error;
+    EXPECT_EQ(owners, 2);
+    EXPECT_EQ(timed_out, 0)
+        << "an owner simulated while its waiters held the pool";
+    EXPECT_EQ(runner.traceCache()->entryCount(), 2u);
 }
 
 /** One what-if sweep of @p designs on comd, in submission order. */
